@@ -13,17 +13,19 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, checks
 from .boettcher import MAX_LEVEL, build_table
-from .errors import JuliaDimError, ParseError
+from .errors import JuliaDimError, NoConvergenceError, ParseError
 from .maps import in_mandelbrot, in_mandelbrot_eps, in_main_disk
+from .perturbation import phi_dot_table
 from .quadrature import QuadratureSpec, find_theta0, omega
-from .transfer import (TransferOperator, _aitken, _bowen_root,
-                       directional_derivative_formula, equilibrium,
-                       hausdorff_dim)
+from .transfer import (EquilibriumWeights, TransferOperator, _aitken,
+                       _bowen_root, directional_derivative_formula,
+                       equilibrium, hausdorff_dim)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -31,6 +33,7 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 D0_BRACKET = (1.0, 1.295)
+D0_FIT_MAXIT = 60
 DEFAULT_RAY_T_START = 0.4
 DEFAULT_RAY_T_END = 0.05
 RAY_GRID_RATIO = 1.0 / math.sqrt(2.0)
@@ -92,32 +95,55 @@ def _map_maybe_parallel(fn, items, threads: int):
 # ---------------------------------------------------------------------------
 # extrapolated solvers shared by the scan commands
 
-def _dim_extrapolated(delta: complex, level: int) -> tuple[float, float, float]:
-    """(raw, extrapolated, error bound) dimension using levels L-4, L-2, L."""
-    table = build_table(delta, level)
-    taus = []
-    for lev in (level - 4, level - 2, level):
-        op = TransferOperator(delta, table, lev)
-        taus.append(_bowen_root(op)[0])
+def _stencil_roots(delta: complex, table, level: int):
+    """Operators and pressure roots at levels L-4, L-2, L."""
+    ops = [TransferOperator(delta, table, lev)
+           for lev in (level - 4, level - 2, level)]
+    return ops, [_bowen_root(op)[0] for op in ops]
+
+
+def _dim_summary(taus) -> tuple[float, float, float]:
     return taus[-1], _aitken(*taus), abs(taus[-1] - taus[-2])
 
 
-def _dprime_extrapolated(delta: complex, level: int):
-    """Directional-derivative estimates at levels L-4, L-2, L plus Aitken.
+def _dim_extrapolated(delta: complex, level: int) -> tuple[float, float, float]:
+    """(raw, extrapolated, error bound) dimension using levels L-4, L-2, L."""
+    _, taus = _stencil_roots(delta, build_table(delta, level), level)
+    return _dim_summary(taus)
+
+
+@dataclass(frozen=True, eq=False)
+class RayPoint:
+    dim: tuple[float, float, float]     # raw, extrapolated, level gap
+    dprime: tuple[float, float]         # raw, extrapolated
+    weights: EquilibriumWeights         # equilibrium state at level L
+    op: TransferOperator                # operator at level L
+
+
+def _ray_point(delta: complex, level: int) -> RayPoint:
+    """Dimension and directional derivative from one table and one root
+    per stencil level.
 
     Near the parabolic point the word discretization converges only
-    geometrically per level, so the scan extrapolates the level series and
-    also reports the raw top-level value.
+    geometrically per level, so both series are Aitken-extrapolated and the
+    raw top-level values are reported alongside.
     """
-    v = delta / abs(delta)
-    vals = []
     table = build_table(delta, level)
-    for lev in (level - 4, level - 2, level):
-        op = TransferOperator(delta, table, lev)
-        tau = _bowen_root(op)[0]
-        w = equilibrium(delta, tau, table, lev)
-        vals.append(directional_derivative_formula(delta, v, table, w))
-    return vals[-1], _aitken(*vals)
+    ops, taus = _stencil_roots(delta, table, level)
+    v = delta / abs(delta)
+    pdot = phi_dot_table(delta, table)
+    vals = []
+    for op, tau in zip(ops, taus):
+        weights = equilibrium(delta, tau, table, op.level)
+        vals.append(directional_derivative_formula(delta, v, table, weights,
+                                                   pdot=pdot))
+    return RayPoint(_dim_summary(taus), (vals[-1], _aitken(*vals)), weights,
+                    ops[-1])
+
+
+def _dprime_extrapolated(delta: complex, level: int):
+    """(raw, extrapolated) directional derivative using levels L-4, L-2, L."""
+    return _ray_point(delta, level).dprime
 
 
 def _dprime_fd(delta: complex, level: int, rel_step: float = 1e-2) -> float:
@@ -202,15 +228,16 @@ def _fit_d0(ts, dims, n_use: int = 4) -> float:
     ts = np.asarray(ts, dtype=float)[-n_use:]
     dims = np.asarray(dims, dtype=float)[-n_use:]
     d0 = float(dims[-1])
-    for _ in range(60):
+    for _ in range(D0_FIT_MAXIT):
         q = 2.0 * d0 - 1.0
         X = np.vstack([np.ones_like(ts), ts ** q]).T
         coef, *_ = np.linalg.lstsq(X, dims, rcond=None)
         if abs(coef[0] - d0) < 1e-13:
-            d0 = float(coef[0])
-            break
+            return float(coef[0])
         d0 = float(coef[0])
-    return d0
+    raise NoConvergenceError(
+        f"d0 power-law fit did not settle in {D0_FIT_MAXIT} iterations "
+        f"(last estimate {d0!r})")
 
 
 def cmd_d0(args) -> int:
@@ -270,29 +297,28 @@ def cmd_ray(args) -> int:
     expo = 2.0 * d0 - 2.0
 
     def solve(t):
+        """CSV row and expansion rate chi at level L of one ray point."""
         delta = t * v
         try:
-            dim_raw, dim_ext, gap = _dim_extrapolated(delta, args.level)
-            dp_raw, dp_ext = _dprime_extrapolated(delta, args.level)
+            pt = _ray_point(delta, args.level)
             fd = _dprime_fd(delta, args.level)
-            r = dp_ext / t ** expo
-            return [t, dim_raw, dim_ext, dp_raw, dp_ext, fd, r, "ok"]
         except JuliaDimError as exc:
-            return [t, "", "", "", "", "", "", exc.code]
+            return [t, "", "", "", "", "", "", exc.code], float("nan")
+        (dim_raw, dim_ext, _), (dp_raw, dp_ext) = pt.dim, pt.dprime
+        r = dp_ext / t ** expo
+        chi = float(np.sum(pt.weights.mu * pt.op.log_deriv))
+        return [t, dim_raw, dim_ext, dp_raw, dp_ext, fd, r, "ok"], chi
 
-    rows = _map_maybe_parallel(solve, ts, args.threads)
+    solved = _map_maybe_parallel(solve, ts, args.threads)
+    rows = [row for row, _ in solved]
     good = [row for row in rows if row[-1] == "ok"]
+    chis = [chi for row, chi in solved if row[-1] == "ok"]
     rs = [row[6] for row in good]
     fitted_A = float(np.mean([r / om for r in rs[-3:]])) if len(rs) >= 1 else float("nan")
     # expansion rate at the innermost point: with the fitted amplitude it
     # implies the measure constant; both are fitted quantities, never inputs
     t_min = good[-1][0] if good else ts[-1]
-    delta_min = t_min * v
-    table = build_table(delta_min, args.level)
-    op = TransferOperator(delta_min, table, args.level)
-    tau_min = _bowen_root(op)[0]
-    chi = float(np.sum(equilibrium(delta_min, tau_min, table, args.level).mu
-                       * op.log_deriv))
+    chi = chis[-1] if chis else float("nan")
     implied_H_mu = fitted_A * chi * 2.0 ** d0 / d0
     planar_A = 2.0 ** (2.0 * d0 - 2.0) * fitted_A
     # refit in the other family's normalization: each ray point delta = t v
@@ -512,7 +538,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         if "--config" in argv:
-            conf = _load_config(argv[argv.index("--config") + 1])
+            pos = argv.index("--config") + 1
+            if pos == len(argv):
+                raise ParseError("--config needs a file path")
+            conf = _load_config(argv[pos])
             args_probe, _ = parser.parse_known_args(argv)
             defaults = {}
             for key, raw in conf.items():

@@ -65,17 +65,36 @@ class TransferOperator:
     def weights(self, tau: float) -> np.ndarray:
         return np.exp(-tau * self.log_deriv)
 
-    def apply(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Sum over the two shift preimages of each word."""
-        t = u * w
-        half = len(t) // 2
-        return np.repeat(t[:half] + t[half:], 2)
+    def apply(self, u: np.ndarray, w: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """Sum over the two shift preimages of each word.
 
-    def apply_dual(self, om: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Dual action on mass vectors."""
-        n = len(om)
-        idx = np.arange(n)
-        return w * (om[(2 * idx) % n] + om[(2 * idx + 1) % n])
+        Words 2k and 2k+1 share the preimages k and k + n/2, so both get
+        u[k]*w[k] + u[k+n/2]*w[k+n/2]. With ``out`` (contiguous, not
+        aliasing ``u``) nothing is allocated.
+        """
+        half = len(u) // 2
+        if out is None:
+            out = np.empty_like(u)
+        pairs = out.reshape(half, 2)
+        even, odd = pairs[:, 0], pairs[:, 1]
+        np.multiply(u[:half], w[:half], out=even)
+        np.multiply(u[half:], w[half:], out=odd)
+        even += odd
+        odd[...] = even
+        return out
+
+    def apply_dual(self, om: np.ndarray, w: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Dual action on mass vectors: word k collects words 2k and 2k+1
+        (mod n). With ``out`` (not aliasing ``om``) nothing is allocated."""
+        half = len(om) // 2
+        if out is None:
+            out = np.empty_like(om)
+        np.add(om[0::2], om[1::2], out=out[:half])
+        out[half:] = out[:half]
+        out *= w
+        return out
 
     def _perron(self, w: np.ndarray, u0: np.ndarray | None = None,
                 rtol: float = EIG_RTOL, maxit: int = EIG_MAXIT):
@@ -87,14 +106,16 @@ class TransferOperator:
         on the last step size.
         """
         n = self.size
-        u = np.full(n, 1.0 / n) if u0 is None else u0
+        u = np.full(n, 1.0 / n) if u0 is None else np.array(u0, dtype=float)
+        v = np.empty(n)
         lam_old = None
         diff_old = None
         for _ in range(maxit):
-            v = self.apply(u, w)
+            self.apply(u, w, out=v)
             s = v.sum()
             lam = s / u.sum()
-            u = v / s
+            np.divide(v, s, out=v)
+            u, v = v, u
             if lam_old is not None:
                 diff = abs(lam - lam_old)
                 if diff == 0.0:
@@ -239,14 +260,18 @@ def equilibrium(delta: complex, tau: float, table: BoettcherTable,
     n = op.size
     h = np.full(n, 1.0 / n)
     om = np.full(n, 1.0 / n)
+    v = np.empty(n)
+    vo = np.empty(n)
     lam_old = None
     diff_old = None
     for _ in range(EIG_MAXIT):
-        v = op.apply(h, w)
+        op.apply(h, w, out=v)
         lam = v.sum()
-        h = v / lam
-        vo = op.apply_dual(om, w)
-        om = vo / vo.sum()
+        np.divide(v, lam, out=v)
+        h, v = v, h
+        op.apply_dual(om, w, out=vo)
+        np.divide(vo, vo.sum(), out=vo)
+        om, vo = vo, om
         if lam_old is not None:
             diff = abs(lam - lam_old)
             if diff == 0.0:
@@ -260,7 +285,7 @@ def equilibrium(delta: complex, tau: float, table: BoettcherTable,
     else:
         raise NoConvergenceError("equilibrium power iteration did not converge")
     mu = h * om
-    mu = mu / mu.sum()
+    mu /= mu.sum()
     return EquilibriumWeights(complex(delta), op.level, float(tau), mu, om)
 
 
@@ -308,13 +333,15 @@ def lyapunov_integral(delta: complex, weights: EquilibriumWeights,
 
 def directional_derivative_formula(delta: complex, v: complex,
                                    table: BoettcherTable,
-                                   weights: EquilibriumWeights) -> float:
+                                   weights: EquilibriumWeights,
+                                   pdot: np.ndarray | None = None) -> float:
     """Dimension derivative along the unit ray v through delta.
 
     Evaluates -tau/chi times the invariant average of
     Re((v + 2 v phi_dot) / Df(point)), with phi_dot the parameter
     derivative of the landing points. This is the exact derivative of the
-    discretized dimension at the operator's word length.
+    discretized dimension at the operator's word length. ``pdot`` is
+    ``phi_dot_table(delta, table)`` if the caller already has it.
     """
     delta = complex(delta)
     v = complex(v)
@@ -323,7 +350,9 @@ def directional_derivative_formula(delta: complex, v: complex,
     reps = _reps_from_table(table, weights.level)
     deriv = maps.evaluate_deriv(maps.f_delta(delta), reps)
     stride = 1 << (table.level - weights.level)
-    pdot = phi_dot_table(delta, table)[::stride]
+    if pdot is None:
+        pdot = phi_dot_table(delta, table)
+    pdot = pdot[::stride]
     integrand = np.real((v + 2.0 * v * pdot) / deriv)
     # endpoint-averaged, matching the operator's weight rule, so this is
     # the exact parameter derivative of the discretized dimension

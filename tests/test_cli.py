@@ -3,7 +3,11 @@ import os
 
 import pytest
 
-from juliadim.cli import main
+from juliadim import cli, transfer
+from juliadim.cli import _fit_d0, main
+from juliadim.errors import NoConvergenceError
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def run(argv):
@@ -101,6 +105,11 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert "level 10" in out
 
 
+def test_config_flag_without_path(capsys):
+    assert run(["dim", "--delta", "0.3", "--config"]) == 2
+    assert "PARSE_ERROR" in capsys.readouterr().err
+
+
 def test_ray_scan_csv(tmp_path, capsys):
     out = str(tmp_path / "ray.csv")
     assert run(["ray", "--alpha", "0.0", "--t-start", "0.4", "--t-end", "0.2",
@@ -119,6 +128,35 @@ def test_ray_scan_csv(tmp_path, capsys):
         assert r < 0
 
 
+def test_ray_golden_and_one_solve_per_point(tmp_path, monkeypatch):
+    calls = {"build_table": 0, "phi_dot_table": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "build_table")
+    counted(cli, "phi_dot_table")
+    counted(transfer, "phi_dot_table")
+    out = str(tmp_path / "ray.csv")
+    assert run(["ray", "--alpha", "0.5236", "--level", "10", "--out", out]) == 0
+    # the fixture was written by the allocating kernels with one table and
+    # root solve per use; the shared solve must not move a single bit
+    with open(os.path.join(FIXTURES, "ray_alpha0.5236_L10.csv"), "rb") as fh:
+        golden = fh.read()
+    with open(out, "rb") as fh:
+        assert fh.read() == golden
+    points = len(golden.splitlines()) - 1
+    assert points == 7
+    # per point: its own table plus the two finite-difference tables, and
+    # one phi-dot table shared by the three stencil levels
+    assert calls == {"build_table": 3 * points, "phi_dot_table": points}
+
+
 def test_ray_rejects_bad_alpha():
     assert run(["ray", "--alpha", "2.0", "--level", "12"]) == 2
 
@@ -130,6 +168,13 @@ def test_d0_smoke(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert 1.0 < doc["estimate"] < 1.3
     assert os.path.exists(out)
+
+
+def test_fit_d0_reports_no_convergence():
+    # dimensions rising linearly in t admit no self-consistent power law:
+    # the fixed-point iteration wanders instead of settling
+    with pytest.raises(NoConvergenceError):
+        _fit_d0([0.4, 0.3, 0.2, 0.1], [1.3, 1.2, 1.1, 1.0])
 
 
 def test_convexity_smoke(tmp_path, capsys):

@@ -213,3 +213,131 @@ def test_orbit_expansion_report():
     assert rep["min_deriv_over_k2"] > 0
     assert rep["min_full_deriv"] > 1.0
     assert rep["min_partial_deriv"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the allocation-free kernels against the original allocating formulas
+
+def _repeat_apply(u, w):
+    t = u * w
+    half = len(t) // 2
+    return np.repeat(t[:half] + t[half:], 2)
+
+
+def _gather_apply_dual(om, w):
+    n = len(om)
+    idx = np.arange(n)
+    return w * (om[(2 * idx) % n] + om[(2 * idx + 1) % n])
+
+
+def _repeat_perron(op, w, u0=None, rtol=transfer.EIG_RTOL, maxit=transfer.EIG_MAXIT):
+    n = op.size
+    u = np.full(n, 1.0 / n) if u0 is None else u0
+    lam_old = None
+    diff_old = None
+    for _ in range(maxit):
+        v = _repeat_apply(u, w)
+        s = v.sum()
+        lam = s / u.sum()
+        u = v / s
+        if lam_old is not None:
+            diff = abs(lam - lam_old)
+            if diff == 0.0:
+                return lam, u
+            if diff_old is not None and diff < diff_old:
+                rho = diff / diff_old
+                if diff * rho / (1.0 - rho) < rtol * abs(lam):
+                    return lam, u
+            diff_old = diff
+        lam_old = lam
+    raise AssertionError("reference power iteration did not converge")
+
+
+def _repeat_equilibrium(op, tau):
+    w = op.weights(tau)
+    n = op.size
+    h = np.full(n, 1.0 / n)
+    om = np.full(n, 1.0 / n)
+    lam_old = None
+    diff_old = None
+    while True:
+        v = _repeat_apply(h, w)
+        lam = v.sum()
+        h = v / lam
+        vo = _gather_apply_dual(om, w)
+        om = vo / vo.sum()
+        if lam_old is not None:
+            diff = abs(lam - lam_old)
+            if diff == 0.0:
+                break
+            if diff_old is not None and diff < diff_old:
+                rho = diff / diff_old
+                if diff * rho / (1.0 - rho) < transfer.EIG_RTOL * abs(lam):
+                    break
+            diff_old = diff
+        lam_old = lam
+    mu = h * om
+    return mu / mu.sum(), om
+
+
+@pytest.fixture(scope="module")
+def table16():
+    return build_table(0.3 + 0.2j, 16)
+
+
+@pytest.mark.parametrize("level", range(1, 17))
+def test_kernels_bit_identical(table16, level):
+    op = TransferOperator(0.3 + 0.2j, table16, level)
+    rng = np.random.default_rng(level)
+    u = rng.random(op.size)
+    w = rng.random(op.size)
+    u_in, w_in = u.copy(), w.copy()
+    ref = _repeat_apply(u, w)
+    assert np.array_equal(op.apply(u, w), ref)
+    out = np.full(op.size, np.nan)
+    assert op.apply(u, w, out=out) is out
+    assert np.array_equal(out, ref)
+    ref_dual = _gather_apply_dual(u, w)
+    assert np.array_equal(op.apply_dual(u, w), ref_dual)
+    assert op.apply_dual(u, w, out=out) is out
+    assert np.array_equal(out, ref_dual)
+    assert np.array_equal(u, u_in) and np.array_equal(w, w_in)
+
+
+def test_power_steps_bit_identical(table16):
+    op = TransferOperator(0.3 + 0.2j, table16, 14)
+    w = op.weights(1.1)
+    n = op.size
+    u_ref = np.full(n, 1.0 / n)
+    u = np.full(n, 1.0 / n)
+    v = np.empty(n)
+    for _ in range(50):
+        t = _repeat_apply(u_ref, w)
+        s_ref = t.sum()
+        lam_ref = s_ref / u_ref.sum()
+        u_ref = t / s_ref
+        op.apply(u, w, out=v)
+        s = v.sum()
+        lam = s / u.sum()
+        np.divide(v, s, out=v)
+        u, v = v, u
+        assert lam == lam_ref
+    assert np.array_equal(u, u_ref)
+
+
+def test_perron_and_equilibrium_bit_identical(table16):
+    op = TransferOperator(0.3 + 0.2j, table16, 12)
+    w = op.weights(1.2)
+    lam_ref, u_ref = _repeat_perron(op, w)
+    lam, u = op._perron(w)
+    assert lam == lam_ref and np.array_equal(u, u_ref)
+    # warm start: same result, and the caller's start vector is left alone
+    w2 = op.weights(1.25)
+    u0 = u.copy()
+    lam_ref, u_ref = _repeat_perron(op, w2, u0)
+    lam, u2 = op._perron(w2, u)
+    assert lam == lam_ref and np.array_equal(u2, u_ref)
+    assert np.array_equal(u, u0)
+    mu_ref, om_ref = _repeat_equilibrium(op, 1.2)
+    eq = equilibrium(0.3 + 0.2j, 1.2, table16, 12)
+    assert np.array_equal(eq.mu, mu_ref) and np.array_equal(eq.omega, om_ref)

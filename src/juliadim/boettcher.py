@@ -12,7 +12,6 @@ the semiconjugacy f(points[k]) = points[2k mod 2^N].
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,9 +108,8 @@ def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
 
 
 def build_table(delta: complex, level: int, tol: float = 1e-12,
-                seed: BoettcherTable | np.ndarray | None = None,
-                cache_dir: str | None = None) -> BoettcherTable:
-    """Build (or load) the landing-point table at the given level.
+                seed: BoettcherTable | np.ndarray | None = None) -> BoettcherTable:
+    """Build the landing-point table at the given level.
 
     ``seed`` continues from an existing table at a nearby parameter (same
     level), which keeps branch choices locked during parameter scans.
@@ -121,10 +119,6 @@ def build_table(delta: complex, level: int, tol: float = 1e-12,
     delta = complex(delta)
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}]")
-    if cache_dir is not None:
-        cached = load_cached_table(cache_dir, delta, level)
-        if cached is not None:
-            return cached
 
     if seed is None:
         pts = _seed_by_continuation(delta, level)
@@ -161,10 +155,7 @@ def build_table(delta: complex, level: int, tol: float = 1e-12,
         # trivially; landing points of distinct angles must stay distinct
         raise NoConvergenceError(
             f"pullback degenerated to repeated points for delta={delta}")
-    table = BoettcherTable(delta, level, pts, tol, residual)
-    if cache_dir is not None:
-        save_table(cache_dir, table)
-    return table
+    return BoettcherTable(delta, level, pts, tol, residual)
 
 
 def landing_point(table: BoettcherTable, angle: DyadicAngle) -> complex:
@@ -198,50 +189,3 @@ def cylinders(table: BoettcherTable, n_max: int) -> list[Cylinder]:
         b = anchor_point(table, n + 1)
         out.append(Cylinder(n, (a, b), abs(a - b)))
     return out
-
-
-def julia_cloud(table: BoettcherTable) -> np.ndarray:
-    """All table points in angle order (a plottable boundary sample)."""
-    return table.points.copy()
-
-
-# ---------------------------------------------------------------------------
-# disk cache: one CSV per (delta rounded to 1e-15, level)
-
-def _cache_name(delta: complex, level: int) -> str:
-    re = round(delta.real, 15)
-    im = round(delta.imag, 15)
-    return f"boettcher_{re!r}_{im!r}_N{level}.csv".replace("-", "m")
-
-
-def save_table(cache_dir: str, table: BoettcherTable) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, _cache_name(table.delta, table.level))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("delta_re,delta_im,level,tol,residual\n")
-        fh.write("%.17g,%.17g,%d,%.17g,%.17g\n"
-                 % (table.delta.real, table.delta.imag, table.level,
-                    table.tol, table.residual))
-        fh.write("k,re,im\n")
-        for k, z in enumerate(table.points):
-            fh.write("%d,%.17g,%.17g\n" % (k, z.real, z.imag))
-    return path
-
-
-def load_cached_table(cache_dir: str, delta: complex,
-                      level: int) -> BoettcherTable | None:
-    path = os.path.join(cache_dir, _cache_name(delta, level))
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        vals = fh.readline().strip().split(",")
-        meta = dict(zip(header, vals))
-        fh.readline()  # column header
-        pts = np.empty(1 << level, dtype=complex)
-        for line in fh:
-            k, re, im = line.strip().split(",")
-            pts[int(k)] = complex(float(re), float(im))
-    return BoettcherTable(complex(float(meta["delta_re"]), float(meta["delta_im"])),
-                          int(meta["level"]), pts,
-                          float(meta["tol"]), float(meta["residual"]))

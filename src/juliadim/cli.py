@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, checks
 from .boettcher import MAX_LEVEL, build_table
 from .errors import JuliaDimError, NoConvergenceError, ParseError
-from .maps import in_mandelbrot, in_mandelbrot_eps, in_main_disk
+from .maps import Param, in_main_disk, in_mandelbrot_grid
 from .perturbation import phi_dot_table
 from .quadrature import QuadratureSpec, find_theta0, omega
 from .transfer import (EquilibriumWeights, TransferOperator, _aitken,
@@ -164,6 +164,12 @@ def _dprime_fd(delta: complex, level: int, rel_step: float = 1e-2) -> float:
 
 def cmd_dim(args) -> int:
     delta = _parse_complex(args.delta)
+    # +delta and -delta share one eps; solve at the root Param.from_epsilon
+    # picks (0.0 - delta, unlike -delta, keeps a zero part +0.0)
+    if delta.real < 0 or (delta.real == 0 and delta.imag < 0):
+        delta = 0.0 - delta
+    if not in_main_disk(delta):
+        raise ParseError(f"delta = {delta} outside the attracting disk")
     t0 = time.monotonic()
     res = hausdorff_dim(delta, args.level, args.tol)
     dur = (time.monotonic() - t0) * 1e3
@@ -407,18 +413,20 @@ def cmd_convexity(args) -> int:
 def cmd_mandelbrot(args) -> int:
     t0 = time.monotonic()
     n = args.grid
-    rows = []
+    if n < 1:
+        raise ParseError("--grid must be >= 1")
     if args.family == "delta":
         res = np.linspace(-2.5, 2.5, n)
         ims = np.linspace(-2.5, 2.5, n)
-        member = in_mandelbrot
     else:
         res = np.linspace(-2.0, 0.5, n)
         ims = np.linspace(-1.25, 1.25, n)
-        member = in_mandelbrot_eps
-    for re in res:
-        for im in ims:
-            rows.append([re, im, 1 if member(complex(re, im), args.max_iter) else 0])
+    deltas = (complex(re, im) for re in res for im in ims)
+    if args.family == "eps":
+        deltas = (Param.from_epsilon(e).delta for e in deltas)
+    inside = in_mandelbrot_grid(deltas, args.max_iter)
+    rows = [[re, im, 1 if inside[i * n + j] else 0]
+            for i, re in enumerate(res) for j, im in enumerate(ims)]
     out = args.out or f"mandelbrot_{args.family}.csv"
     _write_csv(out, ["re", "im", "inside"], rows)
     dur = (time.monotonic() - t0) * 1e3

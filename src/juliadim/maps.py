@@ -150,10 +150,7 @@ def in_mandelbrot(delta: complex, max_iter: int = MAX_ITER_DEFAULT,
     The orbit is iterated in the p_eps normalization (critical point 0),
     where |z| > escape_radius >= 4 certifies escape.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if escape_radius < 4.0:
-        raise ValueError("escape_radius must be >= 4")
+    _check_escape_args(max_iter, escape_radius)
     c = 0.25 - complex(delta) ** 2 / 4.0
     z = 0.0j
     r2 = escape_radius * escape_radius
@@ -164,11 +161,42 @@ def in_mandelbrot(delta: complex, max_iter: int = MAX_ITER_DEFAULT,
     return True
 
 
-def in_mandelbrot_eps(epsilon: complex, max_iter: int = MAX_ITER_DEFAULT,
-                      escape_radius: float = ESCAPE_RADIUS_DEFAULT) -> bool:
-    """Membership test in the p_eps parameter plane."""
-    return in_mandelbrot(Param.from_epsilon(epsilon).delta,
-                         max_iter, escape_radius)
+def _check_escape_args(max_iter: int, escape_radius: float) -> None:
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if escape_radius < 4.0:
+        raise ValueError("escape_radius must be >= 4")
+
+
+def in_mandelbrot_grid(deltas, max_iter: int = MAX_ITER_DEFAULT,
+                       escape_radius: float = ESCAPE_RADIUS_DEFAULT) -> np.ndarray:
+    """``in_mandelbrot`` of every delta, one escape-time loop for all.
+
+    Bit-identical to the scalar routine: c comes from the same scalar
+    expression, and the orbit runs on split float64 arrays in the order of
+    Python's complex product (numpy complex arithmetic is not bit-identical
+    to it, which would flip boundary points).  Escaped points leave the
+    active set at once, so no orbit is iterated past its escape.
+    """
+    _check_escape_args(max_iter, escape_radius)
+    c = np.array([0.25 - complex(d) ** 2 / 4.0 for d in deltas], dtype=complex)
+    inside = np.ones(c.size, dtype=bool)
+    active = np.arange(c.size)
+    cr, ci = c.real.copy(), c.imag.copy()
+    zr, zi = np.zeros(c.size), np.zeros(c.size)
+    r2 = escape_radius * escape_radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if active.size == 0:
+                break
+            zr, zi = zr * zr - zi * zi + cr, zr * zi + zi * zr + ci
+            escaped = zr * zr + zi * zi > r2
+            if escaped.any():
+                inside[active[escaped]] = False
+                keep = ~escaped
+                active, zr, zi, cr, ci = (active[keep], zr[keep], zi[keep],
+                                          cr[keep], ci[keep])
+    return inside
 
 
 def in_main_disk(delta: complex) -> bool:

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from .errors import (InvalidDimensionError, NoSignChangeError,
                      ToleranceNotMetError)
-from .perturbation import gamma_fn, one_plus_two_gamma
+from .perturbation import one_plus_two_gamma
 
 NEAR_ZERO_CROSSOVER = 1e-2
 X_MAX_CAP = 200.0
@@ -293,8 +293,3 @@ def q_integral(h: float, alpha: float, H_mu: float = 1.0,
     if err >= max(spec.abs_tol, rel_tol * abs(value)) * 10.0:
         raise ToleranceNotMetError(f"outer quadrature error {err}")
     return QuadratureResult(value, err, i1["neval"] + i2["neval"])
-
-
-def gamma(z: complex) -> complex:
-    """Re-export of the drift model function used by q_fn."""
-    return gamma_fn(z)

@@ -43,7 +43,7 @@ class TransferOperator:
     """Weighted doubling-word operator at a fixed parameter and word length."""
 
     def __init__(self, delta: complex, table: BoettcherTable,
-                 level: int | None = None, tau: float | None = None):
+                 level: int | None = None):
         self.delta = complex(delta)
         self.level = table.level if level is None else int(level)
         reps = _reps_from_table(table, self.level)
@@ -56,7 +56,6 @@ class TransferOperator:
         # rule, commutes exactly with complex conjugation of delta
         ld = np.log(mag)
         self.log_deriv = 0.5 * (ld + np.roll(ld, -1))
-        self.tau = tau
 
     @property
     def size(self) -> int:
@@ -217,8 +216,7 @@ def _aitken(d1: float, d2: float, d3: float) -> float:
 
 
 def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
-                  table: BoettcherTable | None = None,
-                  cache_dir: str | None = None) -> DimensionResult:
+                  table: BoettcherTable | None = None) -> DimensionResult:
     """Dimension of the boundary curve at delta, with level extrapolation.
 
     Solves the pressure root at word lengths level-2, level-1, level (sharing
@@ -229,7 +227,7 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
         raise ValueError("level must be >= 8")
     delta = complex(delta)
     if table is None or table.level < level:
-        table = build_table(delta, level, cache_dir=cache_dir)
+        table = build_table(delta, level)
     roots = []
     resid = 0.0
     for lev in (level - 2, level - 1, level):
@@ -255,7 +253,7 @@ class EquilibriumWeights:
 def equilibrium(delta: complex, tau: float, table: BoettcherTable,
                 level: int | None = None) -> EquilibriumWeights:
     """Left and right Perron vectors, combined into the invariant state."""
-    op = TransferOperator(delta, table, level, tau=tau)
+    op = TransferOperator(delta, table, level)
     w = op.weights(tau)
     n = op.size
     h = np.full(n, 1.0 / n)

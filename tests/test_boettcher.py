@@ -3,8 +3,7 @@ import pytest
 
 from juliadim import boettcher, maps
 from juliadim.boettcher import (DyadicAngle, anchor_point, build_table,
-                                cylinders, julia_cloud, landing_point,
-                                load_cached_table, save_table)
+                                cylinders, landing_point)
 from juliadim.errors import LevelExceededError, NoConvergenceError
 
 
@@ -82,14 +81,6 @@ def test_parabolic_size_law():
         assert 1.0 / 20.0 < size * n * n < 20.0
 
 
-def test_julia_cloud():
-    table = build_table(1.0, 6)
-    cloud = julia_cloud(table)
-    assert len(cloud) == 64
-    assert cloud[0] == 0.0
-    assert np.max(np.abs(np.abs(cloud + 1.0) - 1.0)) < 1e-13
-
-
 def test_degenerate_seed_rejected():
     seed = np.full(256, 5.0 + 5.0j)
     with pytest.raises(NoConvergenceError):
@@ -106,24 +97,3 @@ def test_seed_continuation_tracks_nearby_parameter():
 def test_level_cap():
     with pytest.raises(ValueError):
         build_table(0.5, 25)
-
-
-def test_cache_round_trip(tmp_path):
-    table = build_table(0.3 + 0.1j, 7, cache_dir=str(tmp_path))
-    again = load_cached_table(str(tmp_path), 0.3 + 0.1j, 7)
-    assert again is not None
-    assert np.array_equal(again.points, table.points)
-    assert again.delta == table.delta
-    assert again.residual == table.residual
-    # hit the cache through build_table as well
-    third = build_table(0.3 + 0.1j, 7, cache_dir=str(tmp_path))
-    assert np.array_equal(third.points, table.points)
-
-
-def test_cache_file_layout(tmp_path):
-    table = build_table(1.0, 4)
-    path = save_table(str(tmp_path), table)
-    lines = open(path).read().split("\n")
-    assert lines[0] == "delta_re,delta_im,level,tol,residual"
-    assert lines[2] == "k,re,im"
-    assert len([ln for ln in lines[3:] if ln]) == 16

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -212,6 +213,42 @@ def test_mandelbrot_eps_family(tmp_path):
     # positive real eps beyond the cusp escapes
     assert table[(0.25, 0.0)] == 0
     assert table[(0.5, 0.0)] == 0
+
+
+def test_mandelbrot_grid_pinned_digest(tmp_path):
+    # the benchmark's survey grid against the seed commit's inside column
+    ref_path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                            "reference.json")
+    with open(ref_path) as fh:
+        ref = json.load(fh)["mandelbrot"]
+    out = str(tmp_path / "m.csv")
+    assert run(["mandelbrot", "--grid", "201", "--family", "delta",
+                "--out", out]) == 0
+    bits = [ln.rsplit(",", 1)[1] for ln in open(out).read().splitlines()[1:]]
+    assert len(bits) == ref["points"]
+    assert hashlib.sha256("".join(bits).encode()).hexdigest() == ref["sha256"]
+
+
+@pytest.mark.parametrize("argv", [["--grid", "0"], ["--grid", "-3"],
+                                  ["--grid", "3", "--max-iter", "0"]])
+def test_mandelbrot_rejects_bad_sizes(tmp_path, argv):
+    out = str(tmp_path / "m.csv")
+    assert run(["mandelbrot", *argv, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+def test_dim_minus_delta_shares_dimension(capsys):
+    taus = []
+    for delta in ("0.3", "-0.3"):
+        assert run(["dim", "--delta", delta, "--level", "10", "--json"]) == 0
+        taus.append(json.loads(capsys.readouterr().out)["tau0"])
+    assert taus[0] == taus[1]
+
+
+@pytest.mark.parametrize("delta", ["0.3j", "0", "2.236"])
+def test_dim_rejects_delta_outside_disk(capsys, delta):
+    assert run(["dim", "--delta", delta, "--level", "10"]) == 2
+    assert "PARSE_ERROR" in capsys.readouterr().err
 
 
 def test_verify_exit_codes(capsys):

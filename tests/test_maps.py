@@ -130,3 +130,46 @@ def test_main_disk():
     assert maps.in_main_disk(1.0)
     assert not maps.in_main_disk(0.0)       # boundary point excluded
     assert maps.in_main_disk(0.1 * np.exp(1j * np.pi / 4))
+
+
+def _grid(region: str) -> list[complex]:
+    """Test grids in delta that straddle the Mandelbrot boundary.
+
+    "delta" and "eps" are the CLI's two families at 61x61.  "seahorse" is a
+    71x71 box around c = -0.745+0.113i, where escape times hinge on the last
+    bit of every step: a kernel on numpy complex arrays, which are not
+    bit-identical to Python complex, flips a few of its points.
+    """
+    if region == "seahorse":
+        center = complex(np.sqrt(4.0 * (0.25 - (-0.745 + 0.113j))))
+        offsets = np.linspace(-5e-3, 5e-3, 71)
+        return [center + complex(a, b) for a in offsets for b in offsets]
+    if region == "delta":
+        res = ims = np.linspace(-2.5, 2.5, 61)
+    else:
+        res, ims = np.linspace(-2.0, 0.5, 61), np.linspace(-1.25, 1.25, 61)
+    pts = [complex(re, im) for re in res for im in ims]
+    if region == "eps":
+        pts = [maps.Param.from_epsilon(e).delta for e in pts]
+    return pts
+
+
+@pytest.mark.parametrize("region, max_iter", [
+    ("delta", 1), ("delta", 300), ("eps", 1), ("eps", 300), ("seahorse", 2000)])
+def test_mandelbrot_grid_matches_scalar(region, max_iter):
+    deltas = _grid(region)
+    fast = maps.in_mandelbrot_grid(deltas, max_iter)
+    slow = np.array([maps.in_mandelbrot(d, max_iter) for d in deltas])
+    assert fast.dtype == bool and fast.shape == (len(deltas),)
+    assert np.array_equal(fast, slow)
+    if max_iter > 1:
+        assert 0 < fast.sum() < fast.size
+
+
+def test_mandelbrot_grid_empty_and_preconditions():
+    empty = maps.in_mandelbrot_grid([])
+    assert empty.dtype == bool and empty.shape == (0,)
+    with pytest.raises(ValueError):
+        maps.in_mandelbrot_grid([1.0], max_iter=0)
+    with pytest.raises(ValueError):
+        maps.in_mandelbrot_grid([1.0], escape_radius=2.0)

@@ -164,10 +164,10 @@ def _dprime_fd(delta: complex, level: int, rel_step: float = 1e-2) -> float:
 
 def cmd_dim(args) -> int:
     delta = _parse_complex(args.delta)
-    # +delta and -delta share one eps; solve at the root Param.from_epsilon
-    # picks (0.0 - delta, unlike -delta, keeps a zero part +0.0)
-    if delta.real < 0 or (delta.real == 0 and delta.imag < 0):
-        delta = 0.0 - delta
+    # +delta and -delta share one eps; solve at the root with Re delta >= 0
+    # (negated part by part so that a zero imaginary part stays +0.0)
+    if delta.real < 0:
+        delta = complex(0.0 - delta.real, 0.0 - delta.imag)
     if not in_main_disk(delta):
         raise ParseError(f"delta = {delta} outside the attracting disk")
     t0 = time.monotonic()

@@ -150,7 +150,10 @@ def in_mandelbrot(delta: complex, max_iter: int = MAX_ITER_DEFAULT,
     The orbit is iterated in the p_eps normalization (critical point 0),
     where |z| > escape_radius >= 4 certifies escape.
     """
-    _check_escape_args(max_iter, escape_radius)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if escape_radius < 4.0:
+        raise ValueError("escape_radius must be >= 4")
     c = 0.25 - complex(delta) ** 2 / 4.0
     z = 0.0j
     r2 = escape_radius * escape_radius
@@ -161,15 +164,7 @@ def in_mandelbrot(delta: complex, max_iter: int = MAX_ITER_DEFAULT,
     return True
 
 
-def _check_escape_args(max_iter: int, escape_radius: float) -> None:
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if escape_radius < 4.0:
-        raise ValueError("escape_radius must be >= 4")
-
-
-def in_mandelbrot_grid(deltas, max_iter: int = MAX_ITER_DEFAULT,
-                       escape_radius: float = ESCAPE_RADIUS_DEFAULT) -> np.ndarray:
+def in_mandelbrot_grid(deltas, max_iter: int = MAX_ITER_DEFAULT) -> np.ndarray:
     """``in_mandelbrot`` of every delta, one escape-time loop for all.
 
     Bit-identical to the scalar routine: c comes from the same scalar
@@ -178,13 +173,14 @@ def in_mandelbrot_grid(deltas, max_iter: int = MAX_ITER_DEFAULT,
     to it, which would flip boundary points).  Escaped points leave the
     active set at once, so no orbit is iterated past its escape.
     """
-    _check_escape_args(max_iter, escape_radius)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     c = np.array([0.25 - complex(d) ** 2 / 4.0 for d in deltas], dtype=complex)
     inside = np.ones(c.size, dtype=bool)
     active = np.arange(c.size)
     cr, ci = c.real.copy(), c.imag.copy()
     zr, zi = np.zeros(c.size), np.zeros(c.size)
-    r2 = escape_radius * escape_radius
+    r2 = ESCAPE_RADIUS_DEFAULT * ESCAPE_RADIUS_DEFAULT
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             if active.size == 0:

@@ -171,5 +171,3 @@ def test_mandelbrot_grid_empty_and_preconditions():
     assert empty.dtype == bool and empty.shape == (0,)
     with pytest.raises(ValueError):
         maps.in_mandelbrot_grid([1.0], max_iter=0)
-    with pytest.raises(ValueError):
-        maps.in_mandelbrot_grid([1.0], escape_radius=2.0)

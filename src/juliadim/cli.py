@@ -86,7 +86,7 @@ def _geometric_grid(t_start: float, t_end: float, ratio: float) -> list[float]:
 
 
 def _map_maybe_parallel(fn, items, threads: int):
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(it) for it in items]
@@ -561,6 +561,8 @@ def main(argv: list[str] | None = None) -> int:
                     sp.set_defaults(**{k: v for k, v in defaults.items()
                                        if any(a.dest == k for a in sp._actions)})
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise ParseError("--threads must be >= 1")
     except ParseError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -11,6 +11,8 @@ tau -> P(tau), which is strictly decreasing.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,59 @@ from .perturbation import phi_dot_table
 EIG_RTOL = 1e-12
 EIG_MAXIT = 100_000
 PRESSURE_TOL = 1e-10
+# From this many words on, the Perron step works on two halves at once when
+# the process may run on two CPUs; below it the thread handoff costs more
+# than the half it saves.
+SPLIT_MIN_WORDS = 1 << 18
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+# vectors of this many words or more are split; never on a single CPU
+_SPLIT_FROM = SPLIT_MIN_WORDS if _usable_cpus() >= 2 else float("inf")
+# takes the second half of a split step; its thread starts on first use
+_HALF_POOL = ThreadPoolExecutor(max_workers=1,
+                                thread_name_prefix="juliadim-half")
+
+
+def _in_halves(fn, first: tuple, second: tuple):
+    """``fn(*first)`` on this thread while the pool runs ``fn(*second)``."""
+    fut = _HALF_POOL.submit(fn, *second)
+    try:
+        a = fn(*first)
+    finally:
+        b = fut.result()
+    return a, b
+
+
+def _sum_in_halves(x: np.ndarray):
+    """``x.sum()``, bit for bit, for power-of-two ``len(x) >= 256``: numpy
+    sums a contiguous float64 array pairwise, and the top split of its
+    tree falls at ``len(x) // 2``."""
+    h = len(x) // 2
+    a, b = _in_halves(np.ndarray.sum, (x[:h],), (x[h:],))
+    return a + b
+
+
+def _divide_in_halves(x: np.ndarray, s, out: np.ndarray) -> np.ndarray:
+    h = len(x) // 2
+    _in_halves(np.divide, (x[:h], s, out[:h]), (x[h:], s, out[h:]))
+    return out
+
+
+def _pair_sums(a, wa, b, wb, out: np.ndarray) -> None:
+    """out[2k] = out[2k+1] = a[k]*wa[k] + b[k]*wb[k]."""
+    pairs = out.reshape(len(a), 2)
+    even, odd = pairs[:, 0], pairs[:, 1]
+    np.multiply(a, wa, out=even)
+    np.multiply(b, wb, out=odd)
+    even += odd
+    odd[...] = even
 
 
 def _reps_from_table(table: BoettcherTable, level: int) -> np.ndarray:
@@ -70,17 +125,23 @@ class TransferOperator:
 
         Words 2k and 2k+1 share the preimages k and k + n/2, so both get
         u[k]*w[k] + u[k+n/2]*w[k+n/2]. With ``out`` (contiguous, not
-        aliasing ``u``) nothing is allocated.
+        aliasing ``u``) nothing is allocated. From ``SPLIT_MIN_WORDS``
+        words on, on two CPUs, the pool computes the upper half of ``out``
+        while this thread computes the lower; the result is the same.
         """
-        half = len(u) // 2
+        n = len(u)
         if out is None:
             out = np.empty_like(u)
-        pairs = out.reshape(half, 2)
-        even, odd = pairs[:, 0], pairs[:, 1]
-        np.multiply(u[:half], w[:half], out=even)
-        np.multiply(u[half:], w[half:], out=odd)
-        even += odd
-        odd[...] = even
+        if n >= _SPLIT_FROM:
+            # output half j holds words 2k, 2k+1 for k in quarter j, so it
+            # reads quarters j and j + 2 of u and w
+            q = n // 4
+            _in_halves(_pair_sums,
+                       (u[:q], w[:q], u[2 * q:3 * q], w[2 * q:3 * q], out[:2 * q]),
+                       (u[q:2 * q], w[q:2 * q], u[3 * q:], w[3 * q:], out[2 * q:]))
+        else:
+            half = n // 2
+            _pair_sums(u[:half], w[:half], u[half:], w[half:], out)
         return out
 
     def apply_dual(self, om: np.ndarray, w: np.ndarray,
@@ -102,18 +163,23 @@ class TransferOperator:
         The eigenvalue error of plain power iteration decays like the ratio
         of the two leading eigenvalues; successive differences estimate that
         ratio, giving a stopping rule on the *remaining* error rather than
-        on the last step size.
+        on the last step size. Where ``apply`` splits, the two sums and the
+        divide of each step are split too, with bit-identical results.
         """
         n = self.size
+        if n >= _SPLIT_FROM:
+            total, divide = _sum_in_halves, _divide_in_halves
+        else:
+            total, divide = np.ndarray.sum, np.divide
         u = np.full(n, 1.0 / n) if u0 is None else np.array(u0, dtype=float)
         v = np.empty(n)
         lam_old = None
         diff_old = None
         for _ in range(maxit):
             self.apply(u, w, out=v)
-            s = v.sum()
-            lam = s / u.sum()
-            np.divide(v, s, out=v)
+            s = total(v)
+            lam = s / total(u)
+            divide(v, s, out=v)
             u, v = v, u
             if lam_old is not None:
                 diff = abs(lam - lam_old)
@@ -221,11 +287,15 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
 
     Solves the pressure root at word lengths level-2, level-1, level (sharing
     one landing-point table) and extrapolates the geometric level error;
-    ``error_bound`` is the last inter-level difference.
+    ``error_bound`` is the last inter-level difference. Raises ValueError
+    for delta outside B(1, 1), where -delta is not attracting (delta = 0
+    included).
     """
     if level < 8:
         raise ValueError("level must be >= 8")
     delta = complex(delta)
+    if not maps.in_main_disk(delta):
+        raise ValueError(f"delta = {delta} outside the attracting disk")
     if table is None or table.level < level:
         table = build_table(delta, level)
     roots = []

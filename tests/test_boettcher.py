@@ -87,6 +87,29 @@ def test_degenerate_seed_rejected():
         build_table(0.3, 8, seed=seed)
 
 
+def test_repeat_check_matches_unique():
+    rng = np.random.default_rng(3)
+    distinct = np.unique(rng.standard_normal(512) + 1j * rng.standard_normal(512))
+    shared_re = 0.25 + 1j * np.arange(100.0)      # equal real parts
+    cases = {
+        "distinct": (distinct, False),
+        "shared real parts": (shared_re, False),
+        "shared real parts, one repeat": (np.append(shared_re, 0.25 + 7j), True),
+        "signed zero real part": (np.array([0.0 + 1j, complex(-0.0, 1.0), 2.0]), True),
+        "signed zero imaginary part": (np.array([complex(1.0, 0.0),
+                                                 complex(1.0, -0.0)]), True),
+        "all zero": (np.array([0j, complex(-0.0, -0.0), complex(0.0, -0.0)]), True),
+    }
+    for i in range(20):
+        pts = distinct.copy()
+        j, k = rng.choice(pts.size, 2, replace=False)
+        pts[j] = pts[k]
+        cases[f"injected {i}"] = (pts, True)
+    for name, (pts, expect) in cases.items():
+        assert bool(np.unique(pts).size < pts.size) == expect, name
+        assert boettcher._has_repeats(pts) == expect, name
+
+
 def test_seed_continuation_tracks_nearby_parameter():
     base = build_table(0.4, 10)
     moved = build_table(0.4 + 1e-4, 10, seed=base)

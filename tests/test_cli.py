@@ -61,6 +61,12 @@ def test_threads_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_rejected(capsys, threads):
+    assert run(["d0", "--level", "12", "--threads", threads]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+
+
 def test_omega_row_count(tmp_path, capsys):
     out = str(tmp_path / "om.csv")
     assert run(["omega", "--d0", "1.08", "--theta-min", "-3", "--theta-max", "3",

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ def test_dimension_conjugation_symmetry():
 def test_dimension_level_precondition():
     with pytest.raises(ValueError):
         hausdorff_dim(0.5, 6)
+
+
+@pytest.mark.parametrize("delta", [0.3j, 0, 2.236])
+def test_dimension_outside_attracting_disk(delta):
+    # outside B(1, 1), the parabolic point delta = 0 included
+    with pytest.raises(ValueError, match="outside the attracting disk"):
+        hausdorff_dim(delta, 10)
 
 
 def test_equilibrium_uniform_on_circle(circle_table):
@@ -340,4 +348,176 @@ def test_perron_and_equilibrium_bit_identical(table16):
     assert np.array_equal(u, u0)
     mu_ref, om_ref = _repeat_equilibrium(op, 1.2)
     eq = equilibrium(0.3 + 0.2j, 1.2, table16, 12)
+    assert np.array_equal(eq.mu, mu_ref) and np.array_equal(eq.omega, om_ref)
+
+
+# ---------------------------------------------------------------------------
+# the two-way split of the Perron step at SPLIT_MIN_WORDS words and more,
+# against verbatim copies of the unsplit code
+
+def _unsplit_apply(u, w, out=None):
+    half = len(u) // 2
+    if out is None:
+        out = np.empty_like(u)
+    pairs = out.reshape(half, 2)
+    even, odd = pairs[:, 0], pairs[:, 1]
+    np.multiply(u[:half], w[:half], out=even)
+    np.multiply(u[half:], w[half:], out=odd)
+    even += odd
+    odd[...] = even
+    return out
+
+
+def _unsplit_perron(op, w, u0=None, rtol=transfer.EIG_RTOL,
+                    maxit=transfer.EIG_MAXIT):
+    n = op.size
+    u = np.full(n, 1.0 / n) if u0 is None else np.array(u0, dtype=float)
+    v = np.empty(n)
+    lam_old = None
+    diff_old = None
+    for _ in range(maxit):
+        _unsplit_apply(u, w, out=v)
+        s = v.sum()
+        lam = s / u.sum()
+        np.divide(v, s, out=v)
+        u, v = v, u
+        if lam_old is not None:
+            diff = abs(lam - lam_old)
+            if diff == 0.0:
+                return lam, u
+            if diff_old is not None and diff < diff_old:
+                rho = diff / diff_old
+                if diff * rho / (1.0 - rho) < rtol * abs(lam):
+                    return lam, u
+            diff_old = diff
+        lam_old = lam
+    raise AssertionError("reference power iteration did not converge")
+
+
+def _unsplit_equilibrium(op, tau):
+    w = op.weights(tau)
+    n = op.size
+    h = np.full(n, 1.0 / n)
+    om = np.full(n, 1.0 / n)
+    v = np.empty(n)
+    vo = np.empty(n)
+    lam_old = None
+    diff_old = None
+    for _ in range(transfer.EIG_MAXIT):
+        _unsplit_apply(h, w, out=v)
+        lam = v.sum()
+        np.divide(v, lam, out=v)
+        h, v = v, h
+        op.apply_dual(om, w, out=vo)
+        np.divide(vo, vo.sum(), out=vo)
+        om, vo = vo, om
+        if lam_old is not None:
+            diff = abs(lam - lam_old)
+            if diff == 0.0:
+                break
+            if diff_old is not None and diff < diff_old:
+                rho = diff / diff_old
+                if diff * rho / (1.0 - rho) < transfer.EIG_RTOL * abs(lam):
+                    break
+            diff_old = diff
+        lam_old = lam
+    else:
+        raise AssertionError("reference equilibrium did not converge")
+    mu = h * om
+    mu /= mu.sum()
+    return mu, om
+
+
+DELTA18 = 0.3 + 0.2j
+
+
+@pytest.fixture(scope="module")
+def table18():
+    return build_table(DELTA18, 18)
+
+
+@pytest.fixture(scope="module")
+def op18(table18):
+    return TransferOperator(DELTA18, table18)
+
+
+@pytest.fixture(params=["auto", "split", "unsplit"])
+def split(request, monkeypatch):
+    """Runs a test as the CPU affinity decides, then forced either way."""
+    if request.param != "auto":
+        monkeypatch.setattr(transfer, "_SPLIT_FROM",
+                            transfer.SPLIT_MIN_WORDS if request.param == "split"
+                            else float("inf"))
+
+
+def test_split_follows_cpu_affinity():
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    two_cpus = len(os.sched_getaffinity(0)) >= 2
+    assert transfer._SPLIT_FROM == (transfer.SPLIT_MIN_WORDS if two_cpus
+                                    else float("inf"))
+
+
+def test_halves_sum_identity():
+    # numpy's contiguous float64 sum is pairwise with its top split at n/2
+    # for power-of-two n >= 256; the split step relies on it
+    rng = np.random.default_rng(0)
+    for level in (8, 12, 18, 20):
+        n = 1 << level
+        for x in (rng.random(n), rng.standard_normal(n) * 1e3,
+                  rng.exponential(size=n) ** 4):
+            h = n // 2
+            assert x[:h].sum() + x[h:].sum() == x.sum()
+            assert transfer._sum_in_halves(x) == x.sum()
+
+
+@pytest.mark.usefixtures("split")
+def test_split_apply_bit_identical(op18):
+    rng = np.random.default_rng(18)
+    u = rng.random(op18.size)
+    w = op18.weights(1.1)
+    u_in = u.copy()
+    ref = _unsplit_apply(u, w)
+    assert np.array_equal(op18.apply(u, w), ref)
+    out = np.full(op18.size, np.nan)
+    assert op18.apply(u, w, out=out) is out
+    assert np.array_equal(out, ref)
+    assert np.array_equal(u, u_in)
+
+
+def test_split_sums_bit_identical(op18):
+    # the two sums and the divide of one step, on the applied vector and
+    # the previous one
+    n = op18.size
+    w = op18.weights(1.1)
+    u = np.full(n, 1.0 / n)
+    for _ in range(3):
+        v = _unsplit_apply(u, w)
+        assert transfer._sum_in_halves(v) == v.sum()
+        assert transfer._sum_in_halves(u) == u.sum()
+        s = v.sum()
+        out = np.empty(n)
+        assert transfer._divide_in_halves(v, s, out=out) is out
+        u = v / s
+        assert np.array_equal(out, u)
+
+
+@pytest.mark.usefixtures("split")
+def test_split_perron_bit_identical(op18):
+    w = op18.weights(1.1)
+    lam_ref, u_ref = _unsplit_perron(op18, w)
+    lam, u = op18._perron(w)
+    assert lam == lam_ref and np.array_equal(u, u_ref)
+    w2 = op18.weights(1.15)
+    u0 = u.copy()
+    lam_ref, u_ref = _unsplit_perron(op18, w2, u0)
+    lam, u2 = op18._perron(w2, u)
+    assert lam == lam_ref and np.array_equal(u2, u_ref)
+    assert np.array_equal(u, u0)
+
+
+@pytest.mark.usefixtures("split")
+def test_split_equilibrium_bit_identical(op18, table18):
+    mu_ref, om_ref = _unsplit_equilibrium(op18, 1.1)
+    eq = equilibrium(DELTA18, 1.1, table18)
     assert np.array_equal(eq.mu, mu_ref) and np.array_equal(eq.omega, om_ref)

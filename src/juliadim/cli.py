@@ -85,6 +85,13 @@ def _geometric_grid(t_start: float, t_end: float, ratio: float) -> list[float]:
     return ts
 
 
+def _check_disk(deltas, error=ValueError) -> None:
+    """Raise ``error`` unless every delta lies in B(1, 1)."""
+    for delta in deltas:
+        if not in_main_disk(delta):
+            raise error(f"delta = {delta} outside the attracting disk")
+
+
 def _map_maybe_parallel(fn, items, threads: int):
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -108,6 +115,7 @@ def _dim_summary(taus) -> tuple[float, float, float]:
 
 def _dim_extrapolated(delta: complex, level: int) -> tuple[float, float, float]:
     """(raw, extrapolated, error bound) dimension using levels L-4, L-2, L."""
+    _check_disk([delta])
     _, taus = _stencil_roots(delta, build_table(delta, level), level)
     return _dim_summary(taus)
 
@@ -128,6 +136,7 @@ def _ray_point(delta: complex, level: int) -> RayPoint:
     geometrically per level, so both series are Aitken-extrapolated and the
     raw top-level values are reported alongside.
     """
+    _check_disk([delta])
     table = build_table(delta, level)
     ops, taus = _stencil_roots(delta, table, level)
     v = delta / abs(delta)
@@ -168,8 +177,7 @@ def cmd_dim(args) -> int:
     # (negated part by part so that a zero imaginary part stays +0.0)
     if delta.real < 0:
         delta = complex(0.0 - delta.real, 0.0 - delta.imag)
-    if not in_main_disk(delta):
-        raise ParseError(f"delta = {delta} outside the attracting disk")
+    _check_disk([delta], ParseError)
     t0 = time.monotonic()
     res = hausdorff_dim(delta, args.level, args.tol)
     dur = (time.monotonic() - t0) * 1e3
@@ -249,6 +257,7 @@ def _fit_d0(ts, dims, n_use: int = 4) -> float:
 def cmd_d0(args) -> int:
     t0 = time.monotonic()
     ts = _geometric_grid(args.t_start, args.t_min, RAY_GRID_RATIO)
+    _check_disk(ts, ParseError)
 
     def solve(t):
         return _dim_extrapolated(t, args.level)
@@ -295,9 +304,7 @@ def cmd_ray(args) -> int:
         raise ParseError("alpha must lie in (-pi/2, pi/2)")
     v = complex(math.cos(alpha), math.sin(alpha))
     ts = _geometric_grid(args.t_start, args.t_end, RAY_GRID_RATIO)
-    for t in ts:
-        if not in_main_disk(t * v):
-            raise ParseError(f"t*v = {t * v} outside the attracting disk")
+    _check_disk([t * v for t in ts], ParseError)
     d0 = args.d0
     om = omega(math.tan(alpha), d0).value
     expo = 2.0 * d0 - 2.0
@@ -382,12 +389,13 @@ def cmd_convexity(args) -> int:
     eps = np.linspace(args.eps_min, args.eps_max, args.points)
     if np.any(eps >= 0):
         raise ParseError("convexity probe needs eps < 0")
+    deltas = [2.0 * math.sqrt(-e) for e in eps]
+    _check_disk(deltas, ParseError)
 
-    def solve(e):
-        delta = 2.0 * math.sqrt(-e)
+    def solve(delta):
         return _dim_extrapolated(delta, args.level)
 
-    sols = _map_maybe_parallel(solve, list(eps), args.threads)
+    sols = _map_maybe_parallel(solve, deltas, args.threads)
     dims = np.array([s[1] for s in sols])
     gaps = np.array([s[2] for s in sols])
     h = eps[1] - eps[0]

@@ -521,3 +521,120 @@ def test_split_equilibrium_bit_identical(op18, table18):
     mu_ref, om_ref = _unsplit_equilibrium(op18, 1.1)
     eq = equilibrium(DELTA18, 1.1, table18)
     assert np.array_equal(eq.mu, mu_ref) and np.array_equal(eq.omega, om_ref)
+
+
+# ---------------------------------------------------------------------------
+# the Aitken step on the slow Perron mode
+
+@pytest.fixture
+def applications(monkeypatch):
+    """Counts ``TransferOperator.apply`` calls."""
+    count = [0]
+    apply = TransferOperator.apply
+
+    def counted(self, u, w, out=None):
+        count[0] += 1
+        return apply(self, u, w, out)
+    monkeypatch.setattr(TransferOperator, "apply", counted)
+    return count
+
+
+def _without_aitken(monkeypatch, fn, *args):
+    """``fn(*args)`` with the Aitken step switched off: the plain loop."""
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "AITKEN_MIN_RATIO", float("inf"))
+        return fn(*args)
+
+
+def _dense(op, w):
+    n = op.size
+    a = np.zeros((n, n))
+    j = np.arange(n)
+    a[j, j // 2] = w[j // 2]
+    a[j, j // 2 + n // 2] = w[j // 2 + n // 2]
+    return a
+
+
+def test_remove_mode_is_exact_on_one_mode():
+    rng = np.random.default_rng(6)
+    x, y = rng.random(1024) + 1.0, rng.standard_normal(1024)
+    for rho in (0.9, 0.97, 0.995):
+        u = x + 0.3 * rho ** 40 * y       # after the step
+        v = x + 0.3 * rho ** 39 * y       # before it
+        transfer._remove_mode(u, v, rho)
+        assert np.allclose(u, x, rtol=0, atol=1e-12)
+
+
+# the guard on the stop rule matters at 0.02+0.03j, tau = 2.5: without it
+# the loop stops with the eigenvalue 6.5e-12 off
+@pytest.mark.parametrize("delta", [0.02 + 0.03j, 0.05 + 0.05j, 0.15 + 0.05j])
+@pytest.mark.parametrize("tau", [2.0, 2.5])
+def test_perron_aitken_matches_dense_eigenvalue(delta, tau, monkeypatch,
+                                                applications):
+    op = TransferOperator(delta, build_table(delta, 10))
+    w = op.weights(tau)
+    ev = np.linalg.eigvals(_dense(op, w))
+    lam_dense = ev[np.argmax(ev.real)].real
+    lam, u = op._perron(w)
+    steps = applications[0]
+    applications[0] = 0
+    _without_aitken(monkeypatch, op._perron, w)
+    assert steps < applications[0]      # the step fired
+    assert abs(lam - lam_dense) <= 2e-12 * lam_dense
+    assert np.all(u > 0)
+
+
+def test_perron_aitken_from_tau_one_vector(monkeypatch, applications):
+    # the tau = 2 bracket end of a root solve, warm-started from tau = 1
+    delta = 0.0433 + 0.025j
+    op = TransferOperator(delta, build_table(delta, 14))
+    _, u1 = op.pressure_with_state(1.0)
+    applications[0] = 0
+    lam, u = op._perron(op.weights(2.0), u1)
+    assert applications[0] <= 600
+    assert np.all(u > 0)
+    applications[0] = 0
+    lam_plain, _ = _without_aitken(monkeypatch, op._perron, op.weights(2.0), u1)
+    assert applications[0] > 5000
+    assert abs(lam - lam_plain) <= 1e-11 * lam
+
+
+def test_split_perron_aitken_bit_identical(op18, monkeypatch, applications):
+    w = op18.weights(2.0)
+    runs = []
+    for split_from in (transfer.SPLIT_MIN_WORDS, float("inf")):
+        monkeypatch.setattr(transfer, "_SPLIT_FROM", split_from)
+        applications[0] = 0
+        runs.append((*op18._perron(w), applications[0]))
+    (lam_s, u_s, n_s), (lam_u, u_u, n_u) = runs
+    assert lam_s == lam_u and np.array_equal(u_s, u_u) and n_s == n_u
+    applications[0] = 0
+    _without_aitken(monkeypatch, op18._perron, w)
+    assert n_s < applications[0]     # the step fired
+
+
+def _root_path(op):
+    """Root of ``_bowen_root`` and the taus it evaluates the pressure at."""
+    taus = []
+    state = op.pressure_with_state
+
+    def recorded(tau, u0=None):
+        taus.append(tau)
+        return state(tau, u0)
+    op.pressure_with_state = recorded
+    try:
+        return transfer._bowen_root(op)[0], taus
+    finally:
+        del op.pressure_with_state
+
+
+@pytest.mark.parametrize("delta", [0.4 / math.sqrt(2),
+                                   0.4 / math.sqrt(2) * complex(
+                                       math.cos(0.5236), math.sin(0.5236))])
+def test_bowen_root_path_unchanged_by_aitken(delta, monkeypatch):
+    op = TransferOperator(delta, build_table(delta, 16))
+    root, taus = _root_path(op)
+    root_plain, taus_plain = _without_aitken(monkeypatch, _root_path, op)
+    assert len(taus) == len(taus_plain) == 7
+    assert taus == pytest.approx(taus_plain, rel=0, abs=1e-12)
+    assert root == pytest.approx(root_plain, rel=0, abs=1e-12)

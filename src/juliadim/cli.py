@@ -155,13 +155,24 @@ def _dprime_extrapolated(delta: complex, level: int):
     return _ray_point(delta, level).dprime
 
 
-def _dprime_fd(delta: complex, level: int, rel_step: float = 1e-2) -> float:
-    """Central finite difference of the raw top-level dimension on the ray."""
+FD_REL_STEP = 1e-2
+
+
+def _fd_stencil(delta: complex, rel_step: float = FD_REL_STEP):
+    """The two points delta +- rel_step * delta of the ray finite difference."""
     v = delta / abs(delta)
     h = rel_step * abs(delta)
+    return [delta + sgn * h * v for sgn in (1.0, -1.0)]
+
+
+def _dprime_fd(delta: complex, level: int, rel_step: float = FD_REL_STEP) -> float:
+    """Central finite difference of the raw top-level dimension on the ray."""
+    _check_disk([delta])
+    stencil = _fd_stencil(delta, rel_step)
+    _check_disk(stencil)
+    h = rel_step * abs(delta)
     vals = []
-    for sgn in (1.0, -1.0):
-        d = delta + sgn * h * v
+    for d in stencil:
         table = build_table(d, level)
         op = TransferOperator(d, table, level)
         vals.append(_bowen_root(op)[0])
@@ -304,7 +315,7 @@ def cmd_ray(args) -> int:
         raise ParseError("alpha must lie in (-pi/2, pi/2)")
     v = complex(math.cos(alpha), math.sin(alpha))
     ts = _geometric_grid(args.t_start, args.t_end, RAY_GRID_RATIO)
-    _check_disk([t * v for t in ts], ParseError)
+    _check_disk([d for t in ts for d in [t * v, *_fd_stencil(t * v)]], ParseError)
     d0 = args.d0
     om = omega(math.tan(alpha), d0).value
     expo = 2.0 * d0 - 2.0

@@ -5,7 +5,9 @@ d0 < 3/2) and decays like x*exp(-d0*x); the near-zero subtraction
 x*sinh(x) + q*x*sin(q*x) - 2*(cosh(x) - cos(q*x)) cancels to fourth order
 and is therefore evaluated by its even power series.  Adaptive
 Gauss-Kronrod handles both panels after the power substitution
-u = x^(3-2*d0) flattens the endpoint singularity.
+u = x^(3-2*d0) flattens the endpoint singularity.  The rule is QUADPACK's
+21-point one, run on numpy arrays: every round evaluates all live panels of
+all integrals in one call of a vectorised integrand.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (InvalidDimensionError, NoSignChangeError,
                      ToleranceNotMetError)
-from .perturbation import one_plus_two_gamma
+from .perturbation import GAMMA_SERIES_THRESHOLD
 
 NEAR_ZERO_CROSSOVER = 1e-2
 X_MAX_CAP = 200.0
@@ -45,6 +46,141 @@ class QuadratureResult:
     err_estimate: float
     evaluations: int
 
+
+# ---------------------------------------------------------------------------
+# adaptive Gauss-Kronrod
+
+# QUADPACK qk21 (Piessens et al. 1983): Kronrod abscissae on [0, 1] in
+# descending order with the centre last, their weights, and the weights of
+# the embedded 10-point Gauss rule, whose abscissae are _XGK[1::2].
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208931582111, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+# the 21 nodes on [-1, 1] in ascending order; columns: Kronrod, Gauss weights
+_NODES = np.array([-x for x in _XGK[:10]] + list(_XGK[::-1]))
+_KG = np.zeros((21, 2))
+_KG[:, 0] = _WGK[:10] + _WGK[::-1]
+for _j in range(1, 10, 2):
+    _KG[_j, 1] = _KG[20 - _j, 1] = _WG[_j // 2]
+_WK = _KG[:, 0].copy()
+_EPS50 = 50.0 * np.finfo(float).eps
+
+
+def _gk21(f, a, b, epsabs, epsrel, limit):
+    """Integrals of f over [a, b] by adaptive 21-point Gauss-Kronrod.
+
+    ``a``, ``b`` and ``epsabs`` broadcast to the shape of the integrals.
+    Each round calls ``f`` once on an (n, 21) array holding the nodes of
+    every live panel, one panel a row.  A panel's error estimate is
+    QUADPACK's, resasc * min(1, (200 |K - G| / resasc)^1.5) floored at
+    50 eps resabs.  With tol = max(epsabs, epsrel * |estimate|), an integral
+    is done once its panel errors sum to at most tol (QUADPACK's stopping
+    test); until then each panel whose error exceeds its width share of tol
+    is bisected, unless the error is at the rounding floor.  An integral
+    also stops at ``limit`` panels, and a non-finite estimate or error stops
+    it at once.  Returns (value, error, evaluations) arrays.
+    """
+    a, b, epsabs = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                       np.asarray(b, dtype=float),
+                                       np.asarray(epsabs, dtype=float))
+    shape = a.shape
+    a, b, epsabs = a.ravel(), b.ravel(), epsabs.ravel()
+    m = a.size
+    half_width = 0.5 * np.abs(b - a)
+    own = np.flatnonzero(half_width)
+    c = (0.5 * (a + b))[own, None]   # panel centres and half-widths, as columns
+    h = (0.5 * (b - a))[own, None]
+    value = np.zeros(m)
+    err = np.zeros(m)
+    panels = np.ones(m, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        while own.size:
+            fx = f(c + h * _NODES)
+            kg = fx @ _KG
+            k = kg[:, 0]
+            # error terms on [-1, 1], scaled by |h| once
+            resabs = np.abs(fx) @ _WK
+            resasc = np.abs(fx - 0.5 * kg[:, :1]) @ _WK
+            raw = resasc * np.fmin(1.0, (200.0 * np.abs(k - kg[:, 1]) / resasc) ** 1.5)
+            floor = _EPS50 * resabs
+            ah = np.abs(h[:, 0])
+            e = np.maximum(raw, floor) * ah
+            val = k * h[:, 0]
+            live_val = np.bincount(own, weights=val, minlength=m)
+            live_err = np.bincount(own, weights=e, minlength=m)
+            tol = np.maximum(epsabs, epsrel * np.abs(value + live_val))
+            done = err + live_err <= tol
+            # bisect over the width share, unless done or at the rounding
+            # floor; NaN compares false, so a non-finite panel is accepted
+            rej = (e > (tol / half_width)[own] * ah) & (raw > floor) & ~done[own]
+            if not rej.any():
+                value += live_val
+                err += live_err
+                break
+            own_r = own[rej]
+            split = np.bincount(own_r, minlength=m)
+            panels += split
+            over = panels > limit
+            if over.any():
+                panels[over] -= split[over]
+                rej &= ~over[own]
+                own_r = own[rej]
+            value += np.bincount(own, weights=np.where(rej, 0.0, val), minlength=m)
+            err += np.bincount(own, weights=np.where(rej, 0.0, e), minlength=m)
+            c, h = c[rej], 0.5 * h[rej]
+            c = np.concatenate((c - h, c + h))
+            h = np.concatenate((h, h))
+            own = np.concatenate((own_r, own_r))
+    return value.reshape(shape), err.reshape(shape), (42 * panels - 21).reshape(shape)
+
+
+def _stretched(f, p: float, xs: float):
+    """f in the variable w: w = x^p below xs^p, w = x * xs^p / xs above.
+
+    The power piece flattens an x^(p-1) endpoint singularity at zero; both
+    pieces, with limits mapped accordingly, go through one ``_gk21`` call.
+    With r = 1/p below and r = 1 above, dx/dw = r * x / w on both.  A
+    panel's piece is read off its centre node (column 10), so a node that
+    rounds onto xs^p stays with its panel.
+    """
+    P = xs ** p
+
+    def g(w):
+        low = w[:, 10:11] < P
+        r = np.where(low, 1.0 / p, 1.0)
+        x = w ** r
+        if xs != P:
+            x *= np.where(low, 1.0, xs / P)
+        return f(x) * (r * x / w)
+
+    return g
+
+
+def _checked(value, err, abs_tol: float, rel_tol: float, what: str) -> None:
+    """Raise unless every (value, err) is finite and within 10x tolerance."""
+    for v, e in zip(np.ravel(value).tolist(), np.ravel(err).tolist()):
+        if not (math.isfinite(v) and math.isfinite(e)):
+            raise ToleranceNotMetError(f"{what} not finite: value {v}, error {e}")
+        if e >= max(abs_tol, rel_tol * abs(v)) * 10.0:
+            raise ToleranceNotMetError(
+                f"{what} error {e} vs requested {abs_tol}/{rel_tol}")
+
+
+# ---------------------------------------------------------------------------
+# master integrals
 
 def _check_dimension(d0: float) -> None:
     if not 1.0 < d0 < 1.5:
@@ -85,6 +221,32 @@ def omega_integrand(x: float, theta: float, d0: float) -> float:
     return num * D ** (-1.0 - d0)
 
 
+_SERIES_N = np.arange(2, 14)
+_SERIES_FACT = np.array([float(math.factorial(2 * n - 1)) for n in _SERIES_N])
+
+
+def _numer_denom(theta: float):
+    """Array form of (x sinh x + qx sin qx - 2D, D) with D = cosh x - cos qx.
+
+    Below NEAR_ZERO_CROSSOVER the numerator is the power series of
+    ``_numer_series``.
+    """
+    n = _SERIES_N
+    coef = (1.0 - 1.0 / n) * (1.0 - (-1.0) ** n * theta ** (2 * n)) / _SERIES_FACT
+
+    def nd(x):
+        hx = 0.5 * x
+        D = 2.0 * (np.sinh(hx) ** 2 + np.sin(theta * hx) ** 2)
+        qx = theta * x
+        num = (x * np.sinh(x) + qx * np.sin(qx)) - 2.0 * D
+        near = x < NEAR_ZERO_CROSSOVER
+        if near.any():
+            num[near] = (x[near][:, None] ** (2 * n)) @ coef
+        return num, D
+
+    return nd
+
+
 def _x_max(d0: float, abs_tol: float) -> float:
     """Truncation point where the x * 2^d0 * exp(-d0 x) envelope is negligible."""
     x = 10.0
@@ -93,29 +255,32 @@ def _x_max(d0: float, abs_tol: float) -> float:
     return x
 
 
-def _split_quad(integrand, d0: float, spec: QuadratureSpec):
+def _split_panels(p: float, xs: float, xmax: float, tol: float):
+    """Limits and absolute tolerances of (0, xmax) in the variable of
+    ``_stretched``: the power piece (0, xs), then the tail (xs, xmax) as
+    dyadic panels [xs 2^k, xs 2^(k+1)], each with its width share of
+    ``tol``.  Starting the tail graded spares the bisection rounds that
+    would otherwise refine towards xs one panel at a time.
+    """
+    cuts = [xs]
+    while cuts[-1] < xmax:
+        cuts.append(min(2.0 * cuts[-1], xmax))
+    w = np.array(cuts) * (xs ** p / xs)
+    tail = tol * np.diff(w) / (w[-1] - w[0]) if len(cuts) > 1 else []
+    return (np.concatenate(([0.0], w[:-1])), w,
+            np.concatenate(([tol], tail)))
+
+
+def _split_quad(integrand, d0: float, spec: QuadratureSpec) -> QuadratureResult:
     """Integrate over (0, inf): stretched panel near 0 plus smooth tail."""
     p = 3.0 - 2.0 * d0
     xs = spec.x_split
-    xmax = _x_max(d0, spec.abs_tol)
-
-    def stretched(u):
-        x = u ** (1.0 / p)
-        return integrand(x) * x ** (1.0 - p) / p
-
-    v1, e1, info1 = quad(stretched, 0.0, xs ** p, epsabs=spec.abs_tol / 2,
-                         epsrel=spec.rel_tol, limit=spec.max_subdivisions,
-                         full_output=True)[:3]
-    v2, e2, info2 = quad(integrand, xs, xmax, epsabs=spec.abs_tol / 2,
-                         epsrel=spec.rel_tol, limit=spec.max_subdivisions,
-                         full_output=True)[:3]
-    value = v1 + v2
-    err = e1 + e2
-    neval = info1["neval"] + info2["neval"]
-    if err >= max(spec.abs_tol, spec.rel_tol * abs(value)) * 10.0:
-        raise ToleranceNotMetError(
-            f"quadrature error {err} vs requested {spec.abs_tol}/{spec.rel_tol}")
-    return QuadratureResult(value, err, neval)
+    a, b, epsabs = _split_panels(p, xs, _x_max(d0, spec.abs_tol), spec.abs_tol / 2)
+    vals, errs, nevals = _gk21(_stretched(integrand, p, xs), a, b, epsabs,
+                               spec.rel_tol, spec.max_subdivisions)
+    value, err = float(vals.sum()), float(errs.sum())
+    _checked(value, err, spec.abs_tol, spec.rel_tol, "quadrature")
+    return QuadratureResult(value, err, int(nevals.sum()))
 
 
 def omega(theta: float, d0: float,
@@ -123,7 +288,13 @@ def omega(theta: float, d0: float,
     """The even master integral; negative on |theta| <= 1 for d0 in (1, 3/2)."""
     _check_dimension(d0)
     theta = float(theta)
-    res = _split_quad(lambda x: omega_integrand(x, theta, d0), d0, spec)
+    nd = _numer_denom(theta)
+
+    def integrand(x):
+        num, D = nd(x)
+        return -num * D ** (-1.0 - d0)
+
+    res = _split_quad(integrand, d0, spec)
     scale = math.sqrt(theta * theta + 1.0)
     return QuadratureResult(scale * res.value, scale * res.err_estimate,
                             res.evaluations)
@@ -166,14 +337,10 @@ def delta_alpha(alpha: float, D0: float, H_mu: float = 1.0,
     _check_dimension(D0)
     if H_mu <= 0:
         raise ValueError("H_mu must be positive")
-    theta = math.tan(alpha)
+    nd = _numer_denom(math.tan(alpha))
 
     def integrand(x):
-        D = _denom(x, theta)
-        if x < NEAR_ZERO_CROSSOVER:
-            num = _numer_series(x, theta)
-        else:
-            num = (x * math.sinh(x) + theta * x * math.sin(theta * x)) - 2.0 * D
+        num, D = nd(x)
         return num * (0.5 / D) ** D0 / D
 
     res = _split_quad(integrand, D0, spec)
@@ -182,14 +349,8 @@ def delta_alpha(alpha: float, D0: float, H_mu: float = 1.0,
                             res.evaluations)
 
 
-def _log_denom_ray(s: float, alpha: float) -> float:
-    """log(4*sinh^2(x/2) + 4*sin^2(y/2)) at z = s*e^{i alpha}, overflow-safe."""
-    x = s * math.cos(alpha)
-    y = s * math.sin(alpha)
-    if x > 60.0:
-        return x  # corrections are exp(-x), below double precision
-    return math.log(4.0 * (math.sinh(0.5 * x) ** 2 + math.sin(0.5 * y) ** 2))
-
+# ---------------------------------------------------------------------------
+# ray tails and the double-integral route
 
 def lambda_fn(h: float, eps: float, z: complex) -> float:
     """|e^z/(e^z-1)^2|^h * |e^(eps z)| = |4 sinh^2(z/2)|^(-h) * e^(eps Re z)."""
@@ -208,6 +369,62 @@ def lambda_fn(h: float, eps: float, z: complex) -> float:
     return math.exp(-h * logd + eps * x)
 
 
+def _lambda_tails(h: float, eps: float, alpha: float, t_lower,
+                  spec: QuadratureSpec):
+    """``lambda_tail`` at an array of lower limits, in one ``_gk21`` call.
+
+    Lower limits below 1 take the stretched panel up to 1 plus the shared
+    piece from 1 to its truncation point, which is integrated once.
+    Returns (values, errors, evaluations) arrays.
+    """
+    if eps - h >= 0:
+        raise ValueError("need eps - h < 0 for an integrable tail")
+    t = np.asarray(t_lower, dtype=float)
+    if np.any(t <= 0):
+        raise ValueError("t_lower must be positive")
+    ca, sa = math.cos(alpha), math.sin(alpha)
+
+    def f(s):
+        x = s * ca
+        logd = np.where(x > 60.0, x,  # corrections are exp(-x), below double precision
+                        np.log(4.0 * (np.sinh(0.5 * x) ** 2 + np.sin(0.5 * s * sa) ** 2)))
+        return np.exp(-h * logd + eps * s * ca)
+
+    # truncation points: start at max(t, 1), step by 1 until exp((eps - h) s ca)
+    # drops below abs_tol / 100 or s reaches 400.  Jump to just short of the
+    # stop in closed form, then step.
+    tt = t.ravel()
+    thr = spec.abs_tol * 1e-2
+    rate = (eps - h) * ca
+    reach = min(math.log(thr) / rate, 400.0) if rate < 0 else 400.0
+    smax = np.maximum(tt, 1.0)
+    smax += np.maximum(np.floor(reach - smax) - 1.0, 0.0)
+    while True:
+        grow = (np.exp((eps - h) * smax * ca) > thr) & (smax < 400.0)
+        if not grow.any():
+            break
+        smax[grow] += 1.0
+    p = 3.0 - 2.0 * h if h < 1.5 else 0.5
+    near = tt < 1.0
+    lo = np.where(near, tt ** p, tt)
+    hi = np.where(near, 1.0, smax)
+    tol = np.where(near, 0.5, 1.0) * spec.abs_tol
+    shared = near.any()
+    if shared:  # one piece from 1 serves every lower limit below 1; it goes last
+        lo = np.append(lo, 1.0)
+        hi = np.append(hi, smax[near][0])
+        tol = np.append(tol, 0.5 * spec.abs_tol)
+    vals, errs, nevals = _gk21(_stretched(f, p, 1.0), lo, hi, tol,
+                               spec.rel_tol, spec.max_subdivisions)
+    value, err, neval = vals[:tt.size], errs[:tt.size], nevals[:tt.size]
+    if shared:
+        value[near] += vals[-1]
+        err[near] += errs[-1]
+        neval[near] += nevals[-1]
+    _checked(value, err, spec.abs_tol, spec.rel_tol, "tail quadrature")
+    return value.reshape(t.shape), err.reshape(t.shape), neval.reshape(t.shape)
+
+
 def lambda_tail(h: float, eps: float, alpha: float, t_lower: float,
                 spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureResult:
     """Integral of s -> lambda(h, eps, s*e^{i alpha}) over (t_lower, inf).
@@ -215,47 +432,27 @@ def lambda_tail(h: float, eps: float, alpha: float, t_lower: float,
     Requires eps - h < 0 for integrability; the s^(-2h) endpoint behavior is
     flattened by the same power substitution as the master integrals.
     """
-    if eps - h >= 0:
-        raise ValueError("need eps - h < 0 for an integrable tail")
-    if t_lower <= 0:
-        raise ValueError("t_lower must be positive")
-    ca = math.cos(alpha)
+    value, err, neval = _lambda_tails(h, eps, alpha, float(t_lower), spec)
+    return QuadratureResult(float(value), float(err), int(neval))
 
-    def f(s):
-        return math.exp(-h * _log_denom_ray(s, alpha) + eps * s * ca)
 
-    smax = max(t_lower, 1.0)
-    while math.exp((eps - h) * smax * ca) > spec.abs_tol * 1e-2 and smax < 400.0:
-        smax += 1.0
-
-    p = 3.0 - 2.0 * h if h < 1.5 else 0.5
-    lim = spec.max_subdivisions
-    if t_lower < 1.0:
-        def stretched(u):
-            s = u ** (1.0 / p)
-            return f(s) * s ** (1.0 - p) / p
-        v1, e1, i1 = quad(stretched, t_lower ** p, 1.0, epsabs=spec.abs_tol / 2,
-                          epsrel=spec.rel_tol, limit=lim, full_output=True)[:3]
-        v2, e2, i2 = quad(f, 1.0, smax, epsabs=spec.abs_tol / 2,
-                          epsrel=spec.rel_tol, limit=lim, full_output=True)[:3]
-        value, err = v1 + v2, e1 + e2
-        neval = i1["neval"] + i2["neval"]
-    else:
-        value, err, info = quad(f, t_lower, smax, epsabs=spec.abs_tol,
-                                epsrel=spec.rel_tol, limit=lim,
-                                full_output=True)[:3]
-        neval = info["neval"]
-    if err >= max(spec.abs_tol, spec.rel_tol * abs(value)) * 10.0:
-        raise ToleranceNotMetError(f"tail quadrature error {err}")
-    return QuadratureResult(value, err, neval)
+def _ray_drift(v: complex, t):
+    """Re(v + 2 v Gamma(v t)) on an array of t; ``perturbation.one_plus_two_gamma``
+    in array form, by its series below GAMMA_SERIES_THRESHOLD."""
+    z = v * np.asarray(t, dtype=float)
+    z2 = z * z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(np.abs(z) < GAMMA_SERIES_THRESHOLD,
+                     z / 3.0 - z * z2 / 90.0 + z * z2 * z2 / 2520.0,
+                     (np.sinh(z) - z) / (np.cosh(z) - 1.0))
+    return (v * g).real
 
 
 def q_fn(h: float, alpha: float, t: float, H_mu: float = 1.0,
          spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """H_mu * Re(v + 2 v Gamma(v t)) * tail(t) along the ray v = e^{i alpha}."""
     v = complex(math.cos(alpha), math.sin(alpha))
-    drift = (v * one_plus_two_gamma(v * t)).real
-    return H_mu * drift * lambda_tail(h, 0.0, alpha, t, spec).value
+    return H_mu * float(_ray_drift(v, t)) * lambda_tail(h, 0.0, alpha, t, spec).value
 
 
 def q_integral(h: float, alpha: float, H_mu: float = 1.0,
@@ -264,7 +461,8 @@ def q_integral(h: float, alpha: float, H_mu: float = 1.0,
     """Integral of q_fn over t in (0, inf); equals delta_alpha for h = D0.
 
     The outer integrand behaves like t^(2-2h) at zero and decays like
-    exp(-h t cos alpha); same panel strategy as the single integrals.
+    exp(-h t cos alpha); same panel strategy as the single integrals.  The
+    inner tails of all outer nodes of a round are one batched call.
     """
     _check_dimension(h)
     p = 3.0 - 2.0 * h
@@ -272,24 +470,19 @@ def q_integral(h: float, alpha: float, H_mu: float = 1.0,
                                 rel_tol=min(spec.rel_tol, rel_tol * 1e-1),
                                 x_split=spec.x_split,
                                 max_subdivisions=spec.max_subdivisions)
+    v = complex(math.cos(alpha), math.sin(alpha))
 
     def qf(t):
-        return q_fn(h, alpha, t, H_mu, inner_spec)
-
-    def stretched(u):
-        t = u ** (1.0 / p)
-        return qf(t) * t ** (1.0 - p) / p
+        return H_mu * _ray_drift(v, t) * _lambda_tails(h, 0.0, alpha, t,
+                                                       inner_spec)[0]
 
     ca = math.cos(alpha)
     tmax = 10.0
     while math.exp(-h * tmax * ca) > 1e-14 and tmax < 400.0:
         tmax += 1.0
-    lim = spec.max_subdivisions
-    v1, e1, i1 = quad(stretched, 0.0, 1.0, epsabs=spec.abs_tol,
-                      epsrel=rel_tol, limit=lim, full_output=True)[:3]
-    v2, e2, i2 = quad(qf, 1.0, tmax, epsabs=spec.abs_tol,
-                      epsrel=rel_tol, limit=lim, full_output=True)[:3]
-    value, err = v1 + v2, e1 + e2
-    if err >= max(spec.abs_tol, rel_tol * abs(value)) * 10.0:
-        raise ToleranceNotMetError(f"outer quadrature error {err}")
-    return QuadratureResult(value, err, i1["neval"] + i2["neval"])
+    vals, errs, nevals = _gk21(_stretched(qf, p, 1.0),
+                               *_split_panels(p, 1.0, tmax, spec.abs_tol),
+                               rel_tol, spec.max_subdivisions)
+    value, err = float(vals.sum()), float(errs.sum())
+    _checked(value, err, spec.abs_tol, rel_tol, "outer quadrature")
+    return QuadratureResult(value, err, int(nevals.sum()))

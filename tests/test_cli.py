@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,7 @@ from juliadim.cli import _fit_d0, main
 from juliadim.errors import NoConvergenceError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run(argv):
@@ -269,7 +272,9 @@ def test_dim_rejects_delta_outside_disk(capsys, delta):
 
 @pytest.mark.parametrize("argv", [
     ["convexity", "--eps-min", "-1.2", "--eps-max", "-1.0", "--points", "3"],
-    ["d0", "--t-start", "2.5", "--t-min", "1.5"]])
+    ["d0", "--t-start", "2.5", "--t-min", "1.5"],
+    # the grid point 1.995 is inside, its finite-difference point 2.015 is not
+    ["ray", "--alpha", "0", "--t-start", "1.995", "--t-end", "1.995"]])
 def test_scans_reject_grid_outside_disk(tmp_path, capsys, argv):
     # the whole grid is checked before any solve: exit 2 and no CSV
     out = str(tmp_path / "scan.csv")
@@ -283,6 +288,39 @@ def test_scans_reject_grid_outside_disk(tmp_path, capsys, argv):
 def test_scan_solvers_reject_delta_outside_disk(solver, delta):
     with pytest.raises(ValueError, match="outside the attracting disk"):
         solver(delta, 10)
+
+
+@pytest.mark.parametrize("delta", [1.995, 1.0 + 0.9995j, 2.19, 0.0])
+def test_dprime_fd_rejects_stencil_outside_disk(delta):
+    with pytest.raises(ValueError, match="outside the attracting disk"):
+        cli._dprime_fd(delta, 10)
+
+
+def test_quadrature_not_finite_is_an_error(tmp_path, capsys):
+    # d0 = 1.49 is admissible, but the stretched integrand overflows
+    out = str(tmp_path / "omega.csv")
+    assert run(["omega", "--d0", "1.49", "--theta-min", "0", "--theta-max", "0",
+                "--out", out]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["TOLERANCE_NOT_MET"]
+    for argv in (["theta0", "--d0", "1.49"],
+                 ["ray", "--d0", "1.49", "--level", "10",
+                  "--out", str(tmp_path / "ray.csv")]):
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert "error[TOLERANCE_NOT_MET]" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package must run on numpy alone
+    code = ("import sys, juliadim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_verify_exit_codes(capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from juliadim import quadrature as qd
-from juliadim.errors import InvalidDimensionError, NoSignChangeError
+from juliadim.errors import (InvalidDimensionError, NoSignChangeError,
+                             ToleranceNotMetError)
 
 
 def omega_oracle(theta: float, d0: float, n_points: int = 1_000_000) -> float:
@@ -162,3 +163,161 @@ def test_q_integral_equals_delta_alpha():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         qd.QuadratureSpec(abs_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the numpy Gauss-Kronrod against QUADPACK (scipy, test-only) and exact rules
+
+def omega_quadpack(theta: float, d0: float, spec=qd.DEFAULT_SPEC) -> float:
+    """omega through scipy's QUADPACK on the stretched split of the seed code."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    p = 3.0 - 2.0 * d0
+    xs = spec.x_split
+
+    def f(x):
+        return qd.omega_integrand(x, theta, d0)
+
+    def stretched(u):
+        x = u ** (1.0 / p)
+        return f(x) * x ** (1.0 - p) / p
+
+    kw = dict(epsabs=spec.abs_tol / 2, epsrel=spec.rel_tol,
+              limit=spec.max_subdivisions)
+    value = (quad(stretched, 0.0, xs ** p, **kw)[0]
+             + quad(f, xs, qd._x_max(d0, spec.abs_tol), **kw)[0])
+    return math.sqrt(theta * theta + 1.0) * value
+
+
+@pytest.mark.parametrize("d0", [1.05, 1.08, 1.2, 1.4])
+def test_omega_against_quadpack(d0):
+    worst = max(abs(qd.omega(th, d0).value - omega_quadpack(th, d0))
+                for th in np.linspace(-3.0, 3.0, 121))
+    assert worst < 1e-11
+
+
+def test_lambda_tails_batched_match_single_calls():
+    spec = qd.DEFAULT_SPEC
+    ts = np.array([1e-3, 0.05, 0.5, 0.999, 1.0, 1.7, 4.2, 12.5])
+    for h, eps, alpha in ((1.08, 0.0, 0.3), (1.2, 0.5, np.pi / 6),
+                          (1.4, -0.5, 0.0)):
+        vals, errs, nevals = qd._lambda_tails(h, eps, alpha, ts, spec)
+        for t, v, e, n in zip(ts, vals, errs, nevals):
+            one = qd.lambda_tail(h, eps, alpha, t, spec)
+            assert abs(v - one.value) <= 1e-13 * abs(one.value)
+            assert (e, n) == pytest.approx((one.err_estimate, one.evaluations),
+                                           rel=1e-13)
+
+
+def test_gk21_exact_on_degree_31_in_one_round():
+    rng = np.random.default_rng(7)
+    coef = rng.normal(size=32)          # degree 31
+    poly = np.polynomial.Polynomial(coef)
+    a, b = np.array([-0.7, 0.0, 2.0]), np.array([1.3, 0.25, 5.0])
+    exact = poly.integ()(b) - poly.integ()(a)
+    # limit=1 stops after the first round, which must already be exact
+    value, _, neval = qd._gk21(poly, a, b, 1e-300, 1e-300, 1)
+    assert np.all(neval == 21)
+    assert np.all(np.abs(value - exact) <= 1e-13 * np.abs(exact))
+    # the Kronrod rule ends at degree 31: x^32 is not integrated exactly
+    value, _, _ = qd._gk21(lambda x: x ** 32, -1.0, 1.0, 1e-300, 1e-300, 1)
+    assert abs(value - 2.0 / 33.0) > 1e-12
+    # up to degree 19 the embedded Gauss rule agrees, so one round suffices
+    low = np.polynomial.Polynomial(coef[:20])
+    exact = low.integ()(b) - low.integ()(a)
+    value, err, neval = qd._gk21(low, a, b, 1e-12, 1e-12, 200)
+    assert np.all(neval == 21)
+    assert np.all(np.abs(value - exact) <= 1e-13 * np.abs(exact))
+
+
+SMOOTH = [(np.exp, 0.0, 1.0), (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0),
+          (lambda x: 1.0 / (x * x + 1e-4), -1.0, 3.0),
+          (lambda x: np.exp(-100.0 * (x - 0.2) ** 2) + x, 0.0, 4.0),
+          (lambda x: np.cos(50.0 * x), 0.0, 3.0)]
+
+
+def quadpack(f, a, b, **kw):
+    quad = pytest.importorskip("scipy.integrate").quad
+    value, err, info = quad(lambda x: float(f(x)), a, b, full_output=1, **kw)[:3]
+    return value, err, info["neval"]
+
+
+@pytest.mark.parametrize("f, a, b", SMOOTH + [(np.sqrt, 0.0, 1.0),
+                                               (lambda x: x ** 3, 0.0, 1.0)])
+def test_gk21_one_panel_is_qk21(f, a, b):
+    # x^3 is exact for both rules, so its error is the 50 eps resabs floor
+    # with limit=1 QUADPACK returns its first 21-point panel and error
+    value, err, neval = qd._gk21(f, a, b, 1e-300, 1e-300, 1)
+    ref_value, ref_err, ref_neval = quadpack(f, a, b, epsabs=1e-300,
+                                             epsrel=1e-300, limit=1)
+    assert neval == ref_neval == 21
+    assert value == pytest.approx(ref_value, rel=1e-14, abs=1e-16)
+    assert err == pytest.approx(ref_err, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("f, a, b", SMOOTH)
+def test_gk21_no_more_work_than_quadpack(f, a, b, tol):
+    value, err, neval = qd._gk21(f, a, b, tol, 1e-15, 200)
+    ref_value, _, ref_neval = quadpack(f, a, b, epsabs=tol, epsrel=1e-15,
+                                       limit=200)
+    assert err <= tol
+    assert abs(value - ref_value) <= tol
+    assert neval <= ref_neval
+
+
+def test_split_panels_tile_the_range():
+    p, tol = 3.0 - 2.0 * 1.08, 5e-11
+    for xs, xmax in ((1.0, 32.0), (1.0, 40.0), (0.5, 21.0), (1.0, 1.0)):
+        a, b, epsabs = qd._split_panels(p, xs, xmax, tol)
+        assert a[0] == 0.0 and b[0] == pytest.approx(xs ** p)
+        assert np.array_equal(a[1:], b[:-1])
+        assert b[-1] * xs / xs ** p == pytest.approx(max(xs, xmax))
+        # the power piece gets tol, the tail pieces share another tol by width
+        assert epsabs[0] == tol
+        if len(b) > 1:
+            assert epsabs[1:].sum() == pytest.approx(tol)
+            assert np.allclose(epsabs[1:] / (b - a)[1:], epsabs[1] / (b - a)[1])
+
+
+def test_gk21_stops_on_summed_error():
+    # panel errors on [0, w] of log x shrink only like w, so no width share
+    # is ever met near 0; the summed error still falls below tol
+    for tol in (1e-6, 1e-10):
+        value, err, neval = qd._gk21(np.log, 0.0, 1.0, tol, 1e-15, 200)
+        assert err <= tol
+        assert abs(value + 1.0) <= tol
+        assert neval < 42 * 200 - 21
+
+
+def test_gk21_stops_at_rounding_floor():
+    # 1e-10 is below 50 eps |integral| here: halving cannot reach it
+    value, err, neval = qd._gk21(np.exp, 0.0, 10.0, 1e-10, 1e-15, 200)
+    _, _, ref_neval = quadpack(np.exp, 0.0, 10.0, epsabs=1e-10, epsrel=1e-15,
+                               limit=200)
+    assert value == pytest.approx(math.expm1(10.0), rel=1e-14)
+    assert neval <= ref_neval
+
+
+def test_gk21_panel_limit_and_non_finite():
+    def cusp(x):
+        return np.abs(x - 1.0 / 3.0) ** 0.5
+
+    # [0, 1] holds the cusp and stops at the cap; [0.5, 1.5] is smooth
+    value, err, neval = qd._gk21(cusp, [0.0, 0.5], [1.0, 1.5], 1e-13, 1e-13, 7)
+    assert neval[0] == 42 * 7 - 21
+    assert err[0] > 1e-13
+    assert neval[1] < neval[0]
+    assert err[1] < 1e-13
+    # a NaN stops its integral at once instead of bisecting to the cap
+    value, err, neval = qd._gk21(lambda x: np.where(x < 0.5, np.nan, 1.0),
+                                 0.0, 1.0, 1e-13, 1e-13, 200)
+    assert np.isnan(value) and neval == 21
+
+
+def test_omega_not_finite_raises():
+    with pytest.raises(ToleranceNotMetError, match="not finite"):
+        qd.omega(0.0, 1.49)
+    with pytest.raises(ToleranceNotMetError):
+        qd.delta_alpha(0.0, 1.49)
+    with pytest.raises(ToleranceNotMetError):
+        qd.find_theta0(1.49)

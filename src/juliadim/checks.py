@@ -590,14 +590,7 @@ def check_formula_vs_fd_grid() -> CheckResult:
             w = equilibrium(delta, tau, table, level)
             formula = transfer.directional_derivative_formula(
                 delta, delta / abs(delta), table, w)
-            h = 0.01 * t
-            dims = []
-            for sgn in (1.0, -1.0):
-                d2 = delta + sgn * h * delta / abs(delta)
-                t2 = build_table(d2, level)
-                dims.append(transfer._bowen_root(
-                    TransferOperator(d2, t2, level))[0])
-            fd = (dims[0] - dims[1]) / (2.0 * h)
+            fd = transfer.dprime_fd(delta, level)
             worst = max(worst, abs(formula - fd) / abs(fd))
     return _result("transfer.formula_vs_fd_grid", worst < 0.05,
                    f"max rel deviation {worst:.1e}")

@@ -13,19 +13,16 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, checks
-from .boettcher import MAX_LEVEL, build_table
+from .boettcher import MAX_LEVEL
 from .errors import JuliaDimError, NoConvergenceError, ParseError
-from .maps import Param, in_main_disk, in_mandelbrot_grid
-from .perturbation import phi_dot_table
+from .maps import Param, in_mandelbrot_grid
 from .quadrature import QuadratureSpec, find_theta0, omega
-from .transfer import (EquilibriumWeights, TransferOperator, _aitken,
-                       _bowen_root, directional_derivative_formula,
-                       equilibrium, hausdorff_dim)
+from .transfer import (check_disk, dprime_fd, fd_stencil, hausdorff_dim,
+                       ray_point)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -85,98 +82,11 @@ def _geometric_grid(t_start: float, t_end: float, ratio: float) -> list[float]:
     return ts
 
 
-def _check_disk(deltas, error=ValueError) -> None:
-    """Raise ``error`` unless every delta lies in B(1, 1)."""
-    for delta in deltas:
-        if not in_main_disk(delta):
-            raise error(f"delta = {delta} outside the attracting disk")
-
-
 def _map_maybe_parallel(fn, items, threads: int):
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(it) for it in items]
-
-
-# ---------------------------------------------------------------------------
-# extrapolated solvers shared by the scan commands
-
-def _stencil_roots(delta: complex, table, level: int):
-    """Operators and pressure roots at levels L-4, L-2, L."""
-    ops = [TransferOperator(delta, table, lev)
-           for lev in (level - 4, level - 2, level)]
-    return ops, [_bowen_root(op)[0] for op in ops]
-
-
-def _dim_summary(taus) -> tuple[float, float, float]:
-    return taus[-1], _aitken(*taus), abs(taus[-1] - taus[-2])
-
-
-def _dim_extrapolated(delta: complex, level: int) -> tuple[float, float, float]:
-    """(raw, extrapolated, error bound) dimension using levels L-4, L-2, L."""
-    _check_disk([delta])
-    _, taus = _stencil_roots(delta, build_table(delta, level), level)
-    return _dim_summary(taus)
-
-
-@dataclass(frozen=True, eq=False)
-class RayPoint:
-    dim: tuple[float, float, float]     # raw, extrapolated, level gap
-    dprime: tuple[float, float]         # raw, extrapolated
-    weights: EquilibriumWeights         # equilibrium state at level L
-    op: TransferOperator                # operator at level L
-
-
-def _ray_point(delta: complex, level: int) -> RayPoint:
-    """Dimension and directional derivative from one table and one root
-    per stencil level.
-
-    Near the parabolic point the word discretization converges only
-    geometrically per level, so both series are Aitken-extrapolated and the
-    raw top-level values are reported alongside.
-    """
-    _check_disk([delta])
-    table = build_table(delta, level)
-    ops, taus = _stencil_roots(delta, table, level)
-    v = delta / abs(delta)
-    pdot = phi_dot_table(delta, table)
-    vals = []
-    for op, tau in zip(ops, taus):
-        weights = equilibrium(delta, tau, table, op.level)
-        vals.append(directional_derivative_formula(delta, v, table, weights,
-                                                   pdot=pdot))
-    return RayPoint(_dim_summary(taus), (vals[-1], _aitken(*vals)), weights,
-                    ops[-1])
-
-
-def _dprime_extrapolated(delta: complex, level: int):
-    """(raw, extrapolated) directional derivative using levels L-4, L-2, L."""
-    return _ray_point(delta, level).dprime
-
-
-FD_REL_STEP = 1e-2
-
-
-def _fd_stencil(delta: complex, rel_step: float = FD_REL_STEP):
-    """The two points delta +- rel_step * delta of the ray finite difference."""
-    v = delta / abs(delta)
-    h = rel_step * abs(delta)
-    return [delta + sgn * h * v for sgn in (1.0, -1.0)]
-
-
-def _dprime_fd(delta: complex, level: int, rel_step: float = FD_REL_STEP) -> float:
-    """Central finite difference of the raw top-level dimension on the ray."""
-    _check_disk([delta])
-    stencil = _fd_stencil(delta, rel_step)
-    _check_disk(stencil)
-    h = rel_step * abs(delta)
-    vals = []
-    for d in stencil:
-        table = build_table(d, level)
-        op = TransferOperator(d, table, level)
-        vals.append(_bowen_root(op)[0])
-    return (vals[0] - vals[1]) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +98,7 @@ def cmd_dim(args) -> int:
     # (negated part by part so that a zero imaginary part stays +0.0)
     if delta.real < 0:
         delta = complex(0.0 - delta.real, 0.0 - delta.imag)
-    _check_disk([delta], ParseError)
+    check_disk([delta], ParseError)
     t0 = time.monotonic()
     res = hausdorff_dim(delta, args.level, args.tol)
     dur = (time.monotonic() - t0) * 1e3
@@ -268,17 +178,18 @@ def _fit_d0(ts, dims, n_use: int = 4) -> float:
 def cmd_d0(args) -> int:
     t0 = time.monotonic()
     ts = _geometric_grid(args.t_start, args.t_min, RAY_GRID_RATIO)
-    _check_disk(ts, ParseError)
+    check_disk(ts, ParseError)
 
     def solve(t):
-        return _dim_extrapolated(t, args.level)
+        return hausdorff_dim(t, args.level, step=2)
 
     sols = _map_maybe_parallel(solve, ts, args.threads)
-    dims = [s[1] for s in sols]
+    dims = [s.richardson_estimate for s in sols]
     est = _fit_d0(ts, dims)
     est_drop = _fit_d0(ts[:-1], dims[:-1])
     uncertainty = abs(est - est_drop)
-    rows = [[t, raw, ext, gap] for t, (raw, ext, gap) in zip(ts, sols)]
+    rows = [[t, s.tau0, s.richardson_estimate, s.error_bound]
+            for t, s in zip(ts, sols)]
     outputs = []
     if args.out:
         _write_csv(args.out, ["t", "dim_raw", "dim_extrapolated", "level_gap"], rows)
@@ -315,7 +226,7 @@ def cmd_ray(args) -> int:
         raise ParseError("alpha must lie in (-pi/2, pi/2)")
     v = complex(math.cos(alpha), math.sin(alpha))
     ts = _geometric_grid(args.t_start, args.t_end, RAY_GRID_RATIO)
-    _check_disk([d for t in ts for d in [t * v, *_fd_stencil(t * v)]], ParseError)
+    check_disk([d for t in ts for d in [t * v, *fd_stencil(t * v)]], ParseError)
     d0 = args.d0
     om = omega(math.tan(alpha), d0).value
     expo = 2.0 * d0 - 2.0
@@ -324,14 +235,14 @@ def cmd_ray(args) -> int:
         """CSV row and expansion rate chi at level L of one ray point."""
         delta = t * v
         try:
-            pt = _ray_point(delta, args.level)
-            fd = _dprime_fd(delta, args.level)
+            pt = ray_point(delta, args.level)
+            fd = dprime_fd(delta, args.level)
         except JuliaDimError as exc:
             return [t, "", "", "", "", "", "", exc.code], float("nan")
-        (dim_raw, dim_ext, _), (dp_raw, dp_ext) = pt.dim, pt.dprime
+        dp_raw, dp_ext = pt.dprime
         r = dp_ext / t ** expo
-        chi = float(np.sum(pt.weights.mu * pt.op.log_deriv))
-        return [t, dim_raw, dim_ext, dp_raw, dp_ext, fd, r, "ok"], chi
+        return [t, pt.dim.tau0, pt.dim.richardson_estimate, dp_raw, dp_ext,
+                fd, r, "ok"], pt.weights.chi
 
     solved = _map_maybe_parallel(solve, ts, args.threads)
     rows = [row for row, _ in solved]
@@ -401,14 +312,14 @@ def cmd_convexity(args) -> int:
     if np.any(eps >= 0):
         raise ParseError("convexity probe needs eps < 0")
     deltas = [2.0 * math.sqrt(-e) for e in eps]
-    _check_disk(deltas, ParseError)
+    check_disk(deltas, ParseError)
 
     def solve(delta):
-        return _dim_extrapolated(delta, args.level)
+        return hausdorff_dim(delta, args.level, step=2)
 
     sols = _map_maybe_parallel(solve, deltas, args.threads)
-    dims = np.array([s[1] for s in sols])
-    gaps = np.array([s[2] for s in sols])
+    dims = np.array([s.richardson_estimate for s in sols])
+    gaps = np.array([s.error_bound for s in sols])
     h = eps[1] - eps[0]
     d2 = (dims[2:] - 2.0 * dims[1:-1] + dims[:-2]) / h ** 2
     noise_flag = np.max(gaps) > 0.1 * np.min(np.abs(d2)) * h ** 2 if len(d2) else False
@@ -485,17 +396,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, level=16):
-        p.add_argument("--level", type=int, default=level,
-                       help=f"word length / table level (<= {MAX_LEVEL})")
-        p.add_argument("--tol", type=float, default=1e-10)
+    def common(p, *flags, level=16):
+        """--out, and those of --level, --tol, --threads, --json named in
+        ``flags``: each command takes only the flags it reads."""
+        if "level" in flags:
+            p.add_argument("--level", type=int, default=level,
+                           help=f"word length / table level (<= {MAX_LEVEL})")
+        if "tol" in flags:
+            p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--out", help="output file")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--json", action="store_true")
+        if "threads" in flags:
+            p.add_argument("--threads", type=int, default=1)
+        if "json" in flags:
+            p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("dim", help="Hausdorff dimension at one parameter")
     p.add_argument("--delta", required=True, help="complex, e.g. 0.3+0.2j")
-    common(p)
+    common(p, "level", "tol", "json")
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("omega", help="master integral over a theta range")
@@ -519,13 +436,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=DEFAULT_RAY_T_END)
     p.add_argument("--d0", type=float, default=1.0812,
                    help="limit dimension used in the ratio normalization")
-    common(p, level=14)
+    common(p, "level", "threads", "json", level=14)
     p.set_defaults(fn=cmd_ray)
 
     p = sub.add_parser("d0", help="extrapolate the dimension limit on the real ray")
     p.add_argument("--t-start", type=float, default=0.4)
     p.add_argument("--t-min", type=float, default=0.05)
-    common(p)
+    common(p, "level", "threads", "json")
     p.set_defaults(fn=cmd_d0)
 
     p = sub.add_parser("verify", help="run a property suite")
@@ -538,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-min", type=float, default=-0.05)
     p.add_argument("--eps-max", type=float, default=-0.01)
     p.add_argument("--points", type=int, default=9)
-    common(p, level=14)
+    common(p, "level", "threads", level=14)
     p.set_defaults(fn=cmd_convexity)
 
     p = sub.add_parser("mandelbrot", help="membership grid for either family")
@@ -580,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
                     sp.set_defaults(**{k: v for k, v in defaults.items()
                                        if any(a.dest == k for a in sp._actions)})
         args = parser.parse_args(argv)
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ParseError("--threads must be >= 1")
     except ParseError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

@@ -268,6 +268,13 @@ def pressure_oracle(delta: complex, tau: float, table: BoettcherTable,
     return np.log(total) / n
 
 
+def check_disk(deltas, error=ValueError) -> None:
+    """Raise ``error`` unless every delta lies in B(1, 1)."""
+    for delta in deltas:
+        if not maps.in_main_disk(delta):
+            raise error(f"delta = {delta} outside the attracting disk")
+
+
 @dataclass(frozen=True)
 class DimensionResult:
     tau0: float
@@ -275,6 +282,7 @@ class DimensionResult:
     level: int
     richardson_estimate: float
     error_bound: float
+    roots: tuple[float, float, float]   # the three stencil levels, coarsest first
 
 
 def _bowen_root(op: TransferOperator, lo: float = 1.0, hi: float = 2.0,
@@ -318,25 +326,26 @@ def _aitken(d1: float, d2: float, d3: float) -> float:
 
 
 def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
-                  table: BoettcherTable | None = None) -> DimensionResult:
+                  table: BoettcherTable | None = None,
+                  step: int = 1) -> DimensionResult:
     """Dimension of the boundary curve at delta, with level extrapolation.
 
-    Solves the pressure root at word lengths level-2, level-1, level (sharing
-    one landing-point table) and extrapolates the geometric level error;
-    ``error_bound`` is the last inter-level difference. Raises ValueError
+    Solves the pressure root at word lengths level - 2*step, level - step
+    and level (sharing one landing-point table) and extrapolates the
+    geometric level error; ``error_bound`` is the last inter-level
+    difference. ``dim`` uses step 1, the scans step 2. Raises ValueError
     for delta outside B(1, 1), where -delta is not attracting (delta = 0
     included).
     """
     if level < 8:
         raise ValueError("level must be >= 8")
     delta = complex(delta)
-    if not maps.in_main_disk(delta):
-        raise ValueError(f"delta = {delta} outside the attracting disk")
+    check_disk([delta])
     if table is None or table.level < level:
         table = build_table(delta, level)
     roots = []
     resid = 0.0
-    for lev in (level - 2, level - 1, level):
+    for lev in (level - 2 * step, level - step, level):
         op = TransferOperator(delta, table, lev)
         tau, p = _bowen_root(op, ptol=tol)
         roots.append(tau)
@@ -344,7 +353,8 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
     rich = _aitken(*roots)
     return DimensionResult(tau0=roots[-1], pressure_residual=resid,
                            level=level, richardson_estimate=rich,
-                           error_bound=abs(roots[-1] - roots[-2]))
+                           error_bound=abs(roots[-1] - roots[-2]),
+                           roots=tuple(roots))
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,6 +364,7 @@ class EquilibriumWeights:
     tau: float
     mu: np.ndarray      # word masses of the invariant state, sums to 1
     omega: np.ndarray   # word masses of the conformal state, sums to 1
+    chi: float          # Lyapunov exponent: mu-average of the operator's log|Df|
 
 
 def equilibrium(delta: complex, tau: float, table: BoettcherTable,
@@ -390,7 +401,8 @@ def equilibrium(delta: complex, tau: float, table: BoettcherTable,
         raise NoConvergenceError("equilibrium power iteration did not converge")
     mu = h * om
     mu /= mu.sum()
-    return EquilibriumWeights(complex(delta), op.level, float(tau), mu, om)
+    return EquilibriumWeights(complex(delta), op.level, float(tau), mu, om,
+                              float(np.sum(mu * op.log_deriv)))
 
 
 def _cylinder_bins(level: int) -> np.ndarray:
@@ -405,14 +417,6 @@ def _cylinder_bins(level: int) -> np.ndarray:
     return np.maximum(bins, 0)
 
 
-def cylinder_measure(weights: EquilibriumWeights, n: int) -> float:
-    """Invariant mass of cylinder n (both half-circle arcs)."""
-    if n + 1 >= weights.level:
-        raise LevelExceededError(f"cylinder {n} needs level > {n + 1}")
-    bins = _cylinder_bins(weights.level)
-    return float(np.sum(weights.mu[1:][bins == n]))
-
-
 def cylinder_measures(weights: EquilibriumWeights) -> np.ndarray:
     """All cylinder masses 0..level-2 in one pass; residual is mu[0]."""
     bins = _cylinder_bins(weights.level)
@@ -424,15 +428,6 @@ def cylinder_measures(weights: EquilibriumWeights) -> np.ndarray:
 def partition_residual(weights: EquilibriumWeights) -> float:
     """Mass not assigned to any cylinder (the fixed-angle word)."""
     return float(weights.mu[0])
-
-
-def lyapunov_integral(delta: complex, weights: EquilibriumWeights,
-                      table: BoettcherTable) -> float:
-    """Average expansion rate against the invariant state; positive here."""
-    reps = _reps_from_table(table, weights.level)
-    logd = np.log(np.abs(maps.evaluate_deriv(maps.f_delta(delta), reps)))
-    logd = 0.5 * (logd + np.roll(logd, -1))
-    return float(np.sum(weights.mu * logd))
 
 
 def directional_derivative_formula(delta: complex, v: complex,
@@ -461,11 +456,59 @@ def directional_derivative_formula(delta: complex, v: complex,
     # endpoint-averaged, matching the operator's weight rule, so this is
     # the exact parameter derivative of the discretized dimension
     integrand = 0.5 * (integrand + np.roll(integrand, -1))
-    logd = np.log(np.abs(deriv))
-    logd = 0.5 * (logd + np.roll(logd, -1))
     num = float(np.sum(weights.mu * integrand))
-    chi = float(np.sum(weights.mu * logd))
-    return -weights.tau / chi * num
+    return -weights.tau / weights.chi * num
+
+
+@dataclass(frozen=True, eq=False)
+class RayPoint:
+    dim: DimensionResult                # levels L-4, L-2, L
+    dprime: tuple[float, float]         # raw, extrapolated
+    weights: EquilibriumWeights         # equilibrium state at level L
+
+
+def ray_point(delta: complex, level: int) -> RayPoint:
+    """Dimension and directional derivative from one table and one root
+    per stencil level.
+
+    Near the parabolic point the word discretization converges only
+    geometrically per level, so both series are Aitken-extrapolated and the
+    raw top-level values are reported alongside.
+    """
+    check_disk([delta])
+    table = build_table(delta, level)
+    dim = hausdorff_dim(delta, level, table=table, step=2)
+    v = delta / abs(delta)
+    pdot = phi_dot_table(delta, table)
+    vals = []
+    for lev, tau in zip((level - 4, level - 2, level), dim.roots):
+        weights = equilibrium(delta, tau, table, lev)
+        vals.append(directional_derivative_formula(delta, v, table, weights,
+                                                   pdot=pdot))
+    return RayPoint(dim, (vals[-1], _aitken(*vals)), weights)
+
+
+FD_REL_STEP = 1e-2
+
+
+def fd_stencil(delta: complex, rel_step: float = FD_REL_STEP):
+    """The two points delta +- rel_step * delta of the ray finite difference."""
+    v = delta / abs(delta)
+    h = rel_step * abs(delta)
+    return [delta + sgn * h * v for sgn in (1.0, -1.0)]
+
+
+def dprime_fd(delta: complex, level: int, rel_step: float = FD_REL_STEP) -> float:
+    """Central finite difference of the raw top-level dimension on the ray."""
+    check_disk([delta])
+    stencil = fd_stencil(delta, rel_step)
+    check_disk(stencil)
+    h = rel_step * abs(delta)
+    vals = []
+    for d in stencil:
+        table = build_table(d, level)
+        vals.append(_bowen_root(TransferOperator(d, table, level))[0])
+    return (vals[0] - vals[1]) / (2.0 * h)
 
 
 def backward_anchor_tower(delta: complex, table: BoettcherTable,

@@ -18,11 +18,10 @@ from scipy.optimize import minimize_scalar
 from juliadim import checks
 from juliadim import quadrature as qd
 from juliadim.boettcher import build_table
-from juliadim.cli import (RAY_GRID_RATIO, _dim_extrapolated, _dprime_extrapolated,
-                          _dprime_fd, _fit_d0, _geometric_grid)
+from juliadim.cli import RAY_GRID_RATIO, _fit_d0, _geometric_grid
 from juliadim.transfer import (TransferOperator, _bowen_root,
-                               directional_derivative_formula, equilibrium,
-                               hausdorff_dim, pressure)
+                               directional_derivative_formula, dprime_fd,
+                               equilibrium, hausdorff_dim, pressure, ray_point)
 
 LOG2 = math.log(2.0)
 
@@ -36,7 +35,7 @@ def _report(num, passed, detail):
 def d0_estimate():
     """Criterion-2 pipeline: level 16, grid ratio 1/sqrt(2) down to 0.05."""
     ts = _geometric_grid(0.4, 0.05, RAY_GRID_RATIO)
-    dims = [_dim_extrapolated(t, 16)[1] for t in ts]
+    dims = [hausdorff_dim(t, 16, step=2).richardson_estimate for t in ts]
     full = _fit_d0(ts, dims)
     halved = _fit_d0(ts[:5], dims[:5])   # t_min = 0.1: one halving step up
     return {"ts": ts, "dims": dims, "estimate": full, "coarser": halved}
@@ -101,7 +100,7 @@ def _ray_scan(alpha, d0, level=14):
     om = qd.omega(math.tan(alpha), d0).value
     rows = []
     for t in _geometric_grid(0.4, 0.05, RAY_GRID_RATIO):
-        _, dp_ext = _dprime_extrapolated(t * v, level)
+        _, dp_ext = ray_point(t * v, level).dprime
         rows.append((t, dp_ext, dp_ext / t ** expo))
     fitted_A = float(np.mean([r[2] / om for r in rows[-3:]]))
     return rows, fitted_A, om
@@ -132,6 +131,11 @@ def test_criterion_6_ray_ratio_stabilization(d0_estimate):
 HZ_EPS = -np.geomspace(0.1, 0.1 / 2 ** 8, 17)
 HZ_LEVEL = 16
 HZ_TOL = 0.1
+
+
+def _scan_dim(eps, level):
+    """Extrapolated dimension at eps < 0, as the convexity scan solves it."""
+    return hausdorff_dim(2.0 * math.sqrt(-eps), level, step=2).richardson_estimate
 
 
 def _fit_hz_exponent(eps, dims) -> float:
@@ -180,12 +184,11 @@ def test_criterion_7_hz_scaling_window(d0_estimate):
     """
     t0 = time.monotonic()
     d0 = d0_estimate["estimate"]
-    dims = [_dim_extrapolated(2.0 * math.sqrt(-e), HZ_LEVEL)[1] for e in HZ_EPS]
+    dims = [_scan_dim(e, HZ_LEVEL) for e in HZ_EPS]
     gamma = _fit_hz_exponent(HZ_EPS, dims)
     # Diagnostic only: the pure power-law slope of |d'| on [-0.1, -0.02].
     eps = -np.geomspace(0.1, 0.02, 7)
-    window_dims = np.array([_dim_extrapolated(2.0 * math.sqrt(-e), HZ_LEVEL)[1]
-                            for e in eps])
+    window_dims = np.array([_scan_dim(e, HZ_LEVEL) for e in eps])
     mid = 0.5 * (eps[1:] + eps[:-1])
     dprime_eps = np.diff(window_dims) / np.diff(eps)
     slope = float(np.polyfit(np.log(-mid), np.log(np.abs(dprime_eps)), 1)[0])
@@ -213,7 +216,7 @@ def test_criterion_7_fit_recovers_exponent():
 def test_criterion_8_convexity_window():
     t0 = time.monotonic()
     eps = np.linspace(-0.05, -0.01, 9)
-    dims = np.array([_dim_extrapolated(2.0 * math.sqrt(-e), 14)[1] for e in eps])
+    dims = np.array([_scan_dim(e, 14) for e in eps])
     h = eps[1] - eps[0]
     d2 = (dims[2:] - 2.0 * dims[1:-1] + dims[:-2]) / h ** 2
     elapsed = time.monotonic() - t0
@@ -233,7 +236,7 @@ def test_criterion_9_formula_vs_finite_difference():
         tau = _bowen_root(op)[0]
         w = equilibrium(delta, tau, table, level)
         formula = directional_derivative_formula(delta, v, table, w)
-        fd = _dprime_fd(delta, level, rel_step=1e-2)
+        fd = dprime_fd(delta, level, rel_step=1e-2)
         worst = max(worst, abs(formula - fd) / abs(fd))
     elapsed = time.monotonic() - t0
     _report(9, worst < 0.05 and elapsed < 600.0,

@@ -150,8 +150,7 @@ def test_ray_golden_and_one_solve_per_point(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli, "build_table")
-    counted(cli, "phi_dot_table")
+    counted(transfer, "build_table")
     counted(transfer, "phi_dot_table")
     out = str(tmp_path / "ray.csv")
     assert run(["ray", "--alpha", "0.5236", "--level", "10", "--out", out]) == 0
@@ -283,7 +282,7 @@ def test_scans_reject_grid_outside_disk(tmp_path, capsys, argv):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("solver", [cli._dim_extrapolated, cli._ray_point])
+@pytest.mark.parametrize("solver", [transfer.hausdorff_dim, transfer.ray_point])
 @pytest.mark.parametrize("delta", [2.19, 0.3j, 0.0])
 def test_scan_solvers_reject_delta_outside_disk(solver, delta):
     with pytest.raises(ValueError, match="outside the attracting disk"):
@@ -293,7 +292,57 @@ def test_scan_solvers_reject_delta_outside_disk(solver, delta):
 @pytest.mark.parametrize("delta", [1.995, 1.0 + 0.9995j, 2.19, 0.0])
 def test_dprime_fd_rejects_stencil_outside_disk(delta):
     with pytest.raises(ValueError, match="outside the attracting disk"):
-        cli._dprime_fd(delta, 10)
+        transfer.dprime_fd(delta, 10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["d0", "--level", "7", "--t-start", "0.4", "--t-min", "0.2"],
+    ["ray", "--level", "3", "--t-start", "0.4", "--t-end", "0.2"],
+    ["convexity", "--level", "7", "--points", "3"]])
+def test_scans_reject_level_below_eight(tmp_path, capsys, argv):
+    out = str(tmp_path / "scan.csv")
+    assert run([*argv, "--out", out]) == 2
+    assert "level must be >= 8" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+# the shared flags each command reads; --out is on every command, since
+# the benchmark passes it to theta0 and verify too
+COMMAND_FLAGS = {
+    "dim": {"--level", "--tol", "--out", "--json"},
+    "omega": {"--out"},
+    "theta0": {"--out"},
+    "ray": {"--level", "--out", "--threads", "--json"},
+    "d0": {"--level", "--out", "--threads", "--json"},
+    "verify": {"--out"},
+    "convexity": {"--level", "--out", "--threads"},
+    "mandelbrot": {"--out"},
+}
+FLAG_ARGS = {"--level": ["12"], "--tol": ["1e-8"], "--out": ["x.csv"],
+             "--threads": ["2"], "--json": []}
+
+
+@pytest.mark.parametrize("cmd", sorted(COMMAND_FLAGS))
+def test_commands_take_only_the_flags_they_read(cmd, capsys):
+    base = [cmd, "--delta", "0.3"] if cmd == "dim" else [cmd]
+    for flag, value in FLAG_ARGS.items():
+        argv = [*base, flag, *value]
+        if flag in COMMAND_FLAGS[cmd]:
+            cli._build_parser().parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_threads_check_skips_commands_without_the_flag(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("threads = 0\nlevel = 9\n")
+    # keys a command lacks stay ignored; a command that reads them checks them
+    assert run(["--config", str(conf), "theta0", "--d0", "1.08"]) == 0
+    assert run(["--config", str(conf), "d0", "--level", "12"]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 def test_quadrature_not_finite_is_an_error(tmp_path, capsys):

@@ -6,11 +6,10 @@ import pytest
 
 from juliadim import transfer
 from juliadim.boettcher import build_table
-from juliadim.errors import LevelExceededError
-from juliadim.transfer import (TransferOperator, cylinder_measure,
-                               cylinder_measures, directional_derivative_formula,
-                               equilibrium, hausdorff_dim, lyapunov_integral,
-                               partition_residual, pressure, pressure_oracle)
+from juliadim.transfer import (TransferOperator, cylinder_measures,
+                               directional_derivative_formula, equilibrium,
+                               hausdorff_dim, partition_residual, pressure,
+                               pressure_oracle)
 
 LOG2 = math.log(2.0)
 
@@ -86,6 +85,20 @@ def test_dimension_outside_attracting_disk(delta):
         hausdorff_dim(delta, 10)
 
 
+@pytest.mark.parametrize("step, levels", [(1, (12, 13, 14)), (2, (10, 12, 14))])
+def test_dimension_roots_are_level_roots(step, levels):
+    # one table, one root per stencil level, bit for bit; step 2 is the scans'
+    delta = 0.3 + 0.2j
+    table = build_table(delta, 14)
+    res = hausdorff_dim(delta, 14, step=step)
+    assert res.roots == tuple(
+        transfer._bowen_root(TransferOperator(delta, table, lev))[0]
+        for lev in levels)
+    assert res.tau0 == res.roots[-1]
+    assert res.error_bound == abs(res.roots[-1] - res.roots[-2])
+    assert res.richardson_estimate == transfer._aitken(*res.roots)
+
+
 def test_equilibrium_uniform_on_circle(circle_table):
     w = equilibrium(1.0, 1.0, circle_table)
     assert np.max(np.abs(w.mu - 1.0 / w.mu.size)) < 1e-15
@@ -112,9 +125,6 @@ def test_cylinder_measures_partition():
     w = equilibrium(delta, tau, table)
     masses = cylinder_measures(w)
     assert masses.sum() + partition_residual(w) == pytest.approx(1.0, abs=1e-12)
-    assert cylinder_measure(w, 3) == pytest.approx(masses[3])
-    with pytest.raises(LevelExceededError):
-        cylinder_measure(w, 10)
 
 
 def test_cylinder_measure_power_law():
@@ -143,9 +153,18 @@ def test_cylinder_measure_exponential_tail():
     assert np.all(ratios > math.exp(-10 * delta))
 
 
+def _chi_from_table(delta, w, table):
+    """Invariant average of log|Df| at the landing points, endpoint-averaged
+    per word, computed from the table without the operator; f(z) = (1 +
+    delta) z + z^2."""
+    reps = table.points[::1 << (table.level - w.level)]
+    logd = np.log(np.abs(1.0 + delta + 2.0 * reps))
+    return float(np.sum(w.mu * 0.5 * (logd + np.roll(logd, -1))))
+
+
 def test_lyapunov_circle(circle_table):
     w = equilibrium(1.0, 1.0, circle_table)
-    assert lyapunov_integral(1.0, w, circle_table) == pytest.approx(LOG2, abs=1e-12)
+    assert w.chi == pytest.approx(LOG2, abs=1e-12)
 
 
 def test_lyapunov_positive_on_grid():
@@ -153,7 +172,8 @@ def test_lyapunov_positive_on_grid():
         table = build_table(delta, 10)
         tau = hausdorff_dim(delta, 10, table=table).tau0
         w = equilibrium(delta, tau, table)
-        assert lyapunov_integral(delta, w, table) > 0
+        assert w.chi > 0
+        assert w.chi == pytest.approx(_chi_from_table(delta, w, table), rel=1e-12)
 
 
 def test_lyapunov_level_stability():
@@ -163,7 +183,7 @@ def test_lyapunov_level_stability():
         table = build_table(delta, lev)
         tau = hausdorff_dim(delta, lev, table=table).tau0
         w = equilibrium(delta, tau, table)
-        vals.append(lyapunov_integral(delta, w, table))
+        vals.append(w.chi)
     assert abs(vals[0] - vals[1]) < 1e-3
 
 

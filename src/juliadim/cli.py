@@ -48,6 +48,15 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
                               for c in row) + "\n")
 
 
+def _print_lines(lines: list[str], out: str | None) -> None:
+    """Prints ``lines``, and writes them to ``out`` as well when given."""
+    for line in lines:
+        print(line)
+    if out:
+        with open(out, "w", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in lines)
+
+
 def _write_manifest(command: str, params: dict, outputs: list[str],
                     duration_ms: float) -> str | None:
     if not outputs:
@@ -152,9 +161,10 @@ def cmd_theta0(args) -> int:
         lo = find_theta0(args.d0 - args.d0_err)
         hi = find_theta0(args.d0 + args.d0_err)
         spread = max(abs(root - lo), abs(root - hi))
-        print(f"theta0 = {root:.6f} +- {spread:.6f} (d0 = {args.d0} +- {args.d0_err})")
+        line = f"theta0 = {root:.6f} +- {spread:.6f} (d0 = {args.d0} +- {args.d0_err})"
     else:
-        print(f"theta0 = {root:.6f} (d0 = {args.d0})")
+        line = f"theta0 = {root:.6f} (d0 = {args.d0})"
+    _print_lines([line], args.out)
     return EXIT_OK
 
 
@@ -297,12 +307,11 @@ def cmd_ray(args) -> int:
 
 def cmd_verify(args) -> int:
     results = checks.run_suite(args.suite)
-    n_fail = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name}: {r.detail}")
-        n_fail += 0 if r.passed else 1
-    print(f"{len(results) - n_fail}/{len(results)} checks passed")
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}"
+             for r in results]
+    n_fail = sum(not r.passed for r in results)
+    lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
+    _print_lines(lines, args.out)
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY
 
 

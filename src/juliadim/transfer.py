@@ -11,6 +11,7 @@ tau -> P(tau), which is strictly decreasing.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +41,13 @@ SPLIT_MIN_WORDS = 1 << 18
 # pressure roots by more than 1e-12.
 AITKEN_MIN_RATIO = 0.9
 AITKEN_RATIO_AGREE = 1e-2
+# The power loops keep their iterate unnormalised and multiply it by a power
+# of two, which is exact, only when its sum leaves
+# [1/RESCALE_WINDOW, RESCALE_WINDOW].
+RESCALE_WINDOW = 2.0 ** 256
+# Eigenvalue changes this small relative to the eigenvalue are rounding: two
+# in a row end a power loop whose iterate is an exact eigenvector.
+ROUNDING_RTOL = 4 * np.finfo(float).eps
 
 
 def _usable_cpus() -> int:
@@ -75,10 +83,14 @@ def _sum_in_halves(x: np.ndarray):
     return a + b
 
 
-def _divide_in_halves(x: np.ndarray, s, out: np.ndarray) -> np.ndarray:
-    h = len(x) // 2
-    _in_halves(np.divide, (x[:h], s, out[:h]), (x[h:], s, out[h:]))
-    return out
+def _rescale(s: float, *xs: np.ndarray) -> float:
+    """Multiplies each of ``xs`` by the power of two that takes ``s`` into
+    [1/2, 1), in place, and returns ``s`` times it; both exactly."""
+    m, e = math.frexp(s)
+    f = math.ldexp(1.0, -e)
+    for x in xs:
+        x *= f
+    return m
 
 
 def _pair_sums(a, wa, b, wb, out: np.ndarray) -> None:
@@ -182,8 +194,11 @@ class TransferOperator:
         The eigenvalue error of plain power iteration decays like the ratio
         of the two leading eigenvalues; successive differences estimate that
         ratio, giving a stopping rule on the *remaining* error rather than
-        on the last step size. Where ``apply`` splits, the two sums and the
-        divide of each step are split too, with bit-identical results.
+        on the last step size. Each step is the apply and one sum: the
+        iterate stays unnormalised, the eigenvalue is the ratio of its
+        successive sums, and it is rescaled by an exact power of two only
+        when its sum leaves the ``RESCALE_WINDOW``. Where ``apply`` splits,
+        the sum is split too, with bit-identical results.
 
         When one slow mode dominates the error (a settled ratio of at least
         ``AITKEN_MIN_RATIO``), the last step's change lies along it and
@@ -192,41 +207,53 @@ class TransferOperator:
         so far, because that mode's residue can grow back to dominance.
         """
         n = self.size
-        if n >= _SPLIT_FROM:
-            total, divide = _sum_in_halves, _divide_in_halves
-        else:
-            total, divide = np.ndarray.sum, np.divide
+        total = _sum_in_halves if n >= _SPLIT_FROM else np.ndarray.sum
+        hi = RESCALE_WINDOW
+        lo = 1.0 / hi
         u = np.full(n, 1.0 / n) if u0 is None else np.array(u0, dtype=float)
         v = np.empty(n)
+        s_old = total(u)            # sum of u, the iterate before the step
         lam_old = None
         diff_old = None
         rho_old = None
+        flat_old = False
         rho_slow = 0.0          # slowest ratio removed by an Aitken step
         for _ in range(maxit):
             self.apply(u, w, out=v)
             s = total(v)
-            lam = s / total(u)
-            divide(v, s, out=v)
+            lam = s / s_old
+            if not lo <= s <= hi:
+                s = _rescale(s, v)
             u, v = v, u
             if lam_old is not None:
                 diff = abs(lam - lam_old)
-                if diff == 0.0:
+                flat = diff <= ROUNDING_RTOL * abs(lam)
+                if diff == 0.0 or (flat and flat_old):
+                    u /= s
                     return lam, u
+                flat_old = flat
                 if diff_old is not None and diff < diff_old:
                     rho = diff / diff_old
                     r = max(rho, rho_slow)
                     if diff * r / (1.0 - r) < rtol * abs(lam):
+                        u /= s
                         return lam, u
                     if (rho >= AITKEN_MIN_RATIO and rho_old is not None and
                             abs(rho - rho_old)
                             <= AITKEN_RATIO_AGREE * (1.0 - rho)):
+                        # both iterates on one scale for the step
+                        u /= s
+                        v /= s_old
                         _remove_mode(u, v, rho)
+                        s_old = total(u)
                         rho_slow = max(rho_slow, rho)
                         lam_old = diff_old = rho_old = None
+                        flat_old = False
                         continue
                     rho_old = rho
                 diff_old = diff
             lam_old = lam
+            s_old = s
         raise NoConvergenceError("power iteration did not converge")
 
     def pressure(self, tau: float, u0: np.ndarray | None = None) -> float:
@@ -369,36 +396,52 @@ class EquilibriumWeights:
 
 def equilibrium(delta: complex, tau: float, table: BoettcherTable,
                 level: int | None = None) -> EquilibriumWeights:
-    """Left and right Perron vectors, combined into the invariant state."""
+    """Left and right Perron vectors, combined into the invariant state.
+
+    One power loop steps both vectors, unnormalised as in ``_perron``: the
+    mass vector is rescaled by the same power of two as the eigenvector,
+    and both are normalised once at the end.
+    """
     op = TransferOperator(delta, table, level)
     w = op.weights(tau)
     n = op.size
+    total = _sum_in_halves if n >= _SPLIT_FROM else np.ndarray.sum
+    hi = RESCALE_WINDOW
+    lo = 1.0 / hi
     h = np.full(n, 1.0 / n)
     om = np.full(n, 1.0 / n)
     v = np.empty(n)
     vo = np.empty(n)
+    s_old = total(h)
     lam_old = None
     diff_old = None
+    flat_old = False
     for _ in range(EIG_MAXIT):
         op.apply(h, w, out=v)
-        lam = v.sum()
-        np.divide(v, lam, out=v)
-        h, v = v, h
+        s = total(v)
+        lam = s / s_old
         op.apply_dual(om, w, out=vo)
-        np.divide(vo, vo.sum(), out=vo)
+        if not lo <= s <= hi:
+            s = _rescale(s, v, vo)
+        h, v = v, h
         om, vo = vo, om
         if lam_old is not None:
             diff = abs(lam - lam_old)
-            if diff == 0.0:
+            flat = diff <= ROUNDING_RTOL * abs(lam)
+            if diff == 0.0 or (flat and flat_old):
                 break
+            flat_old = flat
             if diff_old is not None and diff < diff_old:
                 rho = diff / diff_old
                 if diff * rho / (1.0 - rho) < EIG_RTOL * abs(lam):
                     break
             diff_old = diff
         lam_old = lam
+        s_old = s
     else:
         raise NoConvergenceError("equilibrium power iteration did not converge")
+    h /= s
+    om /= total(om)
     mu = h * om
     mu /= mu.sum()
     return EquilibriumWeights(complex(delta), op.level, float(tau), mu, om,

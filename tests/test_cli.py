@@ -306,8 +306,7 @@ def test_scans_reject_level_below_eight(tmp_path, capsys, argv):
     assert not os.path.exists(out)
 
 
-# the shared flags each command reads; --out is on every command, since
-# the benchmark passes it to theta0 and verify too
+# the shared flags each command reads; --out is on every command
 COMMAND_FLAGS = {
     "dim": {"--level", "--tol", "--out", "--json"},
     "omega": {"--out"},
@@ -370,6 +369,17 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["theta0", "--d0", "1.08", "--d0-err", "0.005"],
+                                  ["verify", "--suite", "appendix"]])
+def test_out_holds_the_printed_lines(tmp_path, capsys, argv):
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+    assert out.read_text() == printed
 
 
 def test_verify_exit_codes(capsys):

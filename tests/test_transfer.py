@@ -281,6 +281,36 @@ def _repeat_perron(op, w, u0=None, rtol=transfer.EIG_RTOL, maxit=transfer.EIG_MA
     raise AssertionError("reference power iteration did not converge")
 
 
+def _repeat_lean_perron(op, w, u0=None, rtol=transfer.EIG_RTOL,
+                        maxit=transfer.EIG_MAXIT):
+    """The lean loop with the allocating kernel: unnormalised iterate, the
+    eigenvalue as a ratio of successive sums, no rescale and no Aitken step."""
+    n = op.size
+    u = np.full(n, 1.0 / n) if u0 is None else u0
+    s_old = u.sum()
+    lam_old = None
+    diff_old = None
+    flat_old = False
+    for _ in range(maxit):
+        u = _repeat_apply(u, w)
+        s = u.sum()
+        lam = s / s_old
+        if lam_old is not None:
+            diff = abs(lam - lam_old)
+            flat = diff <= transfer.ROUNDING_RTOL * abs(lam)
+            if diff == 0.0 or (flat and flat_old):
+                return lam, u / s
+            flat_old = flat
+            if diff_old is not None and diff < diff_old:
+                rho = diff / diff_old
+                if diff * rho / (1.0 - rho) < rtol * abs(lam):
+                    return lam, u / s
+            diff_old = diff
+        lam_old = lam
+        s_old = s
+    raise AssertionError("reference power iteration did not converge")
+
+
 def _repeat_equilibrium(op, tau):
     w = op.weights(tau)
     n = op.size
@@ -306,6 +336,50 @@ def _repeat_equilibrium(op, tau):
         lam_old = lam
     mu = h * om
     return mu / mu.sum(), om
+
+
+def _repeat_lean_equilibrium(op, tau):
+    w = op.weights(tau)
+    n = op.size
+    h = np.full(n, 1.0 / n)
+    om = np.full(n, 1.0 / n)
+    s_old = h.sum()
+    lam_old = None
+    diff_old = None
+    flat_old = False
+    while True:
+        h = _repeat_apply(h, w)
+        s = h.sum()
+        lam = s / s_old
+        om = _gather_apply_dual(om, w)
+        if lam_old is not None:
+            diff = abs(lam - lam_old)
+            flat = diff <= transfer.ROUNDING_RTOL * abs(lam)
+            if diff == 0.0 or (flat and flat_old):
+                break
+            flat_old = flat
+            if diff_old is not None and diff < diff_old:
+                rho = diff / diff_old
+                if diff * rho / (1.0 - rho) < transfer.EIG_RTOL * abs(lam):
+                    break
+            diff_old = diff
+        lam_old = lam
+        s_old = s
+    mu = (h / s) * (om / om.sum())
+    return mu / mu.sum(), om / om.sum()
+
+
+# The lean loops against the old normalising ones: the eigenvalue within
+# EIG_RTOL, vectors within VEC_RTOL (observed at most 1.3e-15 on the cases
+# below, where both loops stop at the same step).
+VEC_RTOL = 1e-12
+
+
+def _assert_close_to_old(vecs, vecs_old, lam=None, lam_old=None):
+    for x, x_old in zip(vecs, vecs_old):
+        assert np.all(np.abs(x - x_old) <= VEC_RTOL * x_old)
+    if lam is not None:
+        assert abs(lam - lam_old) <= transfer.EIG_RTOL * lam_old
 
 
 @pytest.fixture(scope="module")
@@ -354,21 +428,29 @@ def test_power_steps_bit_identical(table16):
 
 
 def test_perron_and_equilibrium_bit_identical(table16):
+    # bit for bit against the lean loops with the allocating kernels, and
+    # within tolerance of the old normalising loops
     op = TransferOperator(0.3 + 0.2j, table16, 12)
     w = op.weights(1.2)
-    lam_ref, u_ref = _repeat_perron(op, w)
     lam, u = op._perron(w)
+    lam_ref, u_ref = _repeat_lean_perron(op, w)
     assert lam == lam_ref and np.array_equal(u, u_ref)
+    lam_old, u_old = _repeat_perron(op, w)
+    _assert_close_to_old([u], [u_old], lam, lam_old)
     # warm start: same result, and the caller's start vector is left alone
     w2 = op.weights(1.25)
     u0 = u.copy()
-    lam_ref, u_ref = _repeat_perron(op, w2, u0)
     lam, u2 = op._perron(w2, u)
+    lam_ref, u_ref = _repeat_lean_perron(op, w2, u0)
     assert lam == lam_ref and np.array_equal(u2, u_ref)
+    lam_old, u_old = _repeat_perron(op, w2, u0)
+    _assert_close_to_old([u2], [u_old], lam, lam_old)
     assert np.array_equal(u, u0)
-    mu_ref, om_ref = _repeat_equilibrium(op, 1.2)
     eq = equilibrium(0.3 + 0.2j, 1.2, table16, 12)
+    mu_ref, om_ref = _repeat_lean_equilibrium(op, 1.2)
     assert np.array_equal(eq.mu, mu_ref) and np.array_equal(eq.omega, om_ref)
+    mu_old, om_old = _repeat_equilibrium(op, 1.2)
+    _assert_close_to_old([eq.mu, eq.omega], [mu_old, om_old])
 
 
 # ---------------------------------------------------------------------------
@@ -506,41 +588,100 @@ def test_split_apply_bit_identical(op18):
 
 
 def test_split_sums_bit_identical(op18):
-    # the two sums and the divide of one step, on the applied vector and
-    # the previous one
+    # the one sum of each lean step, on the unnormalised iterate; that
+    # iterate over its sum is the old step's normalised one
     n = op18.size
     w = op18.weights(1.1)
     u = np.full(n, 1.0 / n)
+    u_old = u.copy()
     for _ in range(3):
-        v = _unsplit_apply(u, w)
-        assert transfer._sum_in_halves(v) == v.sum()
-        assert transfer._sum_in_halves(u) == u.sum()
-        s = v.sum()
-        out = np.empty(n)
-        assert transfer._divide_in_halves(v, s, out=out) is out
-        u = v / s
-        assert np.array_equal(out, u)
+        u = _unsplit_apply(u, w)
+        s = transfer._sum_in_halves(u)
+        assert s == u.sum()
+        v = _unsplit_apply(u_old, w)
+        u_old = v / v.sum()
+        _assert_close_to_old([u / s], [u_old])
+
+
+def _unsplit_run(monkeypatch, fn, *args):
+    """``fn(*args)`` with the split switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "_SPLIT_FROM", float("inf"))
+        return fn(*args)
 
 
 @pytest.mark.usefixtures("split")
-def test_split_perron_bit_identical(op18):
+def test_split_perron_bit_identical(op18, monkeypatch):
+    # bit for bit against the unsplit lean loop, and within tolerance of
+    # the old normalising loop
     w = op18.weights(1.1)
-    lam_ref, u_ref = _unsplit_perron(op18, w)
     lam, u = op18._perron(w)
+    lam_ref, u_ref = _unsplit_run(monkeypatch, op18._perron, w)
     assert lam == lam_ref and np.array_equal(u, u_ref)
+    lam_old, u_old = _unsplit_perron(op18, w)
+    _assert_close_to_old([u], [u_old], lam, lam_old)
     w2 = op18.weights(1.15)
     u0 = u.copy()
-    lam_ref, u_ref = _unsplit_perron(op18, w2, u0)
     lam, u2 = op18._perron(w2, u)
+    lam_ref, u_ref = _unsplit_run(monkeypatch, op18._perron, w2, u0)
     assert lam == lam_ref and np.array_equal(u2, u_ref)
+    lam_old, u_old = _unsplit_perron(op18, w2, u0)
+    _assert_close_to_old([u2], [u_old], lam, lam_old)
     assert np.array_equal(u, u0)
 
 
 @pytest.mark.usefixtures("split")
-def test_split_equilibrium_bit_identical(op18, table18):
-    mu_ref, om_ref = _unsplit_equilibrium(op18, 1.1)
+def test_split_equilibrium_bit_identical(op18, table18, monkeypatch):
     eq = equilibrium(DELTA18, 1.1, table18)
-    assert np.array_equal(eq.mu, mu_ref) and np.array_equal(eq.omega, om_ref)
+    ref = _unsplit_run(monkeypatch, equilibrium, DELTA18, 1.1, table18)
+    assert np.array_equal(eq.mu, ref.mu) and np.array_equal(eq.omega, ref.omega)
+    mu_old, om_old = _unsplit_equilibrium(op18, 1.1)
+    _assert_close_to_old([eq.mu, eq.omega], [mu_old, om_old])
+
+
+def _count_calls(monkeypatch, name):
+    """Counts calls of ``transfer.<name>`` in ``count[0]``."""
+    count = [0]
+    fn = getattr(transfer, name)
+
+    def counted(*args):
+        count[0] += 1
+        return fn(*args)
+    monkeypatch.setattr(transfer, name, counted)
+    return count
+
+
+@pytest.mark.usefixtures("split")
+def test_rescale_is_exact(op18, table18, monkeypatch):
+    # the power-of-two rescale changes no bit: a window of 2^+-2, which
+    # rescales every few steps, against the default one, with the Aitken
+    # step not firing (tau = 1.4) and firing (tau = 2)
+    rescales = _count_calls(monkeypatch, "_rescale")
+    aitken = _count_calls(monkeypatch, "_remove_mode")
+
+    def runs():
+        out, counts = [], []
+        for run in [lambda: op18._perron(op18.weights(1.4)),
+                    lambda: op18._perron(op18.weights(2.0)),
+                    lambda: equilibrium(DELTA18, 1.4, table18)]:
+            rescales[0] = aitken[0] = 0
+            out.append(run())
+            counts.append((rescales[0], aitken[0]))
+        return out, counts
+    (plain, fired, eq), counts = runs()
+    assert [a > 0 for _, a in counts] == [False, True, False]
+    assert all(r == 0 for r, _ in counts)
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "RESCALE_WINDOW", 4.0)
+        (plain_n, fired_n, eq_n), counts = runs()
+    assert all(r >= 10 for r, _ in counts)
+    for (lam, u), (lam_n, u_n) in [(plain, plain_n), (fired, fired_n)]:
+        assert lam == lam_n and np.array_equal(u, u_n)
+    assert np.array_equal(eq.mu, eq_n.mu) and np.array_equal(eq.omega, eq_n.omega)
+    # a start vector far outside the window
+    u0 = np.full(op18.size, 1.0 / op18.size)
+    lam, u = op18._perron(op18.weights(1.4), 2.0 ** 600 * u0)
+    assert lam == plain[0] and np.array_equal(u, plain[1])
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +745,30 @@ def test_perron_aitken_matches_dense_eigenvalue(delta, tau, monkeypatch,
     assert np.all(u > 0)
 
 
+class _Diagonal:
+    """Stands in for the operator in ``_perron``: multiplies by ``mu``."""
+
+    def __init__(self, mu):
+        self.mu = mu
+        self.size = len(mu)
+
+    def apply(self, u, w, out):
+        return np.multiply(self.mu, u, out=out)
+
+
+def test_perron_does_not_stop_on_one_rounding_level_change():
+    # the iterate sums are s_k = 1 + 0.5 * 0.9^k + x * (-0.6)^k, with x
+    # tuned so that the first two eigenvalue estimates, near 0.968, differ
+    # by one ulp; the eigenvalue is 1
+    mu = np.array([1.0, 0.9, -0.6, 0.0])
+    u0 = np.array([1.0, 0.5, -0.0013568521031209757, 0.0])
+    sums = [(mu ** k * u0).sum() for k in range(3)]
+    lam1, lam2 = sums[1] / sums[0], sums[2] / sums[1]
+    assert 0.0 < abs(lam2 - lam1) <= transfer.ROUNDING_RTOL * lam2
+    lam, _ = TransferOperator._perron(_Diagonal(mu), None, u0)
+    assert abs(lam - 1.0) <= 1e-12
+
+
 def test_perron_aitken_from_tau_one_vector(monkeypatch, applications):
     # the tau = 2 bracket end of a root solve, warm-started from tau = 1
     delta = 0.0433 + 0.025j
@@ -614,9 +779,13 @@ def test_perron_aitken_from_tau_one_vector(monkeypatch, applications):
     assert applications[0] <= 600
     assert np.all(u > 0)
     applications[0] = 0
-    lam_plain, _ = _without_aitken(monkeypatch, op._perron, op.weights(2.0), u1)
+    _without_aitken(monkeypatch, op._perron, op.weights(2.0), u1)
     assert applications[0] > 5000
-    assert abs(lam - lam_plain) <= 1e-11 * lam
+    # the plain loop at EIG_RTOL is itself about 1e-11 off, so compare with
+    # it run to rounding level, at the dense tests' bound
+    lam_plain, _ = _without_aitken(monkeypatch, op._perron, op.weights(2.0),
+                                   u1, 1e-15)
+    assert abs(lam - lam_plain) <= 2e-12 * lam
 
 
 def test_split_perron_aitken_bit_identical(op18, monkeypatch, applications):

@@ -511,7 +511,7 @@ def check_measure_two_regimes() -> CheckResult:
     dim = hausdorff_dim(delta, 16, table=table)
     w = equilibrium(delta, dim.tau0, table)
     masses = cylinder_measures(w)
-    expo = 2 * dim.richardson_estimate - 1
+    expo = 2 * dim.aitken_estimate - 1
     ns = np.arange(6, 13)
     ratios = masses[ns] * ns.astype(float) ** expo
     K1 = max(ratios.max(), 1.0 / ratios.min())

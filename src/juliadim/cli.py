@@ -115,7 +115,7 @@ def cmd_dim(args) -> int:
         "command": "dim",
         "params": {"delta": str(delta), "level": args.level, "tol": args.tol},
         "tau0": res.tau0,
-        "richardson_estimate": res.richardson_estimate,
+        "richardson_estimate": res.aitken_estimate,     # published key name
         "error_bound": res.error_bound,
         "pressure_residual": res.pressure_residual,
         "duration_ms": dur,
@@ -124,7 +124,7 @@ def cmd_dim(args) -> int:
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(f"dimension {res.tau0:.12f}  (extrapolated {res.richardson_estimate:.12f}, "
+        print(f"dimension {res.tau0:.12f}  (extrapolated {res.aitken_estimate:.12f}, "
               f"level {res.level}, inter-level gap {res.error_bound:.2e})")
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -194,11 +194,11 @@ def cmd_d0(args) -> int:
         return hausdorff_dim(t, args.level, step=2)
 
     sols = _map_maybe_parallel(solve, ts, args.threads)
-    dims = [s.richardson_estimate for s in sols]
+    dims = [s.aitken_estimate for s in sols]
     est = _fit_d0(ts, dims)
     est_drop = _fit_d0(ts[:-1], dims[:-1])
     uncertainty = abs(est - est_drop)
-    rows = [[t, s.tau0, s.richardson_estimate, s.error_bound]
+    rows = [[t, s.tau0, s.aitken_estimate, s.error_bound]
             for t, s in zip(ts, sols)]
     outputs = []
     if args.out:
@@ -251,7 +251,7 @@ def cmd_ray(args) -> int:
             return [t, "", "", "", "", "", "", exc.code], float("nan")
         dp_raw, dp_ext = pt.dprime
         r = dp_ext / t ** expo
-        return [t, pt.dim.tau0, pt.dim.richardson_estimate, dp_raw, dp_ext,
+        return [t, pt.dim.tau0, pt.dim.aitken_estimate, dp_raw, dp_ext,
                 fd, r, "ok"], pt.weights.chi
 
     solved = _map_maybe_parallel(solve, ts, args.threads)
@@ -327,7 +327,7 @@ def cmd_convexity(args) -> int:
         return hausdorff_dim(delta, args.level, step=2)
 
     sols = _map_maybe_parallel(solve, deltas, args.threads)
-    dims = np.array([s.richardson_estimate for s in sols])
+    dims = np.array([s.aitken_estimate for s in sols])
     gaps = np.array([s.error_bound for s in sols])
     h = eps[1] - eps[0]
     d2 = (dims[2:] - 2.0 * dims[1:-1] + dims[:-2]) / h ** 2

@@ -27,6 +27,8 @@ from .perturbation import phi_dot_table
 EIG_RTOL = 1e-12
 EIG_MAXIT = 100_000
 PRESSURE_TOL = 1e-10
+# the dimension of every Julia curve solved for lies in [1, 2)
+ROOT_BRACKET = (1.0, 2.0)
 # From this many words on, the Perron step works on two halves at once when
 # the process may run on two CPUs; below it the thread handoff costs more
 # than the half it saves.
@@ -41,12 +43,12 @@ SPLIT_MIN_WORDS = 1 << 18
 # pressure roots by more than 1e-12.
 AITKEN_MIN_RATIO = 0.9
 AITKEN_RATIO_AGREE = 1e-2
-# The power loops keep their iterate unnormalised and multiply it by a power
+# The power loop keeps its iterate unnormalised and multiplies it by a power
 # of two, which is exact, only when its sum leaves
 # [1/RESCALE_WINDOW, RESCALE_WINDOW].
 RESCALE_WINDOW = 2.0 ** 256
 # Eigenvalue changes this small relative to the eigenvalue are rounding: two
-# in a row end a power loop whose iterate is an exact eigenvector.
+# in a row end the power loop where its iterate is an exact eigenvector.
 ROUNDING_RTOL = 4 * np.finfo(float).eps
 
 
@@ -83,13 +85,11 @@ def _sum_in_halves(x: np.ndarray):
     return a + b
 
 
-def _rescale(s: float, *xs: np.ndarray) -> float:
-    """Multiplies each of ``xs`` by the power of two that takes ``s`` into
-    [1/2, 1), in place, and returns ``s`` times it; both exactly."""
+def _rescale(s: float, x: np.ndarray) -> float:
+    """Multiplies ``x`` by the power of two that takes ``s`` into [1/2, 1),
+    in place, and returns ``s`` times it; both exactly."""
     m, e = math.frexp(s)
-    f = math.ldexp(1.0, -e)
-    for x in xs:
-        x *= f
+    x *= math.ldexp(1.0, -e)
     return m
 
 
@@ -188,8 +188,9 @@ class TransferOperator:
         return out
 
     def _perron(self, w: np.ndarray, u0: np.ndarray | None = None,
-                rtol: float = EIG_RTOL, maxit: int = EIG_MAXIT):
-        """Leading eigenvalue and eigenvector by power iteration.
+                rtol: float = EIG_RTOL, *, dual: bool = False):
+        """Leading eigenvalue and eigenvector by power iteration, of the
+        operator or, with ``dual``, of its transpose ``apply_dual``.
 
         The eigenvalue error of plain power iteration decays like the ratio
         of the two leading eigenvalues; successive differences estimate that
@@ -197,16 +198,19 @@ class TransferOperator:
         on the last step size. Each step is the apply and one sum: the
         iterate stays unnormalised, the eigenvalue is the ratio of its
         successive sums, and it is rescaled by an exact power of two only
-        when its sum leaves the ``RESCALE_WINDOW``. Where ``apply`` splits,
-        the sum is split too, with bit-identical results.
+        when its sum leaves the ``RESCALE_WINDOW``. From ``_SPLIT_FROM``
+        words on the sum is split like ``apply``, with bit-identical results.
 
         When one slow mode dominates the error (a settled ratio of at least
         ``AITKEN_MIN_RATIO``), the last step's change lies along it and
         shrinks by the ratio per step, so an Aitken step removes it. From
         then on the remaining-error estimate uses the slowest ratio removed
         so far, because that mode's residue can grow back to dominance.
+
+        Raises NoConvergenceError after ``EIG_MAXIT`` steps.
         """
         n = self.size
+        step = self.apply_dual if dual else self.apply
         total = _sum_in_halves if n >= _SPLIT_FROM else np.ndarray.sum
         hi = RESCALE_WINDOW
         lo = 1.0 / hi
@@ -218,8 +222,8 @@ class TransferOperator:
         rho_old = None
         flat_old = False
         rho_slow = 0.0          # slowest ratio removed by an Aitken step
-        for _ in range(maxit):
-            self.apply(u, w, out=v)
+        for _ in range(EIG_MAXIT):
+            step(u, w, out=v)
             s = total(v)
             lam = s / s_old
             if not lo <= s <= hi:
@@ -307,14 +311,15 @@ class DimensionResult:
     tau0: float
     pressure_residual: float
     level: int
-    richardson_estimate: float
+    aitken_estimate: float
     error_bound: float
     roots: tuple[float, float, float]   # the three stencil levels, coarsest first
 
 
-def _bowen_root(op: TransferOperator, lo: float = 1.0, hi: float = 2.0,
-                ptol: float = PRESSURE_TOL):
-    """Root of the pressure by bracketed secant with bisection fallback."""
+def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL):
+    """Root of the pressure on ``ROOT_BRACKET`` by bracketed secant with
+    bisection fallback."""
+    lo, hi = ROOT_BRACKET
     u0 = None
     p_lo, u0 = op.pressure_with_state(lo, u0)
     if abs(p_lo) <= ptol:
@@ -379,7 +384,7 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
         resid = abs(p)
     rich = _aitken(*roots)
     return DimensionResult(tau0=roots[-1], pressure_residual=resid,
-                           level=level, richardson_estimate=rich,
+                           level=level, aitken_estimate=rich,
                            error_bound=abs(roots[-1] - roots[-2]),
                            roots=tuple(roots))
 
@@ -398,50 +403,13 @@ def equilibrium(delta: complex, tau: float, table: BoettcherTable,
                 level: int | None = None) -> EquilibriumWeights:
     """Left and right Perron vectors, combined into the invariant state.
 
-    One power loop steps both vectors, unnormalised as in ``_perron``: the
-    mass vector is rescaled by the same power of two as the eigenvector,
-    and both are normalised once at the end.
+    Two ``_perron`` solves from the uniform vector: the primal one gives the
+    eigenvector h, the dual one the mass vector omega, and mu = h * omega.
     """
     op = TransferOperator(delta, table, level)
     w = op.weights(tau)
-    n = op.size
-    total = _sum_in_halves if n >= _SPLIT_FROM else np.ndarray.sum
-    hi = RESCALE_WINDOW
-    lo = 1.0 / hi
-    h = np.full(n, 1.0 / n)
-    om = np.full(n, 1.0 / n)
-    v = np.empty(n)
-    vo = np.empty(n)
-    s_old = total(h)
-    lam_old = None
-    diff_old = None
-    flat_old = False
-    for _ in range(EIG_MAXIT):
-        op.apply(h, w, out=v)
-        s = total(v)
-        lam = s / s_old
-        op.apply_dual(om, w, out=vo)
-        if not lo <= s <= hi:
-            s = _rescale(s, v, vo)
-        h, v = v, h
-        om, vo = vo, om
-        if lam_old is not None:
-            diff = abs(lam - lam_old)
-            flat = diff <= ROUNDING_RTOL * abs(lam)
-            if diff == 0.0 or (flat and flat_old):
-                break
-            flat_old = flat
-            if diff_old is not None and diff < diff_old:
-                rho = diff / diff_old
-                if diff * rho / (1.0 - rho) < EIG_RTOL * abs(lam):
-                    break
-            diff_old = diff
-        lam_old = lam
-        s_old = s
-    else:
-        raise NoConvergenceError("equilibrium power iteration did not converge")
-    h /= s
-    om /= total(om)
+    h = op._perron(w)[1]
+    om = op._perron(w, dual=True)[1]
     mu = h * om
     mu /= mu.sum()
     return EquilibriumWeights(complex(delta), op.level, float(tau), mu, om,

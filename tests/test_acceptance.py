@@ -35,7 +35,7 @@ def _report(num, passed, detail):
 def d0_estimate():
     """Criterion-2 pipeline: level 16, grid ratio 1/sqrt(2) down to 0.05."""
     ts = _geometric_grid(0.4, 0.05, RAY_GRID_RATIO)
-    dims = [hausdorff_dim(t, 16, step=2).richardson_estimate for t in ts]
+    dims = [hausdorff_dim(t, 16, step=2).aitken_estimate for t in ts]
     full = _fit_d0(ts, dims)
     halved = _fit_d0(ts[:5], dims[:5])   # t_min = 0.1: one halving step up
     return {"ts": ts, "dims": dims, "estimate": full, "coarser": halved}
@@ -135,7 +135,7 @@ HZ_TOL = 0.1
 
 def _scan_dim(eps, level):
     """Extrapolated dimension at eps < 0, as the convexity scan solves it."""
-    return hausdorff_dim(2.0 * math.sqrt(-eps), level, step=2).richardson_estimate
+    return hausdorff_dim(2.0 * math.sqrt(-eps), level, step=2).aitken_estimate
 
 
 def _fit_hz_exponent(eps, dims) -> float:

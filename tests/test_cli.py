@@ -360,6 +360,14 @@ def test_quadrature_not_finite_is_an_error(tmp_path, capsys):
         assert "error[TOLERANCE_NOT_MET]" in capsys.readouterr().err
 
 
+def test_iteration_budget_is_an_error(monkeypatch, capsys):
+    # a Perron solve that runs out of steps is a numeric error, exit 3
+    monkeypatch.setattr(transfer, "EIG_MAXIT", 3)
+    assert run(["dim", "--delta", "0.3", "--level", "10"]) == 3
+    err = capsys.readouterr().err
+    assert "error[NO_CONVERGENCE]" in err and "Traceback" not in err
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency; the package must run on numpy alone
     code = ("import sys, juliadim.cli; "

@@ -6,6 +6,7 @@ import pytest
 
 from juliadim import transfer
 from juliadim.boettcher import build_table
+from juliadim.errors import NoConvergenceError
 from juliadim.transfer import (TransferOperator, cylinder_measures,
                                directional_derivative_formula, equilibrium,
                                hausdorff_dim, partition_residual, pressure,
@@ -64,7 +65,7 @@ def test_dimension_circle(circle_table):
 def test_dimension_small_real_in_bracket():
     res = hausdorff_dim(0.5, 12)
     assert 1.0 < res.tau0 < 1.295
-    assert 1.0 < res.richardson_estimate < 1.295
+    assert 1.0 < res.aitken_estimate < 1.295
 
 
 def test_dimension_conjugation_symmetry():
@@ -96,7 +97,7 @@ def test_dimension_roots_are_level_roots(step, levels):
         for lev in levels)
     assert res.tau0 == res.roots[-1]
     assert res.error_bound == abs(res.roots[-1] - res.roots[-2])
-    assert res.richardson_estimate == transfer._aitken(*res.roots)
+    assert res.aitken_estimate == transfer._aitken(*res.roots)
 
 
 def test_equilibrium_uniform_on_circle(circle_table):
@@ -134,7 +135,7 @@ def test_cylinder_measure_power_law():
     res = hausdorff_dim(delta, 14, table=table)
     w = equilibrium(delta, res.tau0, table)
     masses = cylinder_measures(w)
-    expo = 2.0 * res.richardson_estimate - 1.0
+    expo = 2.0 * res.aitken_estimate - 1.0
     vals = [masses[n] * n ** expo for n in range(6, 12)]
     assert max(vals) / min(vals) < 5.0
 
@@ -734,7 +735,8 @@ def test_perron_aitken_matches_dense_eigenvalue(delta, tau, monkeypatch,
                                                 applications):
     op = TransferOperator(delta, build_table(delta, 10))
     w = op.weights(tau)
-    ev = np.linalg.eigvals(_dense(op, w))
+    a = _dense(op, w)
+    ev = np.linalg.eigvals(a)
     lam_dense = ev[np.argmax(ev.real)].real
     lam, u = op._perron(w)
     steps = applications[0]
@@ -743,6 +745,28 @@ def test_perron_aitken_matches_dense_eigenvalue(delta, tau, monkeypatch,
     assert steps < applications[0]      # the step fired
     assert abs(lam - lam_dense) <= 2e-12 * lam_dense
     assert np.all(u > 0)
+    # the dual solve behind equilibrium's mass vector takes the step too,
+    # and lands on the dense left eigenvector
+    aitken = _count_calls(monkeypatch, "_remove_mode")
+    _, om = op._perron(w, dual=True)
+    assert aitken[0] > 0
+    ev, vecs = np.linalg.eig(a.T)
+    om_dense = vecs[:, np.argmax(ev.real)].real
+    om_dense /= om_dense.sum()
+    assert np.all(np.abs(om - om_dense) <= 2e-9 * om_dense)
+
+
+def test_iteration_budget(monkeypatch):
+    # every Perron solve, primal and dual, stops at EIG_MAXIT steps
+    table = build_table(0.3, 10)
+    op = TransferOperator(0.3, table)
+    monkeypatch.setattr(transfer, "EIG_MAXIT", 3)
+    with pytest.raises(NoConvergenceError):
+        op.pressure(1.2)
+    with pytest.raises(NoConvergenceError):
+        op._perron(op.weights(1.2), dual=True)
+    with pytest.raises(NoConvergenceError):
+        equilibrium(0.3, 1.2, table)
 
 
 class _Diagonal:

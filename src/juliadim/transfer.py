@@ -33,15 +33,9 @@ ROOT_BRACKET = (1.0, 2.0)
 # the process may run on two CPUs; below it the thread handoff costs more
 # than the half it saves.
 SPLIT_MIN_WORDS = 1 << 18
-# Aitken step of the Perron loop: once the ratio of successive eigenvalue
-# changes is at least AITKEN_MIN_RATIO and two estimates of it agree within
-# AITKEN_RATIO_AGREE * (1 - ratio), the slow mode is removed from the vector.
-# It is meant for tau = 2 with complex delta, where the dense level-10
-# spectrum has one real subdominant eigenvalue at 0.95-0.99 of the leading
-# one and the next at most 0.67 of it. Without the 0.9 gate it also fires
-# where the plain loop is quick anyway, and moves the secant steps of the
-# pressure roots by more than 1e-12.
-AITKEN_MIN_RATIO = 0.9
+# Aitken step of the Perron loop: once two estimates of the ratio of
+# successive eigenvalue changes agree, sign included, within
+# AITKEN_RATIO_AGREE * (1 - |ratio|), that mode is removed from the vector.
 AITKEN_RATIO_AGREE = 1e-2
 # The power loop keeps its iterate unnormalised and multiplies it by a power
 # of two, which is exact, only when its sum leaves
@@ -106,10 +100,26 @@ def _pair_sums(a, wa, b, wb, out: np.ndarray) -> None:
 def _remove_mode(u: np.ndarray, v: np.ndarray, rho: float) -> None:
     """Aitken step in place: ``u += rho/(1-rho) * (u - v)``, with ``v`` as
     scratch. Removes from ``u`` the mode that the step from ``v`` to ``u``
-    shrank by ``rho``."""
+    multiplied by ``rho``, which may be negative."""
     np.subtract(u, v, out=v)
     v *= rho / (1.0 - rho)
     u += v
+
+
+def _cw_spread(u: np.ndarray, v: np.ndarray) -> float:
+    """Collatz-Wielandt spread ``max(u/v) / min(u/v) - 1`` of a positive
+    ``v`` and ``u``, a positive multiple of ``L v`` for a nonnegative ``L``.
+    The Perron eigenvalue of ``L`` and the ratio of the sums of ``L v`` and
+    ``v`` both lie in ``[min, max]`` of ``(L v)/v``, so the spread bounds the
+    relative error of that ratio. +inf unless ``v`` and ``u/v`` are
+    positive."""
+    if not v.min() > 0.0:
+        return math.inf
+    ratio = u / v
+    r_lo = ratio.min()
+    if not r_lo > 0.0:
+        return math.inf
+    return float(ratio.max() / r_lo - 1.0)
 
 
 def _reps_from_table(table: BoettcherTable, level: int) -> np.ndarray:
@@ -194,18 +204,25 @@ class TransferOperator:
 
         The eigenvalue error of plain power iteration decays like the ratio
         of the two leading eigenvalues; successive differences estimate that
-        ratio, giving a stopping rule on the *remaining* error rather than
-        on the last step size. Each step is the apply and one sum: the
-        iterate stays unnormalised, the eigenvalue is the ratio of its
-        successive sums, and it is rescaled by an exact power of two only
-        when its sum leaves the ``RESCALE_WINDOW``. From ``_SPLIT_FROM``
-        words on the sum is split like ``apply``, with bit-identical results.
+        ratio, which proposes a stop once the *remaining* error it predicts
+        is below ``rtol``. Two successive changes at rounding level, or no
+        change at all, propose one too. Every stop is certified: the loop
+        returns only when the Collatz-Wielandt spread of its last step
+        (``_cw_spread``) is at most ``rtol``, which bounds the relative
+        eigenvalue error. After a failed check the next one waits until the
+        ratio estimate predicts the spread has shrunk to ``rtol``.
 
-        When one slow mode dominates the error (a settled ratio of at least
-        ``AITKEN_MIN_RATIO``), the last step's change lies along it and
-        shrinks by the ratio per step, so an Aitken step removes it. From
-        then on the remaining-error estimate uses the slowest ratio removed
-        so far, because that mode's residue can grow back to dominance.
+        Each step is the apply and one sum: the iterate stays unnormalised,
+        the eigenvalue is the ratio of its successive sums, and it is
+        rescaled by an exact power of two only when its sum leaves the
+        ``RESCALE_WINDOW``. From ``_SPLIT_FROM`` words on the sum is split
+        like ``apply``, with bit-identical results.
+
+        When two estimates of the ratio agree, sign included, the last
+        step's change lies along one mode and is multiplied by the ratio per
+        step, so an Aitken step removes it. From then on the remaining-error
+        estimate uses the slowest ratio removed so far, because that mode's
+        residue can grow back to dominance.
 
         Raises NoConvergenceError after ``EIG_MAXIT`` steps.
         """
@@ -218,10 +235,13 @@ class TransferOperator:
         v = np.empty(n)
         s_old = total(u)            # sum of u, the iterate before the step
         lam_old = None
-        diff_old = None
+        d_old = None            # the previous eigenvalue change, signed
         rho_old = None
         flat_old = False
         rho_slow = 0.0          # slowest ratio removed by an Aitken step
+        r = None                # remaining-error ratio estimate
+        spread = 0.0            # spread of the last failed check, or 0
+        since = 0               # steps since that check
         for _ in range(EIG_MAXIT):
             step(u, w, out=v)
             s = total(v)
@@ -229,36 +249,50 @@ class TransferOperator:
             if not lo <= s <= hi:
                 s = _rescale(s, v)
             u, v = v, u
+            since += 1
             if lam_old is not None:
-                diff = abs(lam - lam_old)
+                d = lam - lam_old
+                diff = abs(d)
                 flat = diff <= ROUNDING_RTOL * abs(lam)
-                if diff == 0.0 or (flat and flat_old):
-                    u /= s
-                    return lam, u
-                flat_old = flat
-                if diff_old is not None and diff < diff_old:
-                    rho = diff / diff_old
-                    r = max(rho, rho_slow)
-                    if diff * r / (1.0 - r) < rtol * abs(lam):
+                rho = None
+                if d_old is not None and diff < abs(d_old):
+                    rho = d / d_old     # negative on a negative mode
+                    r = max(abs(rho), rho_slow)
+                propose = (diff == 0.0 or (flat and flat_old) or
+                           (rho is not None and
+                            diff * r / (1.0 - r) < rtol * abs(lam)))
+                # after a failed check, the next waits for the ratio estimate
+                if propose and (r is None or spread == math.inf or
+                                spread * r ** since <= rtol):
+                    # v is the iterate before the step, u is L v up to scale
+                    spread = _cw_spread(u, v)
+                    if spread <= rtol:
                         u /= s
                         return lam, u
-                    if (rho >= AITKEN_MIN_RATIO and rho_old is not None and
-                            abs(rho - rho_old)
-                            <= AITKEN_RATIO_AGREE * (1.0 - rho)):
+                    since = 0
+                flat_old = flat
+                if rho is not None:
+                    if (rho_old is not None and abs(rho - rho_old)
+                            <= AITKEN_RATIO_AGREE * (1.0 - abs(rho))):
                         # both iterates on one scale for the step
                         u /= s
                         v /= s_old
                         _remove_mode(u, v, rho)
                         s_old = total(u)
-                        rho_slow = max(rho_slow, rho)
-                        lam_old = diff_old = rho_old = None
+                        rho_slow = max(rho_slow, abs(rho))
+                        lam_old = d_old = rho_old = None
                         flat_old = False
+                        spread = 0.0
                         continue
                     rho_old = rho
-                diff_old = diff
+                d_old = d
             lam_old = lam
             s_old = s
-        raise NoConvergenceError("power iteration did not converge")
+        step(u, w, out=v)       # a pair to report, also after an Aitken step
+        raise NoConvergenceError(
+            f"power iteration did not converge in {EIG_MAXIT} steps: "
+            f"Collatz-Wielandt spread {_cw_spread(v, u):.3g}, "
+            f"ratio estimate {'none' if r is None else format(r, '.6g')}")
 
     def pressure(self, tau: float, u0: np.ndarray | None = None) -> float:
         lam, _ = self._perron(self.weights(tau), u0)
@@ -316,15 +350,40 @@ class DimensionResult:
     roots: tuple[float, float, float]   # the three stencil levels, coarsest first
 
 
+def _extrapolated_start(path: list, tau: float):
+    """Start vector for the Perron solve at ``tau``: the linear extrapolation
+    in tau of the last two ``(tau, unit-sum Perron vector)`` pairs of
+    ``path``, or the last vector if there is one pair or the extrapolation
+    is not positive; None for an empty path."""
+    if not path:
+        return None
+    t1, v1 = path[-1]
+    if len(path) == 1:
+        return v1
+    t0, v0 = path[-2]
+    u = np.subtract(v1, v0)
+    u *= (tau - t1) / (t1 - t0)
+    u += v1
+    return u if u.min() > 0.0 else v1
+
+
 def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL):
     """Root of the pressure on ``ROOT_BRACKET`` by bracketed secant with
-    bisection fallback."""
+    bisection fallback. Each Perron solve starts from the extrapolation of
+    the last two solves' vectors (``_extrapolated_start``)."""
+    path = []
+
+    def pressure_at(tau):
+        p, u = op.pressure_with_state(tau, _extrapolated_start(path, tau))
+        path.append((tau, u))
+        del path[:-2]
+        return p
+
     lo, hi = ROOT_BRACKET
-    u0 = None
-    p_lo, u0 = op.pressure_with_state(lo, u0)
+    p_lo = pressure_at(lo)
     if abs(p_lo) <= ptol:
         return lo, p_lo
-    p_hi, u0 = op.pressure_with_state(hi, u0)
+    p_hi = pressure_at(hi)
     if abs(p_hi) <= ptol:
         return hi, p_hi
     if not p_lo > 0 > p_hi:
@@ -339,7 +398,7 @@ def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL):
             x = x1 - f1 * (x1 - x0) / (f1 - f0)
         if not a < x < b:
             x = 0.5 * (a + b)
-        fx, u0 = op.pressure_with_state(x, u0)
+        fx = pressure_at(x)
         if fx > 0:
             a = x
         else:

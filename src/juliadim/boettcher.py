@@ -12,6 +12,7 @@ the semiconjugacy f(points[k]) = points[2k mod 2^N].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ from .errors import LevelExceededError, NoConvergenceError
 
 MAX_LEVEL = 24
 MAX_SWEEPS = 500
+# slope c of the sort key re + c*im of the repeated-point check: far from
+# small rationals, so that points on grid lines rarely share keys
+REPEAT_KEY_SLOPE = math.sqrt(2.0) - 1.0
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,16 @@ def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
 
 def _has_repeats(pts: np.ndarray) -> bool:
     """True iff two entries are equal, i.e. ``np.unique(pts).size <
-    pts.size`` for NaN-free input; sorting alone is several times faster."""
+    pts.size`` for NaN-free input.
+
+    Equal points have equal float keys ``re + c*im``, so distinct sorted
+    keys prove the points distinct; only a tie, which distinct points
+    rarely give, needs the several times slower complex sort."""
+    keys = pts.imag * REPEAT_KEY_SLOPE
+    keys += pts.real
+    keys.sort()
+    if not np.any(keys[1:] == keys[:-1]):
+        return False
     s = np.sort(pts)
     return bool(np.any(s[1:] == s[:-1]))
 

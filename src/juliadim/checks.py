@@ -566,9 +566,10 @@ def check_power_iteration_decay() -> CheckResult:
     u = np.full(op.size, 1.0 / op.size)
     lams = []
     for _ in range(60):
-        v = op.apply(u, w)
-        lams.append(v.sum() / u.sum())
-        u = v / v.sum()
+        v = np.empty_like(u)
+        s = op.apply(u, w, v)
+        lams.append(s / u.sum())
+        u = v / s
     diffs = np.abs(np.diff(lams))
     diffs = diffs[diffs > 0]
     ratios = diffs[1:] / diffs[:-1]
@@ -586,8 +587,8 @@ def check_formula_vs_fd_grid() -> CheckResult:
             level = 11
             table = build_table(delta, level)
             op = TransferOperator(delta, table, level)
-            tau = transfer._bowen_root(op)[0]
-            w = equilibrium(delta, tau, table, level)
+            tau, _, h = transfer._bowen_root(op)
+            w = equilibrium(delta, tau, table, level, h)
             formula = transfer.directional_derivative_formula(
                 delta, delta / abs(delta), table, w)
             fd = transfer.dprime_fd(delta, level)

@@ -29,10 +29,13 @@ EIG_MAXIT = 100_000
 PRESSURE_TOL = 1e-10
 # the dimension of every Julia curve solved for lies in [1, 2)
 ROOT_BRACKET = (1.0, 2.0)
-# From this many words on, the Perron step works on two halves at once when
-# the process may run on two CPUs; below it the thread handoff costs more
-# than the half it saves.
+# From this many words on, every full-length pass of the Perron loop works
+# on two halves at once when the process may run on two CPUs; below it the
+# thread handoff costs more than the half it saves.
 SPLIT_MIN_WORDS = 1 << 18
+# The Collatz-Wielandt check divides in chunks of this many words, which
+# stay in cache, instead of into an n-word ratio array.
+CW_CHUNK = 1 << 16
 # Aitken step of the Perron loop: once two estimates of the ratio of
 # successive eigenvalue changes agree, sign included, within
 # AITKEN_RATIO_AGREE * (1 - |ratio|), that mode is removed from the vector.
@@ -55,13 +58,15 @@ def _usable_cpus() -> int:
 
 # vectors of this many words or more are split; never on a single CPU
 _SPLIT_FROM = SPLIT_MIN_WORDS if _usable_cpus() >= 2 else float("inf")
-# takes the second half of a split step; its thread starts on first use
+# takes the upper half of a split pass; its thread starts on first use
 _HALF_POOL = ThreadPoolExecutor(max_workers=1,
                                 thread_name_prefix="juliadim-half")
 
 
 def _in_halves(fn, first: tuple, second: tuple):
-    """``fn(*first)`` on this thread while the pool runs ``fn(*second)``."""
+    """``fn(*first)`` on this thread while the pool runs ``fn(*second)``.
+    ``fn`` must not call this function: the pool's one worker would wait
+    for itself."""
     fut = _HALF_POOL.submit(fn, *second)
     try:
         a = fn(*first)
@@ -70,13 +75,22 @@ def _in_halves(fn, first: tuple, second: tuple):
     return a, b
 
 
-def _sum_in_halves(x: np.ndarray):
-    """``x.sum()``, bit for bit, for power-of-two ``len(x) >= 256``: numpy
-    sums a contiguous float64 array pairwise, and the top split of its
-    tree falls at ``len(x) // 2``."""
-    h = len(x) // 2
-    a, b = _in_halves(np.ndarray.sum, (x[:h],), (x[h:],))
-    return a + b
+def _halves(fn, arrays: tuple, *args) -> tuple:
+    """``(fn(*arrays, *args),)``, or, for arrays of ``_SPLIT_FROM`` words or
+    more, ``fn`` on the lower halves of ``arrays`` on this thread and on the
+    upper halves in the pool: both results, lower first.
+
+    Elementwise work, min and max come out the same either way, and so do
+    sums of power-of-two arrays of 256 words or more: numpy sums a
+    contiguous float64 array pairwise, and the top split of its tree falls
+    at ``len(x) // 2``, so the two half sums add up to the whole bit for
+    bit."""
+    n = len(arrays[0])
+    if n < _SPLIT_FROM:
+        return (fn(*arrays, *args),)
+    h = n // 2
+    return _in_halves(fn, (*(a[:h] for a in arrays), *args),
+                      (*(a[h:] for a in arrays), *args))
 
 
 def _rescale(s: float, x: np.ndarray) -> float:
@@ -87,14 +101,38 @@ def _rescale(s: float, x: np.ndarray) -> float:
     return m
 
 
-def _pair_sums(a, wa, b, wb, out: np.ndarray) -> None:
-    """out[2k] = out[2k+1] = a[k]*wa[k] + b[k]*wb[k]."""
+def _pair_sums(a, wa, b, wb, out: np.ndarray) -> float:
+    """out[2k] = out[2k+1] = a[k]*wa[k] + b[k]*wb[k]; returns the sum of
+    ``out``."""
     pairs = out.reshape(len(a), 2)
     even, odd = pairs[:, 0], pairs[:, 1]
     np.multiply(a, wa, out=even)
     np.multiply(b, wb, out=odd)
     even += odd
     odd[...] = even
+    return out.sum()
+
+
+def _dual_sums(even, odd, w, out: np.ndarray) -> float:
+    """out = (even + odd) * w; returns the sum of ``out``."""
+    np.add(even, odd, out=out)
+    out *= w
+    return out.sum()
+
+
+def _copy_sum(dst: np.ndarray, src: np.ndarray) -> float:
+    dst[...] = src
+    return dst.sum()
+
+
+def _divide(x: np.ndarray, s: float) -> None:
+    x /= s
+
+
+def _neg_exp(x: np.ndarray, out: np.ndarray, tau: float) -> None:
+    """out = exp(-tau * x)."""
+    np.multiply(x, -tau, out=out)
+    np.exp(out, out=out)
 
 
 def _remove_mode(u: np.ndarray, v: np.ndarray, rho: float) -> None:
@@ -106,6 +144,35 @@ def _remove_mode(u: np.ndarray, v: np.ndarray, rho: float) -> None:
     u += v
 
 
+def _aitken_pass(u: np.ndarray, v: np.ndarray, s: float, s_old: float,
+                 rho: float) -> float:
+    """``_remove_mode`` on ``u / s`` and ``v / s_old``, both in place, so
+    that the two iterates are on one scale; returns the sum of ``u``."""
+    u /= s
+    v /= s_old
+    _remove_mode(u, v, rho)
+    return u.sum()
+
+
+def _ratio_range(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """min and max of ``u/v``, or (0, inf) unless ``v`` and ``u/v`` are
+    positive; divides ``CW_CHUNK`` words at a time."""
+    buf = np.empty(min(len(v), CW_CHUNK))
+    lo, hi = math.inf, 0.0
+    for i in range(0, len(v), CW_CHUNK):
+        vc = v[i:i + CW_CHUNK]
+        if not vc.min() > 0.0:
+            return 0.0, math.inf
+        ratio = buf[:len(vc)]
+        np.divide(u[i:i + CW_CHUNK], vc, out=ratio)
+        r_lo = ratio.min()
+        if not r_lo > 0.0:
+            return 0.0, math.inf
+        lo = min(lo, float(r_lo))
+        hi = max(hi, float(ratio.max()))
+    return lo, hi
+
+
 def _cw_spread(u: np.ndarray, v: np.ndarray) -> float:
     """Collatz-Wielandt spread ``max(u/v) / min(u/v) - 1`` of a positive
     ``v`` and ``u``, a positive multiple of ``L v`` for a nonnegative ``L``.
@@ -113,13 +180,11 @@ def _cw_spread(u: np.ndarray, v: np.ndarray) -> float:
     ``v`` both lie in ``[min, max]`` of ``(L v)/v``, so the spread bounds the
     relative error of that ratio. +inf unless ``v`` and ``u/v`` are
     positive."""
-    if not v.min() > 0.0:
+    ranges = _halves(_ratio_range, (u, v))
+    lo = min(r_lo for r_lo, _ in ranges)
+    if not lo > 0.0:
         return math.inf
-    ratio = u / v
-    r_lo = ratio.min()
-    if not r_lo > 0.0:
-        return math.inf
-    return float(ratio.max() / r_lo - 1.0)
+    return max(r_hi for _, r_hi in ranges) / lo - 1.0
 
 
 def _reps_from_table(table: BoettcherTable, level: int) -> np.ndarray:
@@ -158,17 +223,20 @@ class TransferOperator:
         return 1 << self.level
 
     def weights(self, tau: float) -> np.ndarray:
-        return np.exp(-tau * self.log_deriv)
+        w = np.empty(self.size)
+        _halves(_neg_exp, (self.log_deriv, w), tau)
+        return w
 
     def apply(self, u: np.ndarray, w: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """Sum over the two shift preimages of each word.
+              out: np.ndarray | None = None) -> float:
+        """Sum over the two shift preimages of each word, into ``out``;
+        returns the sum of ``out``.
 
         Words 2k and 2k+1 share the preimages k and k + n/2, so both get
         u[k]*w[k] + u[k+n/2]*w[k+n/2]. With ``out`` (contiguous, not
         aliasing ``u``) nothing is allocated. From ``SPLIT_MIN_WORDS``
-        words on, on two CPUs, the pool computes the upper half of ``out``
-        while this thread computes the lower; the result is the same.
+        words on, on two CPUs, the pool computes and sums the upper half of
+        ``out`` while this thread does the lower; the results are the same.
         """
         n = len(u)
         if out is None:
@@ -177,25 +245,31 @@ class TransferOperator:
             # output half j holds words 2k, 2k+1 for k in quarter j, so it
             # reads quarters j and j + 2 of u and w
             q = n // 4
-            _in_halves(_pair_sums,
-                       (u[:q], w[:q], u[2 * q:3 * q], w[2 * q:3 * q], out[:2 * q]),
-                       (u[q:2 * q], w[q:2 * q], u[3 * q:], w[3 * q:], out[2 * q:]))
-        else:
-            half = n // 2
-            _pair_sums(u[:half], w[:half], u[half:], w[half:], out)
-        return out
+            a, b = _in_halves(
+                _pair_sums,
+                (u[:q], w[:q], u[2 * q:3 * q], w[2 * q:3 * q], out[:2 * q]),
+                (u[q:2 * q], w[q:2 * q], u[3 * q:], w[3 * q:], out[2 * q:]))
+            return a + b
+        half = n // 2
+        return _pair_sums(u[:half], w[:half], u[half:], w[half:], out)
 
     def apply_dual(self, om: np.ndarray, w: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-        """Dual action on mass vectors: word k collects words 2k and 2k+1
-        (mod n). With ``out`` (not aliasing ``om``) nothing is allocated."""
+                   out: np.ndarray | None = None) -> float:
+        """Dual action on mass vectors, into ``out``: word k collects words
+        2k and 2k+1 (mod n). Returns the sum of ``out``. With ``out`` (not
+        aliasing ``om``) nothing is allocated; split like ``apply``."""
         half = len(om) // 2
         if out is None:
             out = np.empty_like(om)
-        np.add(om[0::2], om[1::2], out=out[:half])
+        even, odd = om[0::2], om[1::2]
+        if len(om) >= _SPLIT_FROM:
+            a, b = _in_halves(_dual_sums, (even, odd, w[:half], out[:half]),
+                              (even, odd, w[half:], out[half:]))
+            return a + b
+        np.add(even, odd, out=out[:half])
         out[half:] = out[:half]
         out *= w
-        return out
+        return out.sum()
 
     def _perron(self, w: np.ndarray, u0: np.ndarray | None = None,
                 rtol: float = EIG_RTOL, *, dual: bool = False):
@@ -212,11 +286,12 @@ class TransferOperator:
         eigenvalue error. After a failed check the next one waits until the
         ratio estimate predicts the spread has shrunk to ``rtol``.
 
-        Each step is the apply and one sum: the iterate stays unnormalised,
-        the eigenvalue is the ratio of its successive sums, and it is
-        rescaled by an exact power of two only when its sum leaves the
-        ``RESCALE_WINDOW``. From ``_SPLIT_FROM`` words on the sum is split
-        like ``apply``, with bit-identical results.
+        Each step is one apply, which returns the sum of its output: the
+        iterate stays unnormalised, the eigenvalue is the ratio of its
+        successive sums, and it is rescaled by an exact power of two only
+        when its sum leaves the ``RESCALE_WINDOW``. From ``_SPLIT_FROM``
+        words on every full-length pass runs in halves on two threads
+        (``_halves``), with bit-identical results.
 
         When two estimates of the ratio agree, sign included, the last
         step's change lies along one mode and is multiplied by the ratio per
@@ -228,12 +303,17 @@ class TransferOperator:
         """
         n = self.size
         step = self.apply_dual if dual else self.apply
-        total = _sum_in_halves if n >= _SPLIT_FROM else np.ndarray.sum
         hi = RESCALE_WINDOW
         lo = 1.0 / hi
-        u = np.full(n, 1.0 / n) if u0 is None else np.array(u0, dtype=float)
+        # u is the iterate before the step and s_old its sum; a caller's u0
+        # is copied, never written to
+        if u0 is None:
+            u = np.full(n, 1.0 / n)
+            s_old = sum(_halves(np.ndarray.sum, (u,)))
+        else:
+            u = np.empty(n)
+            s_old = sum(_halves(_copy_sum, (u, np.asarray(u0, dtype=float))))
         v = np.empty(n)
-        s_old = total(u)            # sum of u, the iterate before the step
         lam_old = None
         d_old = None            # the previous eigenvalue change, signed
         rho_old = None
@@ -243,8 +323,7 @@ class TransferOperator:
         spread = 0.0            # spread of the last failed check, or 0
         since = 0               # steps since that check
         for _ in range(EIG_MAXIT):
-            step(u, w, out=v)
-            s = total(v)
+            s = step(u, w, v)
             lam = s / s_old
             if not lo <= s <= hi:
                 s = _rescale(s, v)
@@ -267,18 +346,15 @@ class TransferOperator:
                     # v is the iterate before the step, u is L v up to scale
                     spread = _cw_spread(u, v)
                     if spread <= rtol:
-                        u /= s
+                        _halves(_divide, (u,), s)
                         return lam, u
                     since = 0
                 flat_old = flat
                 if rho is not None:
                     if (rho_old is not None and abs(rho - rho_old)
                             <= AITKEN_RATIO_AGREE * (1.0 - abs(rho))):
-                        # both iterates on one scale for the step
-                        u /= s
-                        v /= s_old
-                        _remove_mode(u, v, rho)
-                        s_old = total(u)
+                        s_old = sum(_halves(_aitken_pass, (u, v), s, s_old,
+                                            rho))
                         rho_slow = max(rho_slow, abs(rho))
                         lam_old = d_old = rho_old = None
                         flat_old = False
@@ -288,7 +364,7 @@ class TransferOperator:
                 d_old = d
             lam_old = lam
             s_old = s
-        step(u, w, out=v)       # a pair to report, also after an Aitken step
+        step(u, w, v)           # a pair to report, also after an Aitken step
         raise NoConvergenceError(
             f"power iteration did not converge in {EIG_MAXIT} steps: "
             f"Collatz-Wielandt spread {_cw_spread(v, u):.3g}, "
@@ -361,16 +437,24 @@ def _extrapolated_start(path: list, tau: float):
     if len(path) == 1:
         return v1
     t0, v0 = path[-2]
-    u = np.subtract(v1, v0)
-    u *= (tau - t1) / (t1 - t0)
+    u = np.empty_like(v1)
+    positive = _halves(_extrapolate, (u, v0, v1), (tau - t1) / (t1 - t0))
+    return u if all(positive) else v1
+
+
+def _extrapolate(u, v0, v1, c: float) -> bool:
+    """u = v1 + c * (v1 - v0); True iff u is positive."""
+    np.subtract(v1, v0, out=u)
+    u *= c
     u += v1
-    return u if u.min() > 0.0 else v1
+    return u.min() > 0.0
 
 
 def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL):
     """Root of the pressure on ``ROOT_BRACKET`` by bracketed secant with
-    bisection fallback. Each Perron solve starts from the extrapolation of
-    the last two solves' vectors (``_extrapolated_start``)."""
+    bisection fallback: ``(root, pressure there, unit-sum Perron vector
+    there)``. Each Perron solve starts from the extrapolation of the last
+    two solves' vectors (``_extrapolated_start``)."""
     path = []
 
     def pressure_at(tau):
@@ -382,10 +466,10 @@ def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL):
     lo, hi = ROOT_BRACKET
     p_lo = pressure_at(lo)
     if abs(p_lo) <= ptol:
-        return lo, p_lo
+        return lo, p_lo, path[-1][1]
     p_hi = pressure_at(hi)
     if abs(p_hi) <= ptol:
-        return hi, p_hi
+        return hi, p_hi, path[-1][1]
     if not p_lo > 0 > p_hi:
         raise BracketFailureError(
             f"pressure does not change sign on [{lo}, {hi}]: "
@@ -405,7 +489,7 @@ def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL):
             b = x
         x0, f0, x1, f1 = x1, f1, x, fx
         if abs(fx) <= ptol:
-            return x, fx
+            return x, fx, path[-1][1]
     raise NoConvergenceError("dimension root solve stalled")
 
 
@@ -418,15 +502,17 @@ def _aitken(d1: float, d2: float, d3: float) -> float:
 
 def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
                   table: BoettcherTable | None = None,
-                  step: int = 1) -> DimensionResult:
+                  step: int = 1, at_root=None) -> DimensionResult:
     """Dimension of the boundary curve at delta, with level extrapolation.
 
     Solves the pressure root at word lengths level - 2*step, level - step
     and level (sharing one landing-point table) and extrapolates the
     geometric level error; ``error_bound`` is the last inter-level
-    difference. ``dim`` uses step 1, the scans step 2. Raises ValueError
-    for delta outside B(1, 1), where -delta is not attracting (delta = 0
-    included).
+    difference. ``dim`` uses step 1, the scans step 2. ``at_root(level,
+    root, h)``, if given, is called after each root with the unit-sum
+    Perron vector ``h`` there, which is dropped after the call. Raises
+    ValueError for delta outside B(1, 1), where -delta is not attracting
+    (delta = 0 included).
     """
     if level < 8:
         raise ValueError("level must be >= 8")
@@ -438,7 +524,9 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
     resid = 0.0
     for lev in (level - 2 * step, level - step, level):
         op = TransferOperator(delta, table, lev)
-        tau, p = _bowen_root(op, ptol=tol)
+        tau, p, h = _bowen_root(op, ptol=tol)
+        if at_root is not None:
+            at_root(lev, tau, h)
         roots.append(tau)
         resid = abs(p)
     rich = _aitken(*roots)
@@ -459,15 +547,20 @@ class EquilibriumWeights:
 
 
 def equilibrium(delta: complex, tau: float, table: BoettcherTable,
-                level: int | None = None) -> EquilibriumWeights:
+                level: int | None = None,
+                h: np.ndarray | None = None) -> EquilibriumWeights:
     """Left and right Perron vectors, combined into the invariant state.
 
     Two ``_perron`` solves from the uniform vector: the primal one gives the
     eigenvector h, the dual one the mass vector omega, and mu = h * omega.
+    A caller that has h at ``tau`` already, such as the unit-sum vector
+    ``_bowen_root`` returns with its root, passes it and saves the primal
+    solve.
     """
     op = TransferOperator(delta, table, level)
     w = op.weights(tau)
-    h = op._perron(w)[1]
+    if h is None:
+        h = op._perron(w)[1]
     om = op._perron(w, dual=True)[1]
     mu = h * om
     mu /= mu.sum()
@@ -547,14 +640,17 @@ def ray_point(delta: complex, level: int) -> RayPoint:
     """
     check_disk([delta])
     table = build_table(delta, level)
-    dim = hausdorff_dim(delta, level, table=table, step=2)
     v = delta / abs(delta)
     pdot = phi_dot_table(delta, table)
     vals = []
-    for lev, tau in zip((level - 4, level - 2, level), dim.roots):
-        weights = equilibrium(delta, tau, table, lev)
+    weights = None
+
+    def derivative(lev, tau, h):
+        nonlocal weights
+        weights = equilibrium(delta, tau, table, lev, h)
         vals.append(directional_derivative_formula(delta, v, table, weights,
                                                    pdot=pdot))
+    dim = hausdorff_dim(delta, level, table=table, step=2, at_root=derivative)
     return RayPoint(dim, (vals[-1], _aitken(*vals)), weights)
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from juliadim import boettcher, maps
 from juliadim.boettcher import (DyadicAngle, anchor_point, build_table,
@@ -99,6 +102,10 @@ def test_repeat_check_matches_unique():
         "signed zero imaginary part": (np.array([complex(1.0, 0.0),
                                                  complex(1.0, -0.0)]), True),
         "all zero": (np.array([0j, complex(-0.0, -0.0), complex(0.0, -0.0)]), True),
+        # distinct points whose sort keys re + c*im tie
+        "tied keys": (np.array([boettcher.REPEAT_KEY_SLOPE + 0j, 1j, 2.0]), False),
+        "tied keys, one repeat": (np.array([boettcher.REPEAT_KEY_SLOPE + 0j,
+                                            1j, 1j]), True),
     }
     for i in range(20):
         pts = distinct.copy()
@@ -108,6 +115,23 @@ def test_repeat_check_matches_unique():
     for name, (pts, expect) in cases.items():
         assert bool(np.unique(pts).size < pts.size) == expect, name
         assert boettcher._has_repeats(pts) == expect, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(complex, st.integers(1, 40),
+                  elements=st.complex_numbers(max_magnitude=1e3,
+                                              allow_nan=False,
+                                              allow_infinity=False)),
+       st.booleans(), st.data())
+def test_repeat_check_matches_unique_property(pts, conjugates, data):
+    if conjugates:
+        # conjugate-symmetric, as tables at real delta are: real parts repeat
+        pts = np.concatenate([pts, pts.conj()])
+    if data.draw(st.booleans(), label="inject"):
+        j = data.draw(st.integers(0, pts.size - 1), label="to")
+        k = data.draw(st.integers(0, pts.size - 1), label="from")
+        pts[j] = pts[k]
+    assert boettcher._has_repeats(pts) == (np.unique(pts).size < pts.size)
 
 
 def test_seed_continuation_tracks_nearby_parameter():

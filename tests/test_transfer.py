@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -268,11 +269,11 @@ def _allocating_run(monkeypatch, fn, *args):
     allocating formulas above and copied into ``out``."""
     def apply(self, u, w, out=None):
         out[...] = _repeat_apply(u, w)
-        return out
+        return out.sum()
 
     def apply_dual(self, om, w, out=None):
         out[...] = _gather_apply_dual(om, w)
-        return out
+        return out.sum()
     with monkeypatch.context() as m:
         m.setattr(TransferOperator, "apply", apply)
         m.setattr(TransferOperator, "apply_dual", apply_dual)
@@ -329,13 +330,13 @@ def test_kernels_bit_identical(table16, level):
     w = rng.random(op.size)
     u_in, w_in = u.copy(), w.copy()
     ref = _repeat_apply(u, w)
-    assert np.array_equal(op.apply(u, w), ref)
+    assert op.apply(u, w) == ref.sum()
     out = np.full(op.size, np.nan)
-    assert op.apply(u, w, out=out) is out
+    assert op.apply(u, w, out=out) == ref.sum()
     assert np.array_equal(out, ref)
     ref_dual = _gather_apply_dual(u, w)
-    assert np.array_equal(op.apply_dual(u, w), ref_dual)
-    assert op.apply_dual(u, w, out=out) is out
+    assert op.apply_dual(u, w) == ref_dual.sum()
+    assert op.apply_dual(u, w, out=out) == ref_dual.sum()
     assert np.array_equal(out, ref_dual)
     assert np.array_equal(u, u_in) and np.array_equal(w, w_in)
 
@@ -352,8 +353,7 @@ def test_power_steps_bit_identical(table16):
         s_ref = t.sum()
         lam_ref = s_ref / u_ref.sum()
         u_ref = t / s_ref
-        op.apply(u, w, out=v)
-        s = v.sum()
+        s = op.apply(u, w, out=v)
         lam = s / u.sum()
         np.divide(v, s, out=v)
         u, v = v, u
@@ -433,9 +433,10 @@ def test_split_follows_cpu_affinity():
                                     else float("inf"))
 
 
-def test_halves_sum_identity():
+def test_halves_sum_identity(monkeypatch):
     # numpy's contiguous float64 sum is pairwise with its top split at n/2
-    # for power-of-two n >= 256; the split step relies on it
+    # for power-of-two n >= 256; every split pass relies on it
+    monkeypatch.setattr(transfer, "_SPLIT_FROM", 256)
     rng = np.random.default_rng(0)
     for level in (8, 12, 18, 20):
         n = 1 << level
@@ -443,7 +444,7 @@ def test_halves_sum_identity():
                   rng.exponential(size=n) ** 4):
             h = n // 2
             assert x[:h].sum() + x[h:].sum() == x.sum()
-            assert transfer._sum_in_halves(x) == x.sum()
+            assert sum(transfer._halves(np.ndarray.sum, (x,))) == x.sum()
 
 
 @pytest.mark.usefixtures("split")
@@ -453,27 +454,35 @@ def test_split_apply_bit_identical(op18):
     w = op18.weights(1.1)
     u_in = u.copy()
     ref = _unsplit_apply(u, w)
-    assert np.array_equal(op18.apply(u, w), ref)
+    assert op18.apply(u, w) == ref.sum()
     out = np.full(op18.size, np.nan)
-    assert op18.apply(u, w, out=out) is out
+    assert op18.apply(u, w, out=out) == ref.sum()
     assert np.array_equal(out, ref)
+    ref_dual = _gather_apply_dual(u, w)
+    assert op18.apply_dual(u, w, out=out) == ref_dual.sum()
+    assert np.array_equal(out, ref_dual)
     assert np.array_equal(u, u_in)
 
 
-def test_split_sums_bit_identical(op18):
-    # the one sum of each lean step, on the unnormalised iterate; that
-    # iterate over its sum is the old step's normalised one
+def test_split_sums_bit_identical(op18, monkeypatch):
+    # the fused step, split and not: the sum each apply returns is that of
+    # its output, on the unnormalised iterate; that iterate over its sum is
+    # the old step's normalised one
     n = op18.size
     w = op18.weights(1.1)
-    u = np.full(n, 1.0 / n)
-    u_old = u.copy()
-    for _ in range(3):
-        u = _unsplit_apply(u, w)
-        s = transfer._sum_in_halves(u)
-        assert s == u.sum()
-        v = _unsplit_apply(u_old, w)
-        u_old = v / v.sum()
-        assert np.all(np.abs(u / s - u_old) <= 1e-12 * u_old)
+    v = np.empty(n)
+    for split_from in (transfer.SPLIT_MIN_WORDS, float("inf")):
+        monkeypatch.setattr(transfer, "_SPLIT_FROM", split_from)
+        u = np.full(n, 1.0 / n)
+        u_old = u.copy()
+        for _ in range(3):
+            s = op18.apply(u, w, v)
+            u = _unsplit_apply(u, w)
+            assert np.array_equal(v, u) and s == u.sum()
+            t = _unsplit_apply(u_old, w)
+            u_old = t / t.sum()
+            assert np.all(np.abs(u / s - u_old) <= 1e-12 * u_old)
+        assert op18.apply_dual(u, w, v) == _gather_apply_dual(u, w).sum()
 
 
 def _unsplit_run(monkeypatch, fn, *args):
@@ -521,6 +530,106 @@ def _count_calls(monkeypatch, name):
         return fn(*args)
     monkeypatch.setattr(transfer, name, counted)
     return count
+
+
+@pytest.mark.usefixtures("split")
+@pytest.mark.parametrize("dual", [False, True])
+def test_split_step_is_one_apply_one_handoff(op18, monkeypatch, dual):
+    # each power step calls apply once, on the calling thread, and hands
+    # work to the worker thread once when split, for the step and its sum
+    handoffs = _count_calls(monkeypatch, "_in_halves")
+    per_step = []
+    name = "apply_dual" if dual else "apply"
+    step = getattr(TransferOperator, name)
+
+    def counted(self, u, w, out=None):
+        assert threading.current_thread() is threading.main_thread()
+        before = handoffs[0]
+        s = step(self, u, w, out)
+        per_step.append(handoffs[0] - before)
+        return s
+    monkeypatch.setattr(TransferOperator, name, counted)
+    monkeypatch.setattr(transfer, "EIG_MAXIT", 5)
+    with pytest.raises(NoConvergenceError):
+        op18._perron(op18.weights(1.1), dual=dual)
+    split = op18.size >= transfer._SPLIT_FROM
+    assert per_step == [int(split)] * (5 + 1)   # and the pair reported
+
+
+def _cw_spread_one_thread(u, v):
+    """The check as one pass over an n-word ratio array."""
+    if not v.min() > 0.0:
+        return math.inf
+    ratio = u / v
+    r_lo = ratio.min()
+    if not r_lo > 0.0:
+        return math.inf
+    return float(ratio.max() / r_lo - 1.0)
+
+
+@pytest.mark.usefixtures("split")
+def test_split_cw_spread_bit_identical(op18):
+    n = op18.size
+    rng = np.random.default_rng(19)
+    v = rng.random(n) + 0.5
+    u = v * (1.0 + 1e-9 * rng.standard_normal(n))
+    spread = transfer._cw_spread(u, v)
+    assert 0.0 < spread < 1e-7 and spread == _cw_spread_one_thread(u, v)
+    # +inf for a zero, negative, NaN or infinite entry in either half and
+    # on either side of a chunk boundary; u and v both negative gives a
+    # positive ratio that only the check on v catches
+    for i in (3, transfer.CW_CHUNK - 1, transfer.CW_CHUNK, n // 2 + 5, n - 1):
+        for ui, vi in [(u[i], 0.0), (0.0, 0.0), (-1.0, -1.0), (1.0, -1.0),
+                       (0.0, v[i]), (-1.0, v[i]), (math.nan, v[i]),
+                       (math.inf, v[i]), (u[i], math.nan)]:
+            uu, vv = u.copy(), v.copy()
+            uu[i], vv[i] = ui, vi
+            assert transfer._cw_spread(uu, vv) == math.inf, (i, ui, vi)
+            assert _cw_spread_one_thread(uu, vv) == math.inf
+
+
+@pytest.mark.usefixtures("split")
+def test_split_aitken_pass_bit_identical(op18):
+    n = op18.size
+    rng = np.random.default_rng(20)
+    u, v = rng.random(n) + 0.5, rng.random(n) + 0.5
+    s, s_old = u.sum(), v.sum()
+    for rho in (0.93, -0.6):
+        u_ref, v_ref = u / s, v / s_old
+        transfer._remove_mode(u_ref, v_ref, rho)
+        uu, vv = u.copy(), v.copy()
+        total = sum(transfer._halves(transfer._aitken_pass, (uu, vv), s,
+                                     s_old, rho))
+        assert np.array_equal(uu, u_ref) and np.array_equal(vv, v_ref)
+        assert total == u_ref.sum()
+
+
+@pytest.mark.usefixtures("split")
+def test_split_weights_and_normalisation_bit_identical(op18):
+    for tau in (1.0754, 2.0):
+        assert np.array_equal(op18.weights(tau), np.exp(-tau * op18.log_deriv))
+    u = np.random.default_rng(21).random(op18.size)
+    s = u.sum()
+    x = u.copy()
+    transfer._halves(transfer._divide, (x,), s)
+    assert np.array_equal(x, u / s)
+
+
+@pytest.mark.usefixtures("split")
+def test_split_extrapolated_start_bit_identical(op18):
+    n = op18.size
+    rng = np.random.default_rng(22)
+    v0, v1 = rng.random(n) + 1.0, rng.random(n) + 1.0
+    v0 /= v0.sum()
+    v1 /= v1.sum()
+    path = [(1.0, v0), (1.5, v1)]
+    u = transfer._extrapolated_start(path, 1.7)
+    assert np.array_equal(u, (v1 - v0) * ((1.7 - 1.5) / (1.5 - 1.0)) + v1)
+    # an entry <= 0 in the upper half only: the last vector
+    v0[n - 1] = 10.0 * v1[n - 1]
+    u = (v1 - v0) * ((1.6 - 1.5) / (1.5 - 1.0)) + v1
+    assert np.flatnonzero(u <= 0.0).tolist() == [n - 1]
+    assert transfer._extrapolated_start(path, 1.6) is v1
 
 
 @pytest.mark.usefixtures("split")
@@ -671,10 +780,10 @@ class _Matrix:
         self.size = len(a)
 
     def apply(self, u, w, out):
-        return np.dot(self.a, u, out=out)
+        return np.dot(self.a, u, out=out).sum()
 
     def apply_dual(self, u, w, out):
-        return np.dot(self.a.T, u, out=out)
+        return np.dot(self.a.T, u, out=out).sum()
 
 
 def test_perron_does_not_stop_on_one_rounding_level_change():

@@ -5,9 +5,9 @@ A table of level N holds the landing points of all dyadic angles k/2^N:
 carries angle doubling on the circle to f_delta on its Julia set.  Dyadic
 angles are strictly pre-periodic to the fixed angle 0, so the continuation
 construction below is exact up to branch selection: each level seeds new
-points as hint-guided quadratic preimages of the previous level, and
-refinement sweeps confirm (or polish, when seeded from a neighbor table)
-the semiconjugacy f(points[k]) = points[2k mod 2^N].
+points as hint-guided quadratic preimages of the previous level.  The
+semiconjugacy f(points[k]) = points[2k mod 2^N] is checked on every table,
+and refinement sweeps polish a table seeded from a neighbor parameter.
 """
 
 from __future__ import annotations
@@ -83,10 +83,17 @@ class BoettcherTable:
 
 
 def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
-    """Exact level-by-level pullback seeding, orientation pinned at level 2."""
+    """Exact level-by-level pullback seeding, orientation pinned at level 2.
+
+    The points are those that one refinement sweep made of this seeding
+    when the angle-1/2 point was written as -h: the sweep recomputed that
+    point as the preimage of 0 nearest -h, which can differ from -h in the
+    last bit, and returned every other point bit for bit, having computed
+    it from the same target by the same expression."""
     qmap = maps.f_delta(delta)
     h = 1.0 + complex(delta)
-    pts = np.array([0.0 + 0j, -h])
+    half = maps.inverse_branch_array(qmap, np.zeros(1, dtype=complex), -h)[0]
+    pts = np.array([0.0 + 0j, half])
     if level == 0:
         return pts[:1]
     if level >= 2:
@@ -98,7 +105,7 @@ def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
             q14, q34 = wa, wb
         else:
             q14, q34 = wb, wa
-        pts = np.array([0.0 + 0j, q14, -h, q34])
+        pts = np.array([0.0 + 0j, q14, half, q34])
     for lev in range(3, level + 1):
         n_old = 1 << (lev - 1)
         new = np.empty(1 << lev, dtype=complex)
@@ -127,19 +134,32 @@ def _has_repeats(pts: np.ndarray) -> bool:
     return bool(np.any(s[1:] == s[:-1]))
 
 
+def _diameter(pts: np.ndarray) -> float:
+    """Diameter of the points' bounding box, at least 1e-300."""
+    re, im = pts.real, pts.imag
+    return max(float(np.hypot(re.max() - re.min(), im.max() - im.min())), 1e-300)
+
+
 def build_table(delta: complex, level: int, tol: float = 1e-12,
                 seed: BoettcherTable | np.ndarray | None = None) -> BoettcherTable:
     """Build the landing-point table at the given level.
 
     ``seed`` continues from an existing table at a nearby parameter (same
-    level), which keeps branch choices locked during parameter scans.
-    Raises NoConvergenceError when sweeps fail to stabilize, as happens for
-    parameters whose Julia set is not a Jordan curve.
+    level), which keeps branch choices locked during parameter scans, and
+    refinement sweeps polish it. An unseeded table gets no sweep: the
+    continuation already gives every point the value that one sweep gave
+    it (``_seed_by_continuation``). Raises NoConvergenceError when sweeps fail to
+    stabilize, or when the semiconjugacy residual or the repeated-point
+    check fails, as happens for parameters whose Julia set is not a Jordan
+    curve.
     """
     delta = complex(delta)
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}]")
 
+    qmap = maps.f_delta(delta)
+    n = 1 << level
+    idx2 = (2 * np.arange(n)) % n
     if seed is None:
         pts = _seed_by_continuation(delta, level)
     else:
@@ -147,23 +167,17 @@ def build_table(delta: complex, level: int, tol: float = 1e-12,
                        dtype=complex)
         if len(pts) != 1 << level:
             raise ValueError("seed size does not match level")
-
-    qmap = maps.f_delta(delta)
-    n = 1 << level
-    idx2 = (2 * np.arange(n)) % n
-    scale = 1.0
-    for _ in range(MAX_SWEEPS):
-        new = maps.inverse_branch_array(qmap, pts[idx2], pts)
-        new[0] = 0.0
-        disp = float(np.max(np.abs(new - pts)))
-        pts = new
-        re, im = pts.real, pts.imag
-        scale = max(float(np.hypot(re.max() - re.min(), im.max() - im.min())), 1e-300)
-        if disp < tol * scale:
-            break
-    else:
-        raise NoConvergenceError(
-            f"pullback sweeps did not stabilize for delta={delta}")
+        for _ in range(MAX_SWEEPS):
+            new = maps.inverse_branch_array(qmap, pts[idx2], pts)
+            new[0] = 0.0
+            disp = float(np.max(np.abs(new - pts)))
+            pts = new
+            if disp < tol * _diameter(pts):
+                break
+        else:
+            raise NoConvergenceError(
+                f"pullback sweeps did not stabilize for delta={delta}")
+    scale = _diameter(pts)
 
     residual = float(np.max(np.abs(maps.evaluate(qmap, pts) - pts[idx2])))
     if not np.isfinite(residual) or residual >= tol * scale:

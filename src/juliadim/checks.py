@@ -591,7 +591,7 @@ def check_formula_vs_fd_grid() -> CheckResult:
             w = equilibrium(delta, tau, table, level, h)
             formula = transfer.directional_derivative_formula(
                 delta, delta / abs(delta), table, w)
-            fd = transfer.dprime_fd(delta, level)
+            fd = transfer.dprime_fd(delta, level, near=(tau, h, w.chi))
             worst = max(worst, abs(formula - fd) / abs(fd))
     return _result("transfer.formula_vs_fd_grid", worst < 0.05,
                    f"max rel deviation {worst:.1e}")

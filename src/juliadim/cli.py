@@ -246,7 +246,7 @@ def cmd_ray(args) -> int:
         delta = t * v
         try:
             pt = ray_point(delta, args.level)
-            fd = dprime_fd(delta, args.level)
+            fd = dprime_fd(delta, args.level, near=pt.near)
         except JuliaDimError as exc:
             return [t, "", "", "", "", "", "", exc.code], float("nan")
         dp_raw, dp_ext = pt.dprime

@@ -154,37 +154,58 @@ def _aitken_pass(u: np.ndarray, v: np.ndarray, s: float, s_old: float,
     return u.sum()
 
 
-def _ratio_range(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """min and max of ``u/v``, or (0, inf) unless ``v`` and ``u/v`` are
-    positive; divides ``CW_CHUNK`` words at a time."""
+def _ratios_agree(rho, rho_old) -> bool:
+    """True iff two successive estimates of one ratio agree, sign included,
+    within ``AITKEN_RATIO_AGREE * (1 - |rho|)``."""
+    return (rho is not None and rho_old is not None and
+            abs(rho - rho_old) <= AITKEN_RATIO_AGREE * (1.0 - abs(rho)))
+
+
+def _ratio_range(u: np.ndarray, v: np.ndarray) -> tuple:
+    """min and max of ``u/v`` and the first words that reach them,
+    ``(lo, i_lo, hi, i_hi)``, or (0, 0, inf, 0) unless ``v`` and ``u/v``
+    are positive; divides ``CW_CHUNK`` words at a time."""
     buf = np.empty(min(len(v), CW_CHUNK))
-    lo, hi = math.inf, 0.0
+    lo, i_lo, hi, i_hi = math.inf, 0, 0.0, 0
     for i in range(0, len(v), CW_CHUNK):
         vc = v[i:i + CW_CHUNK]
         if not vc.min() > 0.0:
-            return 0.0, math.inf
+            return 0.0, 0, math.inf, 0
         ratio = buf[:len(vc)]
         np.divide(u[i:i + CW_CHUNK], vc, out=ratio)
-        r_lo = ratio.min()
-        if not r_lo > 0.0:
-            return 0.0, math.inf
-        lo = min(lo, float(r_lo))
-        hi = max(hi, float(ratio.max()))
-    return lo, hi
+        j = int(ratio.argmin())
+        if not ratio[j] > 0.0:
+            return 0.0, 0, math.inf, 0
+        if ratio[j] < lo:
+            lo, i_lo = float(ratio[j]), i + j
+        j = int(ratio.argmax())
+        if ratio[j] > hi:
+            hi, i_hi = float(ratio[j]), i + j
+    return lo, i_lo, hi, i_hi
 
 
-def _cw_spread(u: np.ndarray, v: np.ndarray) -> float:
+def _cw_spread(u: np.ndarray, v: np.ndarray, q: float):
     """Collatz-Wielandt spread ``max(u/v) / min(u/v) - 1`` of a positive
-    ``v`` and ``u``, a positive multiple of ``L v`` for a nonnegative ``L``.
-    The Perron eigenvalue of ``L`` and the ratio of the sums of ``L v`` and
-    ``v`` both lie in ``[min, max]`` of ``(L v)/v``, so the spread bounds the
-    relative error of that ratio. +inf unless ``v`` and ``u/v`` are
-    positive."""
-    ranges = _halves(_ratio_range, (u, v))
-    lo = min(r_lo for r_lo, _ in ranges)
-    if not lo > 0.0:
-        return math.inf
-    return max(r_hi for _, r_hi in ranges) / lo - 1.0
+    ``v`` and ``u``, a positive multiple of ``L v`` for a nonnegative ``L``,
+    and the word whose ``u/v`` lies relatively farthest from ``q > 0``, the
+    lowest such word on a tie: ``(spread, word)``. The Perron eigenvalue of
+    ``L`` and the ratio of the sums of ``L v`` and ``v`` both lie in
+    ``[min, max]`` of ``(L v)/v``, so the spread bounds the relative error
+    of that ratio. ``(inf, None)`` unless ``v`` is positive and ``u/v``
+    positive and finite."""
+    # the upper half numbers its words from len(v) // 2
+    ranges = [(lo, i_lo + k, hi, i_hi + k) for (lo, i_lo, hi, i_hi), k
+              in zip(_halves(_ratio_range, (u, v)), (0, len(v) // 2))]
+    # min and max return the first extreme, so the lower half wins ties
+    lo, i_lo = min((r[:2] for r in ranges), key=lambda r: r[0])
+    hi, i_hi = max((r[2:] for r in ranges), key=lambda r: r[0])
+    if not (lo > 0.0 and hi < math.inf):
+        return math.inf, None
+    if q - lo > hi - q or (q - lo == hi - q and i_lo < i_hi):
+        word = i_lo
+    else:
+        word = i_hi
+    return hi / lo - 1.0, word
 
 
 def _reps_from_table(table: BoettcherTable, level: int) -> np.ndarray:
@@ -299,6 +320,14 @@ class TransferOperator:
         estimate uses the slowest ratio removed so far, because that mode's
         residue can grow back to dominance.
 
+        A slow mode can hold the spread up after the eigenvalue changes have
+        sunk to rounding level, where their ratios say nothing. So after a
+        check fails with a finite spread the loop watches the word whose
+        ``(L v)/v`` lay relatively farthest from the eigenvalue estimate:
+        the ratios of that word's successive deviations, taken while the
+        deviation falls, estimate the slow mode's ratio, and once two agree
+        the same Aitken step removes that mode.
+
         Raises NoConvergenceError after ``EIG_MAXIT`` steps.
         """
         n = self.size
@@ -322,6 +351,8 @@ class TransferOperator:
         r = None                # remaining-error ratio estimate
         spread = 0.0            # spread of the last failed check, or 0
         since = 0               # steps since that check
+        word = None             # the word watched since that check
+        e_old = rho_w_old = None
         for _ in range(EIG_MAXIT):
             s = step(u, w, v)
             lam = s / s_old
@@ -329,6 +360,14 @@ class TransferOperator:
                 s = _rescale(s, v)
             u, v = v, u
             since += 1
+            mode = None             # ratio of a mode to remove this step
+            rho_w = None            # ratio of the watched word's deviations
+            if word is not None:
+                # the watched word's deviation from the eigenvalue estimate
+                e = u[word] / v[word] * (s_old / s) - 1.0
+                if e_old is not None and abs(e) < abs(e_old):
+                    rho_w = e / e_old
+                e_old = e
             if lam_old is not None:
                 d = lam - lam_old
                 diff = abs(d)
@@ -344,30 +383,37 @@ class TransferOperator:
                 if propose and (r is None or spread == math.inf or
                                 spread * r ** since <= rtol):
                     # v is the iterate before the step, u is L v up to scale
-                    spread = _cw_spread(u, v)
+                    spread, word = _cw_spread(u, v, s / s_old)
                     if spread <= rtol:
                         _halves(_divide, (u,), s)
                         return lam, u
                     since = 0
+                    e_old = rho_w = None
                 flat_old = flat
                 if rho is not None:
-                    if (rho_old is not None and abs(rho - rho_old)
-                            <= AITKEN_RATIO_AGREE * (1.0 - abs(rho))):
-                        s_old = sum(_halves(_aitken_pass, (u, v), s, s_old,
-                                            rho))
+                    if _ratios_agree(rho, rho_old):
+                        mode = rho
                         rho_slow = max(rho_slow, abs(rho))
-                        lam_old = d_old = rho_old = None
-                        flat_old = False
-                        spread = 0.0
-                        continue
                     rho_old = rho
                 d_old = d
+            # the slow mode that the eigenvalue no longer resolves, seen at
+            # the word that held the last check up
+            if mode is None and _ratios_agree(rho_w, rho_w_old):
+                mode = rho_w
+                word = None
+            rho_w_old = rho_w
+            if mode is not None:
+                s_old = sum(_halves(_aitken_pass, (u, v), s, s_old, mode))
+                lam_old = d_old = rho_old = e_old = rho_w_old = None
+                flat_old = False
+                spread = 0.0
+                continue
             lam_old = lam
             s_old = s
         step(u, w, v)           # a pair to report, also after an Aitken step
         raise NoConvergenceError(
             f"power iteration did not converge in {EIG_MAXIT} steps: "
-            f"Collatz-Wielandt spread {_cw_spread(v, u):.3g}, "
+            f"Collatz-Wielandt spread {_cw_spread(v, u, 1.0)[0]:.3g}, "
             f"ratio estimate {'none' if r is None else format(r, '.6g')}")
 
     def pressure(self, tau: float, u0: np.ndarray | None = None) -> float:
@@ -450,11 +496,62 @@ def _extrapolate(u, v0, v1, c: float) -> bool:
     return u.min() > 0.0
 
 
-def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL):
+def _secant_root(op: TransferOperator, tau: float, h: np.ndarray,
+                 chi: float, ptol: float = PRESSURE_TOL):
+    """Root of the pressure from the state ``(tau, h, chi)`` of a nearby
+    parameter at the same word length: its root, unit-sum Perron vector and
+    Lyapunov exponent. Solves P(tau) from ``h``, takes the Newton step
+    ``tau + P/chi`` (P' = -chi there), then secant steps, each Perron solve
+    from ``_extrapolated_start`` of this path. Past |P| <= ``ptol`` it takes
+    one more step and keeps it only if it lowers |P|. Returns ``(root,
+    pressure there, unit-sum Perron vector there)``, or None once an
+    iterate leaves ``ROOT_BRACKET`` or |P| fails to halve."""
+    path = []
+
+    def pressure_at(t):
+        start = _extrapolated_start(path, t)
+        p, u = op.pressure_with_state(t, h if start is None else start)
+        path.append((t, u))
+        del path[:-2]
+        return p, u
+
+    def next_tau():
+        if x_prev is None:
+            return x + f / chi
+        return x - f * (x - x_prev) / (f - f_prev)
+
+    lo, hi = ROOT_BRACKET
+    x_prev = f_prev = None
+    x = tau
+    f, u = pressure_at(x)
+    while abs(f) > ptol:
+        t = next_tau()
+        if not lo <= t <= hi:
+            return None
+        f_t, u_t = pressure_at(t)
+        if not abs(f_t) <= 0.5 * abs(f):
+            return None
+        x_prev, f_prev, x, f, u = x, f, t, f_t, u_t
+    t = next_tau()
+    if lo <= t <= hi and t != x:
+        f_t, u_t = pressure_at(t)
+        if abs(f_t) < abs(f):
+            return t, f_t, u_t
+    return x, f, u
+
+
+def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL,
+                near: tuple | None = None):
     """Root of the pressure on ``ROOT_BRACKET`` by bracketed secant with
     bisection fallback: ``(root, pressure there, unit-sum Perron vector
     there)``. Each Perron solve starts from the extrapolation of the last
-    two solves' vectors (``_extrapolated_start``)."""
+    two solves' vectors (``_extrapolated_start``). ``near``, the state
+    ``(tau, h, chi)`` of a nearby parameter, tries ``_secant_root`` from it
+    first."""
+    if near is not None:
+        found = _secant_root(op, *near, ptol=ptol)
+        if found is not None:
+            return found
     path = []
 
     def pressure_at(tau):
@@ -628,6 +725,13 @@ class RayPoint:
     dim: DimensionResult                # levels L-4, L-2, L
     dprime: tuple[float, float]         # raw, extrapolated
     weights: EquilibriumWeights         # equilibrium state at level L
+    h: np.ndarray                       # unit-sum Perron vector at level L
+
+    @property
+    def near(self) -> tuple:
+        """The level-L state ``(tau, h, chi)`` that ``dprime_fd`` starts
+        its stencil roots from."""
+        return self.dim.tau0, self.h, self.weights.chi
 
 
 def ray_point(delta: complex, level: int) -> RayPoint:
@@ -643,15 +747,15 @@ def ray_point(delta: complex, level: int) -> RayPoint:
     v = delta / abs(delta)
     pdot = phi_dot_table(delta, table)
     vals = []
-    weights = None
+    weights = top_h = None
 
     def derivative(lev, tau, h):
-        nonlocal weights
-        weights = equilibrium(delta, tau, table, lev, h)
+        nonlocal weights, top_h
+        weights, top_h = equilibrium(delta, tau, table, lev, h), h
         vals.append(directional_derivative_formula(delta, v, table, weights,
                                                    pdot=pdot))
     dim = hausdorff_dim(delta, level, table=table, step=2, at_root=derivative)
-    return RayPoint(dim, (vals[-1], _aitken(*vals)), weights)
+    return RayPoint(dim, (vals[-1], _aitken(*vals)), weights, top_h)
 
 
 FD_REL_STEP = 1e-2
@@ -664,8 +768,12 @@ def fd_stencil(delta: complex, rel_step: float = FD_REL_STEP):
     return [delta + sgn * h * v for sgn in (1.0, -1.0)]
 
 
-def dprime_fd(delta: complex, level: int, rel_step: float = FD_REL_STEP) -> float:
-    """Central finite difference of the raw top-level dimension on the ray."""
+def dprime_fd(delta: complex, level: int, rel_step: float = FD_REL_STEP,
+              near: tuple | None = None) -> float:
+    """Central finite difference of the raw top-level dimension on the ray.
+    ``near``, the level-``level`` state ``(tau, h, chi)`` at ``delta`` (such
+    as ``RayPoint.near``), starts each stencil root there
+    (``_secant_root``)."""
     check_disk([delta])
     stencil = fd_stencil(delta, rel_step)
     check_disk(stencil)
@@ -673,7 +781,8 @@ def dprime_fd(delta: complex, level: int, rel_step: float = FD_REL_STEP) -> floa
     vals = []
     for d in stencil:
         table = build_table(d, level)
-        vals.append(_bowen_root(TransferOperator(d, table, level))[0])
+        op = TransferOperator(d, table, level)
+        vals.append(_bowen_root(op, near=near)[0])
     return (vals[0] - vals[1]) / (2.0 * h)
 
 

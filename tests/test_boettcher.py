@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -132,6 +132,47 @@ def test_repeat_check_matches_unique_property(pts, conjugates, data):
         k = data.draw(st.integers(0, pts.size - 1), label="from")
         pts[j] = pts[k]
     assert boettcher._has_repeats(pts) == (np.unique(pts).size < pts.size)
+
+
+def _one_sweep(delta, pts):
+    """One refinement sweep of a table: every point replaced by the
+    preimage of its image point nearest to itself."""
+    n = pts.size
+    idx2 = (2 * np.arange(n)) % n
+    new = maps.inverse_branch_array(maps.f_delta(delta), pts[idx2], pts)
+    new[0] = 0.0
+    return new
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 0.99), st.floats(-np.pi, np.pi), st.integers(1, 12))
+@example(0.5, 1.5, 2)       # there the sweep moves the angle-1/2 point
+def test_unseeded_table_equals_one_sweep_build(r, phi, level):
+    # builds once ran one sweep on a continuation whose angle-1/2 point was
+    # exactly -(1 + delta); that sweep changed only this point, which the
+    # continuation now computes as the sweep did, so the unseeded build,
+    # which runs no sweep, is the one-sweep build bit for bit
+    delta = complex(1.0 + r * complex(np.cos(phi), np.sin(phi)))
+    table = build_table(delta, level)
+    pts = table.points.copy()
+    pts[pts.size // 2] = -(1.0 + delta)
+    assert np.array_equal(_one_sweep(delta, pts), table.points)
+    assert np.array_equal(boettcher._seed_by_continuation(delta, level),
+                          table.points)
+
+
+def test_nan_seeding_raises(monkeypatch):
+    # with no sweep on an unseeded build, the residual check catches a
+    # broken continuation
+    seed = boettcher._seed_by_continuation
+
+    def broken(delta, level):
+        pts = seed(delta, level)
+        pts[3] = complex(np.nan, 0.0)
+        return pts
+    monkeypatch.setattr(boettcher, "_seed_by_continuation", broken)
+    with pytest.raises(NoConvergenceError):
+        build_table(0.3, 8)
 
 
 def test_seed_continuation_tracks_nearby_parameter():

@@ -556,15 +556,16 @@ def test_split_step_is_one_apply_one_handoff(op18, monkeypatch, dual):
     assert per_step == [int(split)] * (5 + 1)   # and the pair reported
 
 
-def _cw_spread_one_thread(u, v):
+def _cw_spread_one_thread(u, v, q=1.0):
     """The check as one pass over an n-word ratio array."""
     if not v.min() > 0.0:
-        return math.inf
+        return math.inf, None
     ratio = u / v
     r_lo = ratio.min()
-    if not r_lo > 0.0:
-        return math.inf
-    return float(ratio.max() / r_lo - 1.0)
+    if not (r_lo > 0.0 and ratio.max() < math.inf):
+        return math.inf, None
+    return (float(ratio.max() / r_lo - 1.0),
+            int(np.argmax(np.abs(ratio - q))))
 
 
 @pytest.mark.usefixtures("split")
@@ -573,8 +574,9 @@ def test_split_cw_spread_bit_identical(op18):
     rng = np.random.default_rng(19)
     v = rng.random(n) + 0.5
     u = v * (1.0 + 1e-9 * rng.standard_normal(n))
-    spread = transfer._cw_spread(u, v)
-    assert 0.0 < spread < 1e-7 and spread == _cw_spread_one_thread(u, v)
+    spread, word = transfer._cw_spread(u, v, 1.0)
+    assert 0.0 < spread < 1e-7
+    assert (spread, word) == _cw_spread_one_thread(u, v)
     # +inf for a zero, negative, NaN or infinite entry in either half and
     # on either side of a chunk boundary; u and v both negative gives a
     # positive ratio that only the check on v catches
@@ -584,8 +586,36 @@ def test_split_cw_spread_bit_identical(op18):
                        (math.inf, v[i]), (u[i], math.nan)]:
             uu, vv = u.copy(), v.copy()
             uu[i], vv[i] = ui, vi
-            assert transfer._cw_spread(uu, vv) == math.inf, (i, ui, vi)
-            assert _cw_spread_one_thread(uu, vv) == math.inf
+            assert transfer._cw_spread(uu, vv, 1.0) == (math.inf, None), \
+                (i, ui, vi)
+            assert _cw_spread_one_thread(uu, vv) == (math.inf, None)
+
+
+@pytest.mark.usefixtures("split")
+def test_split_cw_watched_word_bit_identical(op18):
+    # the word whose u/v lies relatively farthest from q comes out the same
+    # split and unsplit: in either half, next to a chunk boundary, and on
+    # ties, where the lowest word wins, the lower half first
+    n = op18.size
+    rng = np.random.default_rng(21)
+    v0 = rng.random(n) + 0.5
+    u0 = v0 * (1.0 + 1e-9 * rng.standard_normal(n))
+    # exact ratios, 2^-20 on either side of q = 1
+    lo, hi = 1.0 - 2.0 ** -20, 1.0 + 2.0 ** -20
+    c, h = transfer.CW_CHUNK, n // 2
+    cases = [({5: hi}, 5), ({n - 1: lo}, n - 1),
+             ({c - 1: hi, c: 1.0 - 2.0 ** -19}, c),
+             ({h + 3: hi, 7: hi}, 7), ({h + 3: lo, 7: lo}, 7),
+             ({h - 1: hi, h: hi}, h - 1), ({h + 9: lo, 9: hi}, 9),
+             ({11: lo, h + 1: hi}, 11), ({h + 2: lo, h + 1: hi}, h + 1)]
+    for case, expected in cases:
+        u, v = u0.copy(), v0.copy()
+        for i, r in case.items():
+            u[i], v[i] = r, 1.0
+        assert transfer._cw_spread(u, v, 1.0)[1] == expected, case
+        for q in (1.0, float(u.sum() / v.sum())):
+            assert (transfer._cw_spread(u, v, q)
+                    == _cw_spread_one_thread(u, v, q)), (case, q)
 
 
 @pytest.mark.usefixtures("split")
@@ -828,8 +858,17 @@ def test_perron_aitken_from_tau_one_vector(monkeypatch, applications):
     _, u1 = op.pressure_with_state(1.0)
     applications[0] = 0
     lam, u = op._perron(op.weights(2.0), u1)
-    assert applications[0] <= 786
+    assert applications[0] <= 450
     assert np.all(u > 0)
+    # the slow mode sits below the rounding of the eigenvalue changes; only
+    # the watched word sees it
+    cw_spread = transfer._cw_spread
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "_cw_spread",
+                  lambda u, v, q: (cw_spread(u, v, q)[0], None))
+        applications[0] = 0
+        op._perron(op.weights(2.0), u1)
+    assert applications[0] > 600
     applications[0] = 0
     _without_aitken(monkeypatch, op._perron, op.weights(2.0), u1)
     assert applications[0] > 5000
@@ -889,3 +928,49 @@ def test_bowen_root_path_unchanged_by_aitken(delta, monkeypatch):
     assert len(taus) == len(taus_plain) == 7
     assert taus == pytest.approx(taus_plain, rel=0, abs=1e-12)
     assert root == pytest.approx(root_plain, rel=0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stencil roots started from the nearby ray point
+
+def test_dprime_fd_from_near_state_matches_cold(applications):
+    level = 12
+    cold_steps = warm_steps = 0
+    for alpha in (0.0, 0.5236):
+        for t in (0.4, 0.05):
+            delta = t * complex(math.cos(alpha), math.sin(alpha))
+            near = transfer.ray_point(delta, level).near
+            applications[0] = 0
+            cold = transfer.dprime_fd(delta, level)
+            cold_steps += applications[0]
+            applications[0] = 0
+            warm = transfer.dprime_fd(delta, level, near=near)
+            warm_steps += applications[0]
+            assert warm == pytest.approx(cold, rel=1e-7, abs=0), (alpha, t)
+    assert 3 * warm_steps < cold_steps
+
+
+def test_secant_root_from_distant_state_finds_cold_root():
+    # a state taken at delta = 0.8 and used at 0.05: the root it reaches,
+    # or falls back to, is the cold root
+    level = 12
+    far = transfer.ray_point(0.8, level).near
+    for delta in transfer.fd_stencil(0.05):
+        op = TransferOperator(delta, build_table(delta, level), level)
+        cold = transfer._bowen_root(op)[0]
+        assert transfer._bowen_root(op, near=far)[0] == pytest.approx(
+            cold, rel=0, abs=1e-12)
+
+
+def test_secant_root_falls_back_to_bracketed_root():
+    # an iterate outside ROOT_BRACKET, or a pressure that does not halve,
+    # hands the root to the bracketed secant
+    delta, level = 0.3 + 0.1j, 10
+    op = TransferOperator(delta, build_table(delta, level), level)
+    cold = transfer._bowen_root(op)
+    tau, _, h = cold
+    assert transfer._secant_root(op, tau + 0.05, h, 1e-3) is None  # leaves
+    assert transfer._secant_root(op, tau + 0.05, h, 1e3) is None   # stalls
+    for chi in (1e-3, 1e3):
+        root, p, u = transfer._bowen_root(op, near=(tau + 0.05, h, chi))
+        assert root == cold[0] and p == cold[1] and np.array_equal(u, cold[2])

@@ -78,8 +78,7 @@ class BoettcherTable:
         return len(self.points)
 
     def diameter(self) -> float:
-        re, im = self.points.real, self.points.imag
-        return float(np.hypot(re.max() - re.min(), im.max() - im.min()))
+        return _diameter(self.points)
 
 
 def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
@@ -135,9 +134,9 @@ def _has_repeats(pts: np.ndarray) -> bool:
 
 
 def _diameter(pts: np.ndarray) -> float:
-    """Diameter of the points' bounding box, at least 1e-300."""
+    """Diameter of the points' bounding box."""
     re, im = pts.real, pts.imag
-    return max(float(np.hypot(re.max() - re.min(), im.max() - im.min())), 1e-300)
+    return float(np.hypot(re.max() - re.min(), im.max() - im.min()))
 
 
 def build_table(delta: complex, level: int, tol: float = 1e-12,
@@ -162,6 +161,7 @@ def build_table(delta: complex, level: int, tol: float = 1e-12,
     idx2 = (2 * np.arange(n)) % n
     if seed is None:
         pts = _seed_by_continuation(delta, level)
+        scale = max(_diameter(pts), 1e-300)
     else:
         pts = np.array(seed.points if isinstance(seed, BoettcherTable) else seed,
                        dtype=complex)
@@ -172,12 +172,12 @@ def build_table(delta: complex, level: int, tol: float = 1e-12,
             new[0] = 0.0
             disp = float(np.max(np.abs(new - pts)))
             pts = new
-            if disp < tol * _diameter(pts):
+            scale = max(_diameter(pts), 1e-300)
+            if disp < tol * scale:
                 break
         else:
             raise NoConvergenceError(
                 f"pullback sweeps did not stabilize for delta={delta}")
-    scale = _diameter(pts)
 
     residual = float(np.max(np.abs(maps.evaluate(qmap, pts) - pts[idx2])))
     if not np.isfinite(residual) or residual >= tol * scale:

@@ -326,7 +326,8 @@ class TransferOperator:
         ``(L v)/v`` lay relatively farthest from the eigenvalue estimate:
         the ratios of that word's successive deviations, taken while the
         deviation falls, estimate the slow mode's ratio, and once two agree
-        the same Aitken step removes that mode.
+        the same Aitken step removes that mode, which then counts among the
+        removed ones.
 
         Raises NoConvergenceError after ``EIG_MAXIT`` steps.
         """
@@ -400,6 +401,7 @@ class TransferOperator:
             # the word that held the last check up
             if mode is None and _ratios_agree(rho_w, rho_w_old):
                 mode = rho_w
+                rho_slow = max(rho_slow, abs(rho_w))
                 word = None
             rho_w_old = rho_w
             if mode is not None:
@@ -497,15 +499,15 @@ def _extrapolate(u, v0, v1, c: float) -> bool:
 
 
 def _secant_root(op: TransferOperator, tau: float, h: np.ndarray,
-                 chi: float, ptol: float = PRESSURE_TOL):
+                 chi: float):
     """Root of the pressure from the state ``(tau, h, chi)`` of a nearby
     parameter at the same word length: its root, unit-sum Perron vector and
     Lyapunov exponent. Solves P(tau) from ``h``, takes the Newton step
     ``tau + P/chi`` (P' = -chi there), then secant steps, each Perron solve
-    from ``_extrapolated_start`` of this path. Past |P| <= ``ptol`` it takes
-    one more step and keeps it only if it lowers |P|. Returns ``(root,
-    pressure there, unit-sum Perron vector there)``, or None once an
-    iterate leaves ``ROOT_BRACKET`` or |P| fails to halve."""
+    from ``_extrapolated_start`` of this path. Past |P| <= ``PRESSURE_TOL``
+    it takes one more step and keeps it only if it lowers |P|. Returns
+    ``(root, pressure there, unit-sum Perron vector there)``, or None once
+    an iterate leaves ``ROOT_BRACKET`` or |P| fails to halve."""
     path = []
 
     def pressure_at(t):
@@ -524,7 +526,7 @@ def _secant_root(op: TransferOperator, tau: float, h: np.ndarray,
     x_prev = f_prev = None
     x = tau
     f, u = pressure_at(x)
-    while abs(f) > ptol:
+    while abs(f) > PRESSURE_TOL:
         t = next_tau()
         if not lo <= t <= hi:
             return None
@@ -540,18 +542,11 @@ def _secant_root(op: TransferOperator, tau: float, h: np.ndarray,
     return x, f, u
 
 
-def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL,
-                near: tuple | None = None):
+def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL):
     """Root of the pressure on ``ROOT_BRACKET`` by bracketed secant with
     bisection fallback: ``(root, pressure there, unit-sum Perron vector
     there)``. Each Perron solve starts from the extrapolation of the last
-    two solves' vectors (``_extrapolated_start``). ``near``, the state
-    ``(tau, h, chi)`` of a nearby parameter, tries ``_secant_root`` from it
-    first."""
-    if near is not None:
-        found = _secant_root(op, *near, ptol=ptol)
-        if found is not None:
-            return found
+    two solves' vectors (``_extrapolated_start``)."""
     path = []
 
     def pressure_at(tau):
@@ -773,7 +768,8 @@ def dprime_fd(delta: complex, level: int, rel_step: float = FD_REL_STEP,
     """Central finite difference of the raw top-level dimension on the ray.
     ``near``, the level-``level`` state ``(tau, h, chi)`` at ``delta`` (such
     as ``RayPoint.near``), starts each stencil root there
-    (``_secant_root``)."""
+    (``_secant_root``); a stencil point it fails at falls back to
+    ``_bowen_root``."""
     check_disk([delta])
     stencil = fd_stencil(delta, rel_step)
     check_disk(stencil)
@@ -782,7 +778,8 @@ def dprime_fd(delta: complex, level: int, rel_step: float = FD_REL_STEP,
     for d in stencil:
         table = build_table(d, level)
         op = TransferOperator(d, table, level)
-        vals.append(_bowen_root(op, near=near)[0])
+        found = near and _secant_root(op, *near)
+        vals.append((found or _bowen_root(op))[0])
     return (vals[0] - vals[1]) / (2.0 * h)
 
 

@@ -6,8 +6,7 @@ carries angle doubling on the circle to f_delta on its Julia set.  Dyadic
 angles are strictly pre-periodic to the fixed angle 0, so the continuation
 construction below is exact up to branch selection: each level seeds new
 points as hint-guided quadratic preimages of the previous level.  The
-semiconjugacy f(points[k]) = points[2k mod 2^N] is checked on every table,
-and refinement sweeps polish a table seeded from a neighbor parameter.
+semiconjugacy f(points[k]) = points[2k mod 2^N] is checked on every table.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from . import maps
 from .errors import LevelExceededError, NoConvergenceError
 
 MAX_LEVEL = 24
-MAX_SWEEPS = 500
+# a table's semiconjugacy residual must stay below this times its diameter
+RESIDUAL_RTOL = 1e-12
 # slope c of the sort key re + c*im of the repeated-point check: far from
 # small rationals, so that points on grid lines rarely share keys
 REPEAT_KEY_SLOPE = math.sqrt(2.0) - 1.0
@@ -67,7 +67,6 @@ class BoettcherTable:
     delta: complex
     level: int
     points: np.ndarray      # shape (2^level,), complex
-    tol: float
     residual: float
 
     def __post_init__(self):
@@ -84,11 +83,12 @@ class BoettcherTable:
 def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
     """Exact level-by-level pullback seeding, orientation pinned at level 2.
 
-    The points are those that one refinement sweep made of this seeding
-    when the angle-1/2 point was written as -h: the sweep recomputed that
-    point as the preimage of 0 nearest -h, which can differ from -h in the
-    last bit, and returned every other point bit for bit, having computed
-    it from the same target by the same expression."""
+    The points are bit for bit those that one refinement sweep (every
+    point replaced by the preimage of its image point nearest to itself)
+    made of this seeding with the angle-1/2 point written as -h, as earlier
+    builds did: the sweep recomputed that point as the preimage of 0
+    nearest -h, which can differ from -h in the last bit, and returned
+    every other point unchanged."""
     qmap = maps.f_delta(delta)
     h = 1.0 + complex(delta)
     half = maps.inverse_branch_array(qmap, np.zeros(1, dtype=complex), -h)[0]
@@ -139,18 +139,12 @@ def _diameter(pts: np.ndarray) -> float:
     return float(np.hypot(re.max() - re.min(), im.max() - im.min()))
 
 
-def build_table(delta: complex, level: int, tol: float = 1e-12,
-                seed: BoettcherTable | np.ndarray | None = None) -> BoettcherTable:
-    """Build the landing-point table at the given level.
-
-    ``seed`` continues from an existing table at a nearby parameter (same
-    level), which keeps branch choices locked during parameter scans, and
-    refinement sweeps polish it. An unseeded table gets no sweep: the
-    continuation already gives every point the value that one sweep gave
-    it (``_seed_by_continuation``). Raises NoConvergenceError when sweeps fail to
-    stabilize, or when the semiconjugacy residual or the repeated-point
-    check fails, as happens for parameters whose Julia set is not a Jordan
-    curve.
+def build_table(delta: complex, level: int) -> BoettcherTable:
+    """Build the landing-point table at the given level by continuation
+    (``_seed_by_continuation``). Raises NoConvergenceError when the
+    semiconjugacy residual reaches ``RESIDUAL_RTOL`` times the table's
+    diameter or the repeated-point check fails, as happens for parameters
+    whose Julia set is not a Jordan curve.
     """
     delta = complex(delta)
     if not 0 <= level <= MAX_LEVEL:
@@ -159,37 +153,19 @@ def build_table(delta: complex, level: int, tol: float = 1e-12,
     qmap = maps.f_delta(delta)
     n = 1 << level
     idx2 = (2 * np.arange(n)) % n
-    if seed is None:
-        pts = _seed_by_continuation(delta, level)
-        scale = max(_diameter(pts), 1e-300)
-    else:
-        pts = np.array(seed.points if isinstance(seed, BoettcherTable) else seed,
-                       dtype=complex)
-        if len(pts) != 1 << level:
-            raise ValueError("seed size does not match level")
-        for _ in range(MAX_SWEEPS):
-            new = maps.inverse_branch_array(qmap, pts[idx2], pts)
-            new[0] = 0.0
-            disp = float(np.max(np.abs(new - pts)))
-            pts = new
-            scale = max(_diameter(pts), 1e-300)
-            if disp < tol * scale:
-                break
-        else:
-            raise NoConvergenceError(
-                f"pullback sweeps did not stabilize for delta={delta}")
-
+    pts = _seed_by_continuation(delta, level)
+    bound = RESIDUAL_RTOL * max(_diameter(pts), 1e-300)
     residual = float(np.max(np.abs(maps.evaluate(qmap, pts) - pts[idx2])))
-    if not np.isfinite(residual) or residual >= tol * scale:
+    if not np.isfinite(residual) or residual >= bound:
         raise NoConvergenceError(
-            f"semiconjugacy residual {residual} above {tol * scale} "
+            f"semiconjugacy residual {residual} above {bound} "
             f"for delta={delta}")
     if level >= 1 and _has_repeats(pts):
         # a collapsed (e.g. constant) table satisfies the semiconjugacy
         # trivially; landing points of distinct angles must stay distinct
         raise NoConvergenceError(
             f"pullback degenerated to repeated points for delta={delta}")
-    return BoettcherTable(delta, level, pts, tol, residual)
+    return BoettcherTable(delta, level, pts, residual)
 
 
 def landing_point(table: BoettcherTable, angle: DyadicAngle) -> complex:

@@ -134,6 +134,10 @@ def cmd_dim(args) -> int:
 
 
 def cmd_omega(args) -> int:
+    if not args.step > 0:
+        raise ParseError("--step must be > 0")
+    if not args.theta_min <= args.theta_max:
+        raise ParseError("need theta_min <= theta_max")
     t0 = time.monotonic()
     spec = QuadratureSpec()
     rows = []
@@ -316,6 +320,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convexity(args) -> int:
+    if args.points < 3:
+        raise ParseError("--points must be >= 3 for a second difference")
     t0 = time.monotonic()
     eps = np.linspace(args.eps_min, args.eps_max, args.points)
     if np.any(eps >= 0):
@@ -331,7 +337,7 @@ def cmd_convexity(args) -> int:
     gaps = np.array([s.error_bound for s in sols])
     h = eps[1] - eps[0]
     d2 = (dims[2:] - 2.0 * dims[1:-1] + dims[:-2]) / h ** 2
-    noise_flag = np.max(gaps) > 0.1 * np.min(np.abs(d2)) * h ** 2 if len(d2) else False
+    noise_flag = np.max(gaps) > 0.1 * np.min(np.abs(d2)) * h ** 2
     rows = []
     for i, e in enumerate(eps):
         val = d2[i - 1] if 1 <= i <= len(eps) - 2 else ""

@@ -44,8 +44,9 @@ AITKEN_RATIO_AGREE = 1e-2
 # of two, which is exact, only when its sum leaves
 # [1/RESCALE_WINDOW, RESCALE_WINDOW].
 RESCALE_WINDOW = 2.0 ** 256
-# Eigenvalue changes this small relative to the eigenvalue are rounding: two
-# in a row end the power loop where its iterate is an exact eigenvector.
+# Eigenvalue changes this small relative to the eigenvalue are rounding: one
+# proposes a stop, so that the power loop ends where its iterate is an exact
+# eigenvector.
 ROUNDING_RTOL = 4 * np.finfo(float).eps
 
 
@@ -300,8 +301,8 @@ class TransferOperator:
         The eigenvalue error of plain power iteration decays like the ratio
         of the two leading eigenvalues; successive differences estimate that
         ratio, which proposes a stop once the *remaining* error it predicts
-        is below ``rtol``. Two successive changes at rounding level, or no
-        change at all, propose one too. Every stop is certified: the loop
+        is below ``rtol``. A change at rounding level (``ROUNDING_RTOL``)
+        proposes one too. Every stop is certified: the loop
         returns only when the Collatz-Wielandt spread of its last step
         (``_cw_spread``) is at most ``rtol``, which bounds the relative
         eigenvalue error. After a failed check the next one waits until the
@@ -316,9 +317,7 @@ class TransferOperator:
 
         When two estimates of the ratio agree, sign included, the last
         step's change lies along one mode and is multiplied by the ratio per
-        step, so an Aitken step removes it. From then on the remaining-error
-        estimate uses the slowest ratio removed so far, because that mode's
-        residue can grow back to dominance.
+        step, so an Aitken step removes it.
 
         A slow mode can hold the spread up after the eigenvalue changes have
         sunk to rounding level, where their ratios say nothing. So after a
@@ -326,8 +325,7 @@ class TransferOperator:
         ``(L v)/v`` lay relatively farthest from the eigenvalue estimate:
         the ratios of that word's successive deviations, taken while the
         deviation falls, estimate the slow mode's ratio, and once two agree
-        the same Aitken step removes that mode, which then counts among the
-        removed ones.
+        the same Aitken step removes that mode.
 
         Raises NoConvergenceError after ``EIG_MAXIT`` steps.
         """
@@ -347,8 +345,6 @@ class TransferOperator:
         lam_old = None
         d_old = None            # the previous eigenvalue change, signed
         rho_old = None
-        flat_old = False
-        rho_slow = 0.0          # slowest ratio removed by an Aitken step
         r = None                # remaining-error ratio estimate
         spread = 0.0            # spread of the last failed check, or 0
         since = 0               # steps since that check
@@ -372,12 +368,11 @@ class TransferOperator:
             if lam_old is not None:
                 d = lam - lam_old
                 diff = abs(d)
-                flat = diff <= ROUNDING_RTOL * abs(lam)
                 rho = None
                 if d_old is not None and diff < abs(d_old):
                     rho = d / d_old     # negative on a negative mode
-                    r = max(abs(rho), rho_slow)
-                propose = (diff == 0.0 or (flat and flat_old) or
+                    r = abs(rho)
+                propose = (diff <= ROUNDING_RTOL * abs(lam) or
                            (rho is not None and
                             diff * r / (1.0 - r) < rtol * abs(lam)))
                 # after a failed check, the next waits for the ratio estimate
@@ -390,24 +385,20 @@ class TransferOperator:
                         return lam, u
                     since = 0
                     e_old = rho_w = None
-                flat_old = flat
                 if rho is not None:
                     if _ratios_agree(rho, rho_old):
                         mode = rho
-                        rho_slow = max(rho_slow, abs(rho))
                     rho_old = rho
                 d_old = d
             # the slow mode that the eigenvalue no longer resolves, seen at
             # the word that held the last check up
             if mode is None and _ratios_agree(rho_w, rho_w_old):
                 mode = rho_w
-                rho_slow = max(rho_slow, abs(rho_w))
                 word = None
             rho_w_old = rho_w
             if mode is not None:
                 s_old = sum(_halves(_aitken_pass, (u, v), s, s_old, mode))
                 lam_old = d_old = rho_old = e_old = rho_w_old = None
-                flat_old = False
                 spread = 0.0
                 continue
             lam_old = lam
@@ -504,10 +495,10 @@ def _secant_root(op: TransferOperator, tau: float, h: np.ndarray,
     parameter at the same word length: its root, unit-sum Perron vector and
     Lyapunov exponent. Solves P(tau) from ``h``, takes the Newton step
     ``tau + P/chi`` (P' = -chi there), then secant steps, each Perron solve
-    from ``_extrapolated_start`` of this path. Past |P| <= ``PRESSURE_TOL``
-    it takes one more step and keeps it only if it lowers |P|. Returns
-    ``(root, pressure there, unit-sum Perron vector there)``, or None once
-    an iterate leaves ``ROOT_BRACKET`` or |P| fails to halve."""
+    from ``_extrapolated_start`` of this path, until |P| <= ``PRESSURE_TOL``
+    as in ``_bowen_root``. Returns ``(root, pressure there, unit-sum Perron
+    vector there)``, or None once an iterate leaves ``ROOT_BRACKET`` or |P|
+    fails to halve."""
     path = []
 
     def pressure_at(t):
@@ -517,28 +508,21 @@ def _secant_root(op: TransferOperator, tau: float, h: np.ndarray,
         del path[:-2]
         return p, u
 
-    def next_tau():
-        if x_prev is None:
-            return x + f / chi
-        return x - f * (x - x_prev) / (f - f_prev)
-
     lo, hi = ROOT_BRACKET
     x_prev = f_prev = None
     x = tau
     f, u = pressure_at(x)
     while abs(f) > PRESSURE_TOL:
-        t = next_tau()
+        if x_prev is None:
+            t = x + f / chi
+        else:
+            t = x - f * (x - x_prev) / (f - f_prev)
         if not lo <= t <= hi:
             return None
         f_t, u_t = pressure_at(t)
         if not abs(f_t) <= 0.5 * abs(f):
             return None
         x_prev, f_prev, x, f, u = x, f, t, f_t, u_t
-    t = next_tau()
-    if lo <= t <= hi and t != x:
-        f_t, u_t = pressure_at(t)
-        if abs(f_t) < abs(f):
-            return t, f_t, u_t
     return x, f, u
 
 

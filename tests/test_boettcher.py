@@ -39,8 +39,8 @@ def test_fixed_point_entry():
 
 
 def test_semiconjugacy_residual():
-    table = build_table(0.5, 10, tol=1e-9)
-    assert table.residual < 1e-9 * table.diameter()
+    table = build_table(0.5, 10)
+    assert table.residual < boettcher.RESIDUAL_RTOL * table.diameter()
     qmap = maps.f_delta(0.5)
     idx2 = (2 * np.arange(table.size)) % table.size
     direct = np.max(np.abs(maps.evaluate(qmap, table.points) - table.points[idx2]))
@@ -84,10 +84,13 @@ def test_parabolic_size_law():
         assert 1.0 / 20.0 < size * n * n < 20.0
 
 
-def test_degenerate_seed_rejected():
-    seed = np.full(256, 5.0 + 5.0j)
-    with pytest.raises(NoConvergenceError):
-        build_table(0.3, 8, seed=seed)
+def test_degenerate_seed_rejected(monkeypatch):
+    # a collapsed table has residual 0: only the repeated-point check can
+    # reject it
+    monkeypatch.setattr(boettcher, "_seed_by_continuation",
+                        lambda delta, level: np.zeros(1 << level, dtype=complex))
+    with pytest.raises(NoConvergenceError, match="repeated"):
+        build_table(0.3, 8)
 
 
 def test_repeat_check_matches_unique():
@@ -177,7 +180,7 @@ def test_nan_seeding_raises(monkeypatch):
 
 def test_seed_continuation_tracks_nearby_parameter():
     base = build_table(0.4, 10)
-    moved = build_table(0.4 + 1e-4, 10, seed=base)
+    moved = build_table(0.4 + 1e-4, 10)
     assert np.max(np.abs(moved.points - base.points)) < 1e-2
     assert moved.residual < 1e-12 * moved.diameter()
 

@@ -282,6 +282,30 @@ def test_scans_reject_grid_outside_disk(tmp_path, capsys, argv):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["omega", "--step", "0"],
+    ["omega", "--step", "-0.05"],
+    ["omega", "--theta-min", "1", "--theta-max", "-1"],
+    ["convexity", "--points", "1", "--level", "10"],
+    ["convexity", "--points", "2", "--level", "10"]])
+def test_grids_reject_empty_or_degenerate(tmp_path, capsys, argv):
+    # a grid with no point, or a convexity grid with no second difference,
+    # is refused before any work: exit 2 and no CSV
+    out = str(tmp_path / "grid.csv")
+    assert run([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "PARSE_ERROR" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_dim_reports_bracket_failure(monkeypatch, capsys):
+    # a pressure that is not positive at tau = 1 has no root in the bracket
+    monkeypatch.setattr(transfer.TransferOperator, "pressure_with_state",
+                        lambda self, tau, u0=None: (-tau, None))
+    assert run(["dim", "--delta", "0.3", "--level", "10"]) == 3
+    assert "error[BRACKET_FAILURE]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("solver", [transfer.hausdorff_dim, transfer.ray_point])
 @pytest.mark.parametrize("delta", [2.19, 0.3j, 0.0])
 def test_scan_solvers_reject_delta_outside_disk(solver, delta):

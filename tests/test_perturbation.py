@@ -91,8 +91,8 @@ def test_phi_dot_doubling_recursion():
 def test_phi_dot_against_finite_difference():
     delta, h = 0.4, 1e-5
     base = build_table(delta, 9)
-    plus = build_table(delta + h, 9, seed=base)
-    minus = build_table(delta - h, 9, seed=base)
+    plus = build_table(delta + h, 9)
+    minus = build_table(delta - h, 9)
     fd = (plus.points - minus.points) / (2.0 * h)
     rng = np.random.default_rng(24)
     for k in rng.integers(1, 1 << 9, 25):
@@ -116,10 +116,10 @@ def test_phi_dot_ray_independent():
     level = 9
     base = build_table(delta, level)
     h = 1e-5
-    horiz = (build_table(delta + h, level, seed=base).points
-             - build_table(delta - h, level, seed=base).points) / (2.0 * h)
-    vert = (build_table(delta + 1j * h, level, seed=base).points
-            - build_table(delta - 1j * h, level, seed=base).points) / (2j * h)
+    horiz = (build_table(delta + h, level).points
+             - build_table(delta - h, level).points) / (2.0 * h)
+    vert = (build_table(delta + 1j * h, level).points
+            - build_table(delta - 1j * h, level).points) / (2j * h)
     assert np.max(np.abs(horiz - vert)) < 1e-4
 
 

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from juliadim import transfer
 from juliadim.boettcher import build_table
-from juliadim.errors import NoConvergenceError
+from juliadim.errors import BracketFailureError, NoConvergenceError
 from juliadim.transfer import (TransferOperator, cylinder_measures,
                                directional_derivative_formula, equilibrium,
                                hausdorff_dim, partition_residual, pressure,
@@ -821,7 +821,8 @@ def test_perron_does_not_stop_on_one_rounding_level_change():
     # symmetric one on the order-4 Hadamard basis, under a positive diagonal
     # similarity so that its sums see every mode; the start vector is tuned
     # so that the first two eigenvalue estimates, near 1.0049, differ by one
-    # ulp; the eigenvalue is 1
+    # ulp; the eigenvalue is 1. That change proposes a stop, which the
+    # Collatz-Wielandt check refuses
     h = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1],
                   [1, -1, -1, 1]]) / 2.0
     p = np.arange(1.0, 5.0)
@@ -858,7 +859,7 @@ def test_perron_aitken_from_tau_one_vector(monkeypatch, applications):
     _, u1 = op.pressure_with_state(1.0)
     applications[0] = 0
     lam, u = op._perron(op.weights(2.0), u1)
-    assert applications[0] <= 450
+    assert applications[0] <= 250
     assert np.all(u > 0)
     # the slow mode sits below the rounding of the eigenvalue changes; only
     # the watched word sees it
@@ -928,6 +929,24 @@ def test_bowen_root_path_unchanged_by_aitken(delta, monkeypatch):
     assert len(taus) == len(taus_plain) == 7
     assert taus == pytest.approx(taus_plain, rel=0, abs=1e-12)
     assert root == pytest.approx(root_plain, rel=0, abs=1e-12)
+
+
+class _Pressure:
+    """Stands in for the operator in ``_bowen_root``: the pressure P(tau) =
+    ``p(tau)``, with a uniform vector."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def pressure_with_state(self, tau, u0=None):
+        return self.p(tau), np.full(4, 0.25)
+
+
+@pytest.mark.parametrize("p", [lambda tau: -tau, lambda tau: 2.5 - tau])
+def test_bowen_root_raises_bracket_failure(p):
+    # P(1) <= 0, or P(2) > 0: no sign change on ROOT_BRACKET
+    with pytest.raises(BracketFailureError, match="does not change sign"):
+        transfer._bowen_root(_Pressure(p))
 
 
 # ---------------------------------------------------------------------------

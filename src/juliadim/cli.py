@@ -21,8 +21,8 @@ from .boettcher import MAX_LEVEL
 from .errors import JuliaDimError, NoConvergenceError, ParseError
 from .maps import Param, in_mandelbrot_grid
 from .quadrature import QuadratureSpec, find_theta0, omega
-from .transfer import (check_disk, dprime_fd, fd_stencil, hausdorff_dim,
-                       ray_point)
+from .transfer import (PRESSURE_TOL, check_disk, dprime_fd, fd_stencil,
+                       hausdorff_dim, ray_point)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -108,6 +108,9 @@ def cmd_dim(args) -> int:
     if delta.real < 0:
         delta = complex(0.0 - delta.real, 0.0 - delta.imag)
     check_disk([delta], ParseError)
+    # --tol may tighten the root's |P| acceptance, never loosen it
+    if not 0 < args.tol <= PRESSURE_TOL:
+        raise ParseError(f"need 0 < --tol <= {PRESSURE_TOL:g}")
     t0 = time.monotonic()
     res = hausdorff_dim(delta, args.level, args.tol)
     dur = (time.monotonic() - t0) * 1e3
@@ -418,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--level", type=int, default=level,
                            help=f"word length / table level (<= {MAX_LEVEL})")
         if "tol" in flags:
-            p.add_argument("--tol", type=float, default=1e-10)
+            p.add_argument("--tol", type=float, default=PRESSURE_TOL)
         p.add_argument("--out", help="output file")
         if "threads" in flags:
             p.add_argument("--threads", type=int, default=1)

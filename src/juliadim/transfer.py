@@ -409,8 +409,8 @@ class TransferOperator:
             f"Collatz-Wielandt spread {_cw_spread(v, u, 1.0)[0]:.3g}, "
             f"ratio estimate {'none' if r is None else format(r, '.6g')}")
 
-    def pressure(self, tau: float, u0: np.ndarray | None = None) -> float:
-        lam, _ = self._perron(self.weights(tau), u0)
+    def pressure(self, tau: float) -> float:
+        lam, _ = self._perron(self.weights(tau))
         return float(np.log(lam))
 
     def pressure_with_state(self, tau: float, u0=None):
@@ -489,75 +489,70 @@ def _extrapolate(u, v0, v1, c: float) -> bool:
     return u.min() > 0.0
 
 
-def _secant_root(op: TransferOperator, tau: float, h: np.ndarray,
-                 chi: float):
-    """Root of the pressure from the state ``(tau, h, chi)`` of a nearby
-    parameter at the same word length: its root, unit-sum Perron vector and
-    Lyapunov exponent. Solves P(tau) from ``h``, takes the Newton step
-    ``tau + P/chi`` (P' = -chi there), then secant steps, each Perron solve
-    from ``_extrapolated_start`` of this path, until |P| <= ``PRESSURE_TOL``
-    as in ``_bowen_root``. Returns ``(root, pressure there, unit-sum Perron
-    vector there)``, or None once an iterate leaves ``ROOT_BRACKET`` or |P|
-    fails to halve."""
-    path = []
+def _bowen_root(op: TransferOperator, near: tuple | None = None,
+                ptol: float = PRESSURE_TOL):
+    """Root of the pressure: ``(root, pressure there, unit-sum Perron vector
+    there)`` once |P| <= ``ptol``. Secant steps through the last two points;
+    a step that leaves the bracket (a, b) the signs have given so far, or
+    that is undefined, bisects it. Each Perron solve starts from the
+    extrapolation of the last two solves' vectors (``_extrapolated_start``).
 
-    def pressure_at(t):
-        start = _extrapolated_start(path, t)
-        p, u = op.pressure_with_state(t, h if start is None else start)
-        path.append((t, u))
-        del path[:-2]
-        return p, u
+    Without ``near`` the first two points are the ends of ``ROOT_BRACKET``.
+    ``near``, the state ``(tau, h, chi)`` of a nearby parameter at the same
+    word length (its root, unit-sum Perron vector and Lyapunov exponent),
+    starts at P(tau) solved from ``h`` instead, with ``ROOT_BRACKET``
+    narrowed by its sign, and takes the Newton step ``tau + P/chi`` (P' =
+    -chi there) first.
 
-    lo, hi = ROOT_BRACKET
-    x_prev = f_prev = None
-    x = tau
-    f, u = pressure_at(x)
-    while abs(f) > PRESSURE_TOL:
-        if x_prev is None:
-            t = x + f / chi
-        else:
-            t = x - f * (x - x_prev) / (f - f_prev)
-        if not lo <= t <= hi:
-            return None
-        f_t, u_t = pressure_at(t)
-        if not abs(f_t) <= 0.5 * abs(f):
-            return None
-        x_prev, f_prev, x, f, u = x, f, t, f_t, u_t
-    return x, f, u
-
-
-def _bowen_root(op: TransferOperator, ptol: float = PRESSURE_TOL):
-    """Root of the pressure on ``ROOT_BRACKET`` by bracketed secant with
-    bisection fallback: ``(root, pressure there, unit-sum Perron vector
-    there)``. Each Perron solve starts from the extrapolation of the last
-    two solves' vectors (``_extrapolated_start``)."""
+    Raises BracketFailureError if P does not change sign on
+    ``ROOT_BRACKET``, and NoConvergenceError once (a, b) holds no midpoint.
+    """
+    h = None
     path = []
 
     def pressure_at(tau):
-        p, u = op.pressure_with_state(tau, _extrapolated_start(path, tau))
+        start = _extrapolated_start(path, tau)
+        p, u = op.pressure_with_state(tau, h if start is None else start)
         path.append((tau, u))
         del path[:-2]
         return p
 
-    lo, hi = ROOT_BRACKET
-    p_lo = pressure_at(lo)
-    if abs(p_lo) <= ptol:
-        return lo, p_lo, path[-1][1]
-    p_hi = pressure_at(hi)
-    if abs(p_hi) <= ptol:
-        return hi, p_hi, path[-1][1]
-    if not p_lo > 0 > p_hi:
-        raise BracketFailureError(
-            f"pressure does not change sign on [{lo}, {hi}]: "
-            f"P({lo})={p_lo}, P({hi})={p_hi}")
-    a, b = lo, hi
-    x0, f0, x1, f1 = lo, p_lo, hi, p_hi
-    x, fx = x1, f1
+    a, b = ROOT_BRACKET
+    if near is None:
+        f0 = pressure_at(a)
+        if abs(f0) <= ptol:
+            return a, f0, path[-1][1]
+        f1 = pressure_at(b)
+        if abs(f1) <= ptol:
+            return b, f1, path[-1][1]
+        if not f0 > 0 > f1:
+            raise BracketFailureError(
+                f"pressure does not change sign on [{a}, {b}]: "
+                f"P({a})={f0}, P({b})={f1}")
+        x0, x1 = a, b
+    else:
+        x1, h, chi = near
+        f1 = pressure_at(x1)
+        if abs(f1) <= ptol:
+            return x1, f1, path[-1][1]
+        if f1 > 0:
+            a = x1
+        else:
+            b = x1
+        x0 = f0 = None
     for _ in range(200):
-        if f1 != f0:
+        if x0 is None:
+            x = x1 + f1 / chi
+        elif f1 != f0:
             x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        else:
+            x = x1              # an end of (a, b): bisects
         if not a < x < b:
             x = 0.5 * (a + b)
+            if not a < x < b:
+                raise NoConvergenceError(
+                    f"pressure root bracket ({a!r}, {b!r}) holds no "
+                    f"midpoint; P = {f1:.3g} at its end {x1!r}")
         fx = pressure_at(x)
         if fx > 0:
             a = x
@@ -752,18 +747,15 @@ def dprime_fd(delta: complex, level: int, rel_step: float = FD_REL_STEP,
     """Central finite difference of the raw top-level dimension on the ray.
     ``near``, the level-``level`` state ``(tau, h, chi)`` at ``delta`` (such
     as ``RayPoint.near``), starts each stencil root there
-    (``_secant_root``); a stencil point it fails at falls back to
-    ``_bowen_root``."""
+    (``_bowen_root``)."""
     check_disk([delta])
     stencil = fd_stencil(delta, rel_step)
     check_disk(stencil)
     h = rel_step * abs(delta)
     vals = []
     for d in stencil:
-        table = build_table(d, level)
-        op = TransferOperator(d, table, level)
-        found = near and _secant_root(op, *near)
-        vals.append((found or _bowen_root(op))[0])
+        op = TransferOperator(d, build_table(d, level), level)
+        vals.append(_bowen_root(op, near)[0])
     return (vals[0] - vals[1]) / (2.0 * h)
 
 

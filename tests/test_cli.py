@@ -269,6 +269,21 @@ def test_dim_rejects_delta_outside_disk(capsys, delta):
     assert "PARSE_ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "0.1", "1e-12"])
+def test_dim_tol_only_tightens(capsys, tol):
+    # 0 < --tol <= PRESSURE_TOL: a looser tolerance accepts the bracket end
+    # tau = 1 as the root, and a nonpositive or nan one can never be met
+    code = run(["dim", "--delta", "0.3", "--level", "10", "--tol", tol,
+                "--json"])
+    out, err = capsys.readouterr()
+    if tol == "1e-12":
+        assert code == 0
+        assert json.loads(out)["pressure_residual"] <= 1e-12
+    else:
+        assert code == 2
+        assert "error[PARSE_ERROR]" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["convexity", "--eps-min", "-1.2", "--eps-max", "-1.0", "--points", "3"],
     ["d0", "--t-start", "2.5", "--t-min", "1.5"],

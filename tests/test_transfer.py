@@ -904,8 +904,9 @@ def test_extrapolated_start():
     assert transfer._extrapolated_start([(1.0, a), (2.0, b)], 7.0) is b
 
 
-def _root_path(op):
-    """Root of ``_bowen_root`` and the taus it evaluates the pressure at."""
+def _root_path(op, near=None):
+    """Root of ``_bowen_root`` from ``near`` and the taus it evaluates the
+    pressure at."""
     taus = []
     state = op.pressure_with_state
 
@@ -914,7 +915,7 @@ def _root_path(op):
         return state(tau, u0)
     op.pressure_with_state = recorded
     try:
-        return transfer._bowen_root(op)[0], taus
+        return transfer._bowen_root(op, near)[0], taus
     finally:
         del op.pressure_with_state
 
@@ -933,12 +934,14 @@ def test_bowen_root_path_unchanged_by_aitken(delta, monkeypatch):
 
 class _Pressure:
     """Stands in for the operator in ``_bowen_root``: the pressure P(tau) =
-    ``p(tau)``, with a uniform vector."""
+    ``p(tau)``, with a uniform vector; records the taus in ``taus``."""
 
     def __init__(self, p):
         self.p = p
+        self.taus = []
 
     def pressure_with_state(self, tau, u0=None):
+        self.taus.append(tau)
         return self.p(tau), np.full(4, 0.25)
 
 
@@ -947,6 +950,15 @@ def test_bowen_root_raises_bracket_failure(p):
     # P(1) <= 0, or P(2) > 0: no sign change on ROOT_BRACKET
     with pytest.raises(BracketFailureError, match="does not change sign"):
         transfer._bowen_root(_Pressure(p))
+
+
+def test_bowen_root_stops_when_bracket_collapses():
+    # a sign change with no root: the bracket closes in on the jump at 1.3
+    # until it holds no float between its ends, and no tau is solved twice
+    p = _Pressure(lambda tau: 0.5 if tau < 1.3 else -0.5)
+    with pytest.raises(NoConvergenceError, match="holds no midpoint"):
+        transfer._bowen_root(p)
+    assert len(set(p.taus)) == len(p.taus)
 
 
 # ---------------------------------------------------------------------------
@@ -969,28 +981,31 @@ def test_dprime_fd_from_near_state_matches_cold(applications):
     assert 3 * warm_steps < cold_steps
 
 
-def test_secant_root_from_distant_state_finds_cold_root():
-    # a state taken at delta = 0.8 and used at 0.05: the root it reaches,
-    # or falls back to, is the cold root
+def test_bowen_root_from_distant_state_finds_cold_root():
+    # a state taken at delta = 0.8 and used at 0.05 reaches the cold root in
+    # fewer pressure evaluations than the cold start
     level = 12
     far = transfer.ray_point(0.8, level).near
     for delta in transfer.fd_stencil(0.05):
         op = TransferOperator(delta, build_table(delta, level), level)
-        cold = transfer._bowen_root(op)[0]
-        found = transfer._secant_root(op, *far)
-        if found is not None:
-            assert found[0] == pytest.approx(cold, rel=0, abs=1e-12)
+        cold, cold_taus = _root_path(op)
+        found, taus = _root_path(op, far)
+        assert found == pytest.approx(cold, rel=0, abs=1e-12)
+        assert len(taus) < len(cold_taus)
 
 
-def test_secant_root_falls_back_to_bracketed_root():
-    # an iterate outside ROOT_BRACKET, or a pressure that does not halve,
-    # hands the stencil root to the bracketed secant
+def test_bowen_root_from_bad_state_reaches_root():
+    # a Newton step far too long (chi = 1e-3) or far too short (chi = 1e3)
+    # from tau 0.05 off the root: the bracket and the secant steps still
+    # reach |P| <= PRESSURE_TOL within six evaluations
     delta, level = 0.3 + 0.1j, 10
     op = TransferOperator(delta, build_table(delta, level), level)
     tau, _, h = transfer._bowen_root(op)
-    assert transfer._secant_root(op, tau + 0.05, h, 1e-3) is None  # leaves
-    assert transfer._secant_root(op, tau + 0.05, h, 1e3) is None   # stalls
     cold = transfer.dprime_fd(delta, level)
     for chi in (1e-3, 1e3):
         near = (tau + 0.05, h, chi)
-        assert transfer.dprime_fd(delta, level, near=near) == cold
+        root, taus = _root_path(op, near)
+        assert len(taus) <= 6
+        assert abs(op.pressure(root)) <= transfer.PRESSURE_TOL
+        warm = transfer.dprime_fd(delta, level, near=near)
+        assert warm == pytest.approx(cold, rel=1e-7, abs=0)

@@ -25,6 +25,9 @@ RESIDUAL_RTOL = 1e-12
 # slope c of the sort key re + c*im of the repeated-point check: far from
 # small rationals, so that points on grid lines rarely share keys
 REPEAT_KEY_SLOPE = math.sqrt(2.0) - 1.0
+# the continuation and the residual check work on this many words at a time,
+# so their temporaries stay small next to the table
+BLOCK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,12 @@ def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
         n_old = 1 << (lev - 1)
         new = np.empty(1 << lev, dtype=complex)
         new[0::2] = pts
-        kk = np.arange(1, 1 << lev, 2)
-        target = pts[kk % n_old]
-        hint = 0.5 * (pts[(kk - 1) // 2] + pts[((kk + 1) // 2) % n_old])
-        new[1::2] = maps.inverse_branch_array(qmap, target, hint)
+        odd = new[1::2]
+        for i in range(0, n_old, BLOCK_WORDS):
+            kk = np.arange(2 * i + 1, 2 * min(i + BLOCK_WORDS, n_old), 2)
+            target = pts[kk % n_old]
+            hint = 0.5 * (pts[(kk - 1) // 2] + pts[((kk + 1) // 2) % n_old])
+            odd[i:i + len(kk)] = maps.inverse_branch_array(qmap, target, hint)
         pts = new
     return pts
 
@@ -139,6 +144,20 @@ def _diameter(pts: np.ndarray) -> float:
     return float(np.hypot(re.max() - re.min(), im.max() - im.min()))
 
 
+def _residual(qmap: maps.QuadMap, pts: np.ndarray) -> float:
+    """max |f(pts[i]) - pts[2i mod n]|, ``BLOCK_WORDS`` words at a time;
+    NaN if any term is NaN."""
+    n = len(pts)
+    residual = 0.0
+    for i in range(0, n, BLOCK_WORDS):
+        z = pts[i:i + BLOCK_WORDS]
+        image = pts[(2 * np.arange(i, i + len(z))) % n]
+        # np.maximum, unlike max(), keeps a NaN of any block
+        residual = np.maximum(residual,
+                              np.max(np.abs(maps.evaluate(qmap, z) - image)))
+    return float(residual)
+
+
 def build_table(delta: complex, level: int) -> BoettcherTable:
     """Build the landing-point table at the given level by continuation
     (``_seed_by_continuation``). Raises NoConvergenceError when the
@@ -150,12 +169,9 @@ def build_table(delta: complex, level: int) -> BoettcherTable:
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}]")
 
-    qmap = maps.f_delta(delta)
-    n = 1 << level
-    idx2 = (2 * np.arange(n)) % n
     pts = _seed_by_continuation(delta, level)
     bound = RESIDUAL_RTOL * max(_diameter(pts), 1e-300)
-    residual = float(np.max(np.abs(maps.evaluate(qmap, pts) - pts[idx2])))
+    residual = _residual(maps.f_delta(delta), pts)
     if not np.isfinite(residual) or residual >= bound:
         raise NoConvergenceError(
             f"semiconjugacy residual {residual} above {bound} "

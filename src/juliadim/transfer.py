@@ -230,15 +230,17 @@ class TransferOperator:
         self.delta = complex(delta)
         self.level = table.level if level is None else int(level)
         reps = _reps_from_table(table, self.level)
-        deriv = maps.evaluate_deriv(maps.f_delta(self.delta), reps)
-        mag = np.abs(deriv)
-        if not np.all(mag > 0):
+        ld = np.abs(maps.evaluate_deriv(maps.f_delta(self.delta), reps))
+        if not np.all(ld > 0):
             raise ValueError("representative hit the critical point")
+        np.log(ld, out=ld)
         # average over the word's two endpoint angles: keeps the weight
         # array index-aligned with the table and, unlike a one-endpoint
         # rule, commutes exactly with complex conjugation of delta
-        ld = np.log(mag)
-        self.log_deriv = 0.5 * (ld + np.roll(ld, -1))
+        self.log_deriv = np.empty_like(ld)
+        np.add(ld[:-1], ld[1:], out=self.log_deriv[:-1])
+        self.log_deriv[-1] = ld[-1] + ld[0]
+        self.log_deriv *= 0.5
 
     @property
     def size(self) -> int:
@@ -512,9 +514,9 @@ def _bowen_root(op: TransferOperator, near: tuple | None = None,
 
     def pressure_at(tau):
         start = _extrapolated_start(path, tau)
+        del path[:-1]           # the older vector is spent
         p, u = op.pressure_with_state(tau, h if start is None else start)
         path.append((tau, u))
-        del path[:-2]
         return p
 
     a, b = ROOT_BRACKET
@@ -591,13 +593,17 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
     check_disk([delta])
     if table is None or table.level < level:
         table = build_table(delta, level)
+    levels = (level - 2 * step, level - step, level)
+    ops = [TransferOperator(delta, table, lev) for lev in levels]
+    del table                   # the operators hold what they read of it
     roots = []
     resid = 0.0
-    for lev in (level - 2 * step, level - step, level):
-        op = TransferOperator(delta, table, lev)
-        tau, p, h = _bowen_root(op, ptol=tol)
+    for lev in levels:
+        # each operator is released once its root is found
+        tau, p, h = _bowen_root(ops.pop(0), ptol=tol)
         if at_root is not None:
             at_root(lev, tau, h)
+        del h
         roots.append(tau)
         resid = abs(p)
     rich = _aitken(*roots)

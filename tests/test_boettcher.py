@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -155,6 +157,10 @@ def test_unseeded_table_equals_one_sweep_build(r, phi, level):
     # exactly -(1 + delta); that sweep changed only this point, which the
     # continuation now computes as the sweep did, so the unseeded build,
     # which runs no sweep, is the one-sweep build bit for bit
+    _check_one_sweep_build(r, phi, level)
+
+
+def _check_one_sweep_build(r, phi, level):
     delta = complex(1.0 + r * complex(np.cos(phi), np.sin(phi)))
     table = build_table(delta, level)
     pts = table.points.copy()
@@ -164,18 +170,70 @@ def test_unseeded_table_equals_one_sweep_build(r, phi, level):
                           table.points)
 
 
+@pytest.mark.parametrize("block", [3, 4])
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.0, 0.99), st.floats(-np.pi, np.pi), st.integers(1, 12))
+@example(0.5, 1.5, 2)
+def test_blocked_table_equals_one_sweep_build(block, r, phi, level):
+    # many blocks per level, and with 3 a partial last block: the
+    # continuation and the residual check come out the same block by block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boettcher, "BLOCK_WORDS", block)
+        _check_one_sweep_build(r, phi, level)
+
+
+def _full_array_continuation(delta, level):
+    """``_seed_by_continuation`` as one n-word pass per level, with no
+    blocks: the reference for the blocked pass."""
+    pts = boettcher._seed_by_continuation(delta, min(level, 2))
+    qmap = maps.f_delta(delta)
+    for lev in range(3, level + 1):
+        n_old = 1 << (lev - 1)
+        new = np.empty(1 << lev, dtype=complex)
+        new[0::2] = pts
+        kk = np.arange(1, 1 << lev, 2)
+        target = pts[kk % n_old]
+        hint = 0.5 * (pts[(kk - 1) // 2] + pts[((kk + 1) // 2) % n_old])
+        new[1::2] = maps.inverse_branch_array(qmap, target, hint)
+        pts = new
+    return pts
+
+
+def test_blocked_continuation_equals_full_array_at_level_20():
+    # 8 blocks of the default size at the top level
+    delta = 0.05 + 0.0j
+    assert np.array_equal(boettcher._seed_by_continuation(delta, 20),
+                          _full_array_continuation(delta, 20))
+
+
 def test_nan_seeding_raises(monkeypatch):
     # with no sweep on an unseeded build, the residual check catches a
-    # broken continuation
+    # broken continuation, also when the NaN lies only in the last of many
+    # residual blocks, after finite ones
     seed = boettcher._seed_by_continuation
+    for block, word in ((boettcher.BLOCK_WORDS, 3), (4, -1)):
+        def broken(delta, level):
+            pts = seed(delta, level)
+            pts[word] = complex(np.nan, 0.0)
+            return pts
+        with monkeypatch.context() as mp:
+            mp.setattr(boettcher, "_seed_by_continuation", broken)
+            mp.setattr(boettcher, "BLOCK_WORDS", block)
+            with pytest.raises(NoConvergenceError):
+                build_table(0.3, 8)
 
-    def broken(delta, level):
-        pts = seed(delta, level)
-        pts[3] = complex(np.nan, 0.0)
-        return pts
-    monkeypatch.setattr(boettcher, "_seed_by_continuation", broken)
-    with pytest.raises(NoConvergenceError):
-        build_table(0.3, 8)
+
+def test_build_table_peak_memory():
+    # the continuation and the residual check work in blocks: the build
+    # holds little more than the last two levels' points at once (an
+    # unblocked build peaked at 5.25 times the table)
+    tracemalloc.start()
+    try:
+        table = build_table(0.05, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * table.points.nbytes
 
 
 def test_seed_continuation_tracks_nearby_parameter():

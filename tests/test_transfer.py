@@ -2,6 +2,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,20 @@ def test_dimension_roots_are_level_roots(step, levels):
     assert res.tau0 == res.roots[-1]
     assert res.error_bound == abs(res.roots[-1] - res.roots[-2])
     assert res.aitken_estimate == transfer._aitken(*res.roots)
+
+
+def test_dimension_solve_peak_memory():
+    # hausdorff_dim drops its table once its three operators are built, and
+    # each operator, its root's Perron vector and the spent path vector as
+    # soon as they are done: at most 7.5 float64 vectors of the top level
+    # at once (10.5 when all were kept)
+    tracemalloc.start()
+    try:
+        hausdorff_dim(0.05, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 8 * (1 << 18)
 
 
 def test_equilibrium_uniform_on_circle(circle_table):

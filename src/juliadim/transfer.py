@@ -7,6 +7,15 @@ preimages k>>1 and (k>>1) + 2^(N-1).  Weighting preimages by
 nonnegative irreducible operator whose Perron eigenvalue e^P discretizes
 the weighted preimage-sum growth rate; the dimension is the root of
 tau -> P(tau), which is strictly decreasing.
+
+At real delta the weights are mirror-symmetric, w[k] == w[n-1-k], so the
+operator commutes with the reflection k -> n-1-k and its Perron vectors are
+mirror-symmetric. On such vectors the reflection quotient is the tent map on
+the n/2 lower words, and the binary-reflected Gray code g(j) = j ^ (j >> 1)
+conjugates it onto the ordinary doubling operator on n/2 words. So a real
+delta is solved on n/2 words by the same kernels: the operator keeps
+``log_deriv[:n/2]`` in Gray order (``_gray_fold``), and ``unfold`` turns its
+vectors back into masses of all n words.
 """
 
 from __future__ import annotations
@@ -209,6 +218,27 @@ def _cw_spread(u: np.ndarray, v: np.ndarray, q: float):
     return hi / lo - 1.0, word
 
 
+def _gray_fold(x: np.ndarray, inverse: bool = False) -> None:
+    """``x[j ^ (j >> 1)] = x[j]`` in place for ``len(x)`` a power of two,
+    or, with ``inverse``, the inverse permutation: reverses the upper half
+    of every block of 4, 8, ... ``len(x)`` words, coarsest block first (last
+    when ``inverse``)."""
+    sizes = [1 << k for k in range(2, len(x).bit_length())]
+    for b in (sizes if inverse else reversed(sizes)):
+        upper = x.reshape(-1, b)[:, b // 2:]
+        upper[...] = upper[:, ::-1]
+
+
+def _endpoint_mean(x: np.ndarray, m: int) -> np.ndarray:
+    """``(x[k] + x[k+1]) / 2`` for k < ``m``, with ``x[len(x)]`` read as
+    ``x[0]``."""
+    out = np.empty(m)
+    np.add(x[:m - 1], x[1:m], out=out[:-1])
+    out[-1] = x[m - 1] + x[m % len(x)]
+    out *= 0.5
+    return out
+
+
 def _reps_from_table(table: BoettcherTable, level: int) -> np.ndarray:
     """Representative landing points of all level-``level`` words.
 
@@ -223,13 +253,23 @@ def _reps_from_table(table: BoettcherTable, level: int) -> np.ndarray:
 
 
 class TransferOperator:
-    """Weighted doubling-word operator at a fixed parameter and word length."""
+    """Weighted doubling-word operator at a fixed parameter and word length.
+
+    At real delta, from level 2 on, it is folded: it works on the 2^(level-1)
+    lower words in Gray order (see the module docstring), and every vector
+    it takes or returns, weights and Perron vectors included, lives in that
+    space. ``unfold`` gives the masses of all 2^level words."""
 
     def __init__(self, delta: complex, table: BoettcherTable,
                  level: int | None = None):
         self.delta = complex(delta)
         self.level = table.level if level is None else int(level)
-        reps = _reps_from_table(table, self.level)
+        n = 1 << self.level
+        # at real delta words k and n-1-k carry the same weight bit for bit
+        # (the endpoint-averaged weight commutes with conjugation), so only
+        # the lower half is formed
+        m = n // 2 if self.delta.imag == 0 and n >= 4 else n
+        reps = _reps_from_table(table, self.level)[:m + 1]
         ld = np.abs(maps.evaluate_deriv(maps.f_delta(self.delta), reps))
         if not np.all(ld > 0):
             raise ValueError("representative hit the critical point")
@@ -237,14 +277,29 @@ class TransferOperator:
         # average over the word's two endpoint angles: keeps the weight
         # array index-aligned with the table and, unlike a one-endpoint
         # rule, commutes exactly with complex conjugation of delta
-        self.log_deriv = np.empty_like(ld)
-        np.add(ld[:-1], ld[1:], out=self.log_deriv[:-1])
-        self.log_deriv[-1] = ld[-1] + ld[0]
-        self.log_deriv *= 0.5
+        self.log_deriv = _endpoint_mean(ld, m)
+        if m < n:
+            _gray_fold(self.log_deriv)
 
     @property
     def size(self) -> int:
-        return 1 << self.level
+        """Words the operator works on: 2^level, or 2^(level-1) folded."""
+        return len(self.log_deriv)
+
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """A unit-sum vector of the operator's space as unit-sum masses of
+        all 2^level words: ``x`` itself unless folded, else the lower half
+        in word order, its mirror image as the upper half, halved."""
+        m = len(x)
+        if m == 1 << self.level:
+            return x
+        out = np.empty(2 * m)
+        lower, upper = out[:m], out[m:]
+        lower[...] = x
+        _gray_fold(lower, inverse=True)
+        upper[...] = lower[::-1]
+        out *= 0.5
+        return out
 
     def weights(self, tau: float) -> np.ndarray:
         w = np.empty(self.size)
@@ -506,6 +561,9 @@ def _bowen_root(op: TransferOperator, near: tuple | None = None,
     narrowed by its sign, and takes the Newton step ``tau + P/chi`` (P' =
     -chi there) first.
 
+    The Perron vectors, ``h`` of ``near`` and the one returned, live in
+    the operator's space: n/2 words in Gray order for a folded operator.
+
     Raises BracketFailureError if P does not change sign on
     ``ROOT_BRACKET``, and NoConvergenceError once (a, b) holds no midpoint.
     """
@@ -583,7 +641,8 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
     geometric level error; ``error_bound`` is the last inter-level
     difference. ``dim`` uses step 1, the scans step 2. ``at_root(level,
     root, h)``, if given, is called after each root with the unit-sum
-    Perron vector ``h`` there, which is dropped after the call. Raises
+    Perron vector ``h`` there, in the space of that level's operator (folded
+    at real delta), which is dropped after the call. Raises
     ValueError for delta outside B(1, 1), where -delta is not attracting
     (delta = 0 included).
     """
@@ -632,7 +691,8 @@ def equilibrium(delta: complex, tau: float, table: BoettcherTable,
     eigenvector h, the dual one the mass vector omega, and mu = h * omega.
     A caller that has h at ``tau`` already, such as the unit-sum vector
     ``_bowen_root`` returns with its root, passes it and saves the primal
-    solve.
+    solve; h lives in the operator's space (folded at real delta). chi is
+    computed there, and mu and omega are unfolded to all 2^level words.
     """
     op = TransferOperator(delta, table, level)
     w = op.weights(tau)
@@ -641,7 +701,8 @@ def equilibrium(delta: complex, tau: float, table: BoettcherTable,
     om = op._perron(w, dual=True)[1]
     mu = h * om
     mu /= mu.sum()
-    return EquilibriumWeights(complex(delta), op.level, float(tau), mu, om,
+    return EquilibriumWeights(complex(delta), op.level, float(tau),
+                              op.unfold(mu), op.unfold(om),
                               float(np.sum(mu * op.log_deriv)))
 
 
@@ -695,7 +756,7 @@ def directional_derivative_formula(delta: complex, v: complex,
     integrand = np.real((v + 2.0 * v * pdot) / deriv)
     # endpoint-averaged, matching the operator's weight rule, so this is
     # the exact parameter derivative of the discretized dimension
-    integrand = 0.5 * (integrand + np.roll(integrand, -1))
+    integrand = _endpoint_mean(integrand, len(integrand))
     num = float(np.sum(weights.mu * integrand))
     return -weights.tau / weights.chi * num
 
@@ -705,7 +766,9 @@ class RayPoint:
     dim: DimensionResult                # levels L-4, L-2, L
     dprime: tuple[float, float]         # raw, extrapolated
     weights: EquilibriumWeights         # equilibrium state at level L
-    h: np.ndarray                       # unit-sum Perron vector at level L
+    # unit-sum Perron vector at level L, in the operator's space (folded at
+    # real delta; weights.mu and .omega are unfolded)
+    h: np.ndarray
 
     @property
     def near(self) -> tuple:

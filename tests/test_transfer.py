@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from juliadim import transfer
+from juliadim import maps, transfer
 from juliadim.boettcher import build_table
 from juliadim.errors import BracketFailureError, NoConvergenceError
 from juliadim.transfer import (TransferOperator, cylinder_measures,
@@ -402,6 +402,98 @@ def test_perron_and_equilibrium_bit_identical(table16, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the real-delta fold onto n/2 words in Gray order
+
+def _gray_index_form(x):
+    """``out[j ^ (j >> 1)] = x[j]`` with an index array."""
+    j = np.arange(len(x))
+    out = np.empty_like(x)
+    out[j ^ (j >> 1)] = x
+    return out
+
+
+def _folded(x):
+    """The lower half of a mirror-symmetric ``x`` in Gray order."""
+    return _gray_index_form(x[:len(x) // 2])
+
+
+@pytest.fixture(scope="module")
+def table13():
+    return build_table(0.3, 13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_gray_fold_is_the_index_form_and_unfolds_exactly(table13, p, seed):
+    x = np.random.default_rng(seed).random(1 << p) + 1e-3
+    y = x.copy()
+    transfer._gray_fold(y)
+    assert np.array_equal(y, _gray_index_form(x))
+    transfer._gray_fold(y, inverse=True)
+    assert np.array_equal(y, x)
+    # a unit-sum mirror-symmetric vector, folded at twice its weight
+    op = TransferOperator(0.3, table13, p + 1)
+    assert op.size == len(x)
+    full = np.concatenate([x, x[::-1]]) / (2.0 * x.sum())
+    assert np.array_equal(op.unfold(2.0 * _folded(full)), full)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_folded_kernels_match_full_kernels_on_mirrored_vectors(p, seed):
+    # on mirror-symmetric vectors the doubling kernels on n/2 words in Gray
+    # order are the full kernels on n words; they read nothing of the
+    # operator, so they run unbound
+    rng = np.random.default_rng(seed)
+    u, ld = rng.random(1 << p) + 1e-3, rng.standard_normal(1 << p)
+    u_full = np.concatenate([u, u[::-1]])
+    w_full = np.exp(-np.concatenate([ld, ld[::-1]]))
+    for name, ref in [("apply", _repeat_apply(u_full, w_full)),
+                      ("apply_dual", _gather_apply_dual(u_full, w_full))]:
+        out = np.empty(len(u))
+        s = getattr(TransferOperator, name)(None, _folded(u_full),
+                                            _folded(w_full), out)
+        assert np.all(np.abs(out - _folded(ref)) <= 1e-15 * out), name
+        assert abs(s - ref.sum() / 2.0) <= 1e-15 * s, name
+
+
+@pytest.mark.parametrize("delta, level", [(0.05, 20), (0.8, 14), (0.3, 12),
+                                          (1.0, 10), (0.0475, 16)])
+def test_real_delta_weights_are_mirror_symmetric_and_folded(delta, level):
+    # the fold rests on w[k] == w[n-1-k] bit for bit at real delta
+    table = build_table(delta, level)
+    ld = _full_log_deriv(delta, table)
+    assert np.array_equal(ld, ld[::-1])
+    assert np.array_equal(TransferOperator(delta, table).log_deriv,
+                          _folded(ld))
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.8])
+def test_folded_solve_matches_near_real_unfolded_solve(delta):
+    # delta + 1e-12j is never folded: it runs the full kernel on all words
+    level, near_real = 14, delta + 1e-12j
+    table, table_c = build_table(delta, level), build_table(near_real, level)
+    op, op_c = TransferOperator(delta, table), TransferOperator(near_real,
+                                                                table_c)
+    assert 2 * op.size == op_c.size == 1 << level
+    a = hausdorff_dim(delta, level, table=table)
+    b = hausdorff_dim(near_real, level, table=table_c)
+    assert np.all(np.abs(np.subtract(a.roots, b.roots)) <= 1e-12)
+    assert abs(a.aitken_estimate - b.aitken_estimate) <= 1e-11
+    tau, _, h = transfer._bowen_root(op)
+    eq = equilibrium(delta, tau, table, h=h)
+    eq_c = equilibrium(near_real, tau, table_c)
+    for x, x_c in [(eq.mu, eq_c.mu), (eq.omega, eq_c.omega)]:
+        assert np.all(np.abs(x - x_c) <= 1e-10 * x_c)
+    assert abs(eq.chi - eq_c.chi) <= 1e-12
+    # the unfolded Perron vector, certified on the full kernel
+    h_full = op.unfold(h)
+    w_full = np.exp(-tau * _full_log_deriv(delta, table))
+    assert transfer._cw_spread(_repeat_apply(h_full, w_full), h_full,
+                               1.0)[0] <= 2e-12
+
+
+# ---------------------------------------------------------------------------
 # the two-way split of the Perron step at SPLIT_MIN_WORDS words and more,
 # against the unsplit code
 
@@ -533,6 +625,30 @@ def test_split_equilibrium_bit_identical(op18, table18, monkeypatch):
     ref = _unsplit_run(monkeypatch, equilibrium, DELTA18, 1.1, table18)
     assert np.array_equal(eq.mu, ref.mu) and np.array_equal(eq.omega, ref.omega)
     _assert_close_to_ref([eq.mu, eq.omega], _converged_equilibrium(op18, 1.1))
+
+
+@pytest.fixture(scope="module")
+def table19_real():
+    return build_table(0.3, 19)
+
+
+@pytest.mark.usefixtures("split")
+def test_split_folded_perron_bit_identical(table19_real, monkeypatch):
+    # a real delta at level 19 folds onto 2^18 = SPLIT_MIN_WORDS words, so
+    # its passes are split when forced or on two CPUs
+    op = TransferOperator(0.3, table19_real)
+    assert op.size == transfer.SPLIT_MIN_WORDS
+    handoffs = _count_calls(monkeypatch, "_in_halves")
+    w = op.weights(1.1)
+    for dual in (False, True):
+        lam, u = op._perron(w, dual=dual)
+        lam_u, u_u = _unsplit_run(monkeypatch,
+                                  lambda: op._perron(w, dual=dual))
+        assert lam == lam_u and np.array_equal(u, u_u)
+    assert (handoffs[0] > 0) == (op.size >= transfer._SPLIT_FROM)
+    eq = equilibrium(0.3, 1.1, table19_real)
+    ref = _unsplit_run(monkeypatch, equilibrium, 0.3, 1.1, table19_real)
+    assert np.array_equal(eq.mu, ref.mu) and np.array_equal(eq.omega, ref.omega)
 
 
 def _count_calls(monkeypatch, name):
@@ -736,8 +852,17 @@ def _without_aitken(monkeypatch, fn, *args):
         return fn(*args)
 
 
-def _dense(op, w):
-    n = op.size
+def _full_log_deriv(delta, table):
+    """The operator's endpoint-averaged log|Df| on all words of the table's
+    level, restated here: a real delta is not folded."""
+    reps = transfer._reps_from_table(table, table.level)
+    ld = np.log(np.abs(maps.evaluate_deriv(maps.f_delta(complex(delta)), reps)))
+    return 0.5 * (ld + np.roll(ld, -1))
+
+
+def _dense(w):
+    """The operator on all ``len(w)`` words as a dense matrix."""
+    n = len(w)
     a = np.zeros((n, n))
     j = np.arange(n)
     a[j, j // 2] = w[j // 2]
@@ -762,7 +887,7 @@ def test_perron_aitken_matches_dense_eigenvalue(delta, tau, monkeypatch,
                                                 applications):
     op = TransferOperator(delta, build_table(delta, 10))
     w = op.weights(tau)
-    a = _dense(op, w)
+    a = _dense(w)
     ev = np.linalg.eigvals(a)
     lam_dense = ev[np.argmax(ev.real)].real
     lam, u = op._perron(w)
@@ -784,18 +909,27 @@ def test_perron_aitken_matches_dense_eigenvalue(delta, tau, monkeypatch,
 
 
 # the four cases where the uncertified stop rule ended early, against
-# dense eigvals: at the first one it was 2.7e-8 off
+# dense eig: at the first one it was 2.7e-8 off; and a real delta near the
+# parabolic point. The dense matrix acts on all words with weights formed
+# here, so at real delta it checks the folded operator against the one it
+# stands for, eigenvectors unfolded
 @pytest.mark.parametrize("delta, tau", [(0.4 + 0.7j, 1.75), (0.5 + 0.5j, 2.5),
-                                        (0.9, 2.0), (0.688 + 0.580j, 2.0)])
+                                        (0.9, 2.0), (0.688 + 0.580j, 2.0),
+                                        (0.05, 1.2)])
 def test_perron_certified_against_dense_eigenvalue(delta, tau):
-    op = TransferOperator(delta, build_table(delta, 10))
-    w = op.weights(tau)
-    ev = np.linalg.eigvals(_dense(op, w))
-    lam_dense = ev[np.argmax(ev.real)].real
+    table = build_table(delta, 10)
+    op = TransferOperator(delta, table)
+    assert op.size == (512 if delta.imag == 0 else 1024)
+    a = _dense(np.exp(-tau * _full_log_deriv(delta, table)))
     for dual in (False, True):
-        lam, u = op._perron(w, dual=dual)
+        ev, vecs = np.linalg.eig(a.T if dual else a)
+        k = np.argmax(ev.real)
+        lam_dense = ev[k].real
+        vec = vecs[:, k].real / vecs[:, k].real.sum()
+        lam, u = op._perron(op.weights(tau), dual=dual)
         assert abs(lam - lam_dense) <= 1e-12 * lam_dense
         assert np.all(u > 0)
+        assert np.all(np.abs(op.unfold(u) - vec) <= VEC_RTOL * vec)
 
 
 def test_iteration_budget(monkeypatch):

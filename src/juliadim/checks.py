@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fatou, maps, perturbation, quadrature, transfer
-from .boettcher import anchor_point, build_table
+from .boettcher import anchor_point, build_table, cylinders
 from .transfer import (TransferOperator, backward_anchor_tower,
                        cylinder_measures, equilibrium, hausdorff_dim,
                        partition_residual, pressure, pressure_oracle)
@@ -373,12 +373,8 @@ def check_motion_continuity(level=10) -> CheckResult:
 
 
 def check_parabolic_sizes(level=16) -> CheckResult:
-    table = build_table(0.0, level)
-    prods = []
-    for n in range(10, level - 1):
-        a = anchor_point(table, n)
-        b = anchor_point(table, n + 1)
-        prods.append(abs(a - b) * n * n)
+    prods = [c.size * c.index * c.index
+             for c in cylinders(build_table(0.0, level), level - 2)[10:]]
     lo, hi = min(prods), max(prods)
     ok = hi < 20.0 and lo > 1.0 / 20.0
     return _result("cylinders.parabolic_sizes", ok, f"n^2*size in [{lo:.2f}, {hi:.2f}]")
@@ -414,10 +410,7 @@ def check_size_vs_deriv(level=12) -> CheckResult:
 def check_two_regime_sizes(level=16) -> CheckResult:
     """Exponential size decay once n|delta| > 1, power law before."""
     delta = 0.2
-    table = build_table(delta, level)
-    sizes = []
-    for n in range(6, level - 1):
-        sizes.append(abs(anchor_point(table, n) - anchor_point(table, n + 1)))
+    sizes = [c.size for c in cylinders(build_table(delta, level), level - 2)[6:]]
     ns = np.arange(6, level - 1)
 
     def envelope_ok(K):

@@ -31,6 +31,7 @@ EXIT_VERIFY = 4
 
 D0_BRACKET = (1.0, 1.295)
 D0_FIT_MAXIT = 60
+D0_FIT_POINTS = 4   # the innermost grid points the d0 power law is fitted to
 DEFAULT_RAY_T_START = 0.4
 DEFAULT_RAY_T_END = 0.05
 RAY_GRID_RATIO = 1.0 / math.sqrt(2.0)
@@ -175,10 +176,10 @@ def cmd_theta0(args) -> int:
     return EXIT_OK
 
 
-def _fit_d0(ts, dims, n_use: int = 4) -> float:
+def _fit_d0(ts, dims) -> float:
     """Power-law extrapolation d(t) = d0 + c*t^(2*d0-1), self-consistent in d0."""
-    ts = np.asarray(ts, dtype=float)[-n_use:]
-    dims = np.asarray(dims, dtype=float)[-n_use:]
+    ts = np.asarray(ts, dtype=float)[-D0_FIT_POINTS:]
+    dims = np.asarray(dims, dtype=float)[-D0_FIT_POINTS:]
     d0 = float(dims[-1])
     for _ in range(D0_FIT_MAXIT):
         q = 2.0 * d0 - 1.0
@@ -195,6 +196,11 @@ def _fit_d0(ts, dims, n_use: int = 4) -> float:
 def cmd_d0(args) -> int:
     t0 = time.monotonic()
     ts = _geometric_grid(args.t_start, args.t_min, RAY_GRID_RATIO)
+    # the uncertainty refits without the innermost point: two fits of two
+    # parameters need three points
+    if len(ts) < 3:
+        raise ParseError(f"d0 needs >= 3 grid points, got {len(ts)} "
+                         f"(lower --t-min or raise --t-start)")
     check_disk(ts, ParseError)
 
     def solve(t):
@@ -391,7 +397,7 @@ def _load_config(path: str) -> dict:
     """Flat key-value config: 'key = value' lines, '#' comments."""
     conf = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -400,7 +406,7 @@ def _load_config(path: str) -> dict:
                     raise ParseError(f"bad config line {line!r}")
                 key, val = (part.strip() for part in line.split("=", 1))
                 conf[key.replace("-", "_")] = val
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     return conf
 
@@ -485,14 +491,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(value: str, current_default):
-    if isinstance(current_default, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(current_default, int):
-        return int(value)
-    if isinstance(current_default, float):
-        return float(value)
-    return value
+def _config_defaults(sub: argparse.ArgumentParser, conf: dict) -> dict:
+    """The config values of the options ``sub`` takes, converted and checked
+    against ``choices`` as argparse does a flag's value; other keys are
+    ignored."""
+    defaults = {}
+    for action in sub._actions:
+        if action.dest not in conf or action.default is argparse.SUPPRESS:
+            continue
+        raw = conf[action.dest]
+        if action.nargs == 0:   # a store_true flag
+            defaults[action.dest] = raw.lower() in ("1", "true", "yes", "on")
+            continue
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError as exc:
+            raise ParseError(f"config {action.dest} = {raw!r}: {exc}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ParseError(f"config {action.dest} = {raw!r}: not one of "
+                             f"{', '.join(action.choices)}")
+        defaults[action.dest] = value
+    return defaults
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -504,16 +523,9 @@ def main(argv: list[str] | None = None) -> int:
             if pos == len(argv):
                 raise ParseError("--config needs a file path")
             conf = _load_config(argv[pos])
-            args_probe, _ = parser.parse_known_args(argv)
-            defaults = {}
-            for key, raw in conf.items():
-                if hasattr(args_probe, key):
-                    defaults[key] = _coerce(raw, getattr(args_probe, key))
-            parser.set_defaults(**defaults)
-            for action in parser._subparsers._group_actions:
-                for sp in action.choices.values():
-                    sp.set_defaults(**{k: v for k, v in defaults.items()
-                                       if any(a.dest == k for a in sp._actions)})
+            cmd = parser.parse_known_args(argv)[0].cmd
+            sub = parser._subparsers._group_actions[0].choices[cmd]
+            sub.set_defaults(**_config_defaults(sub, conf))
         args = parser.parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ParseError("--threads must be >= 1")

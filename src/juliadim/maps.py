@@ -1,27 +1,23 @@
-"""The two quadratic families, their conjugacy and membership tests.
+"""The family f_delta, the eps <-> delta map and membership tests.
 
 ``f_delta(z) = (1+delta)*z + z**2`` has fixed points 0 and -delta with
-multipliers 1+delta and 1-delta; ``p_eps(z) = z**2 + 1/4 + eps`` is the
-shifted standard family.  The similarity ``tau(z) = z + (1+delta)/2``
-conjugates f_delta to p_eps exactly when eps = -delta**2/4.
+multipliers 1+delta and 1-delta.  The library evaluates only f_delta; the
+shifted standard family ``p_eps(z) = z**2 + 1/4 + eps``, which the
+similarity ``tau(z) = z + (1+delta)/2`` conjugates to f_delta exactly when
+eps = -delta**2/4, enters only through ``Param.epsilon``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AmbiguousBranchError
 
-ESCAPE_RADIUS_DEFAULT = 4.0
+ESCAPE_RADIUS = 4.0
 MAX_ITER_DEFAULT = 10_000
-
-
-class Family(enum.Enum):
-    F_DELTA = "f_delta"
-    P_EPSILON = "p_epsilon"
+AMBIGUITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,6 @@ class Param:
 
 @dataclass(frozen=True)
 class QuadMap:
-    family: Family
     param: Param
 
     def __call__(self, z):
@@ -65,63 +60,34 @@ class QuadMap:
 
 
 def f_delta(delta: complex) -> QuadMap:
-    return QuadMap(Family.F_DELTA, Param(delta))
-
-
-def p_epsilon(epsilon: complex) -> QuadMap:
-    return QuadMap(Family.P_EPSILON, Param.from_epsilon(epsilon))
+    return QuadMap(Param(delta))
 
 
 def evaluate(qmap: QuadMap, z):
-    """Value of the family polynomial at z (scalar or array)."""
-    if qmap.family is Family.F_DELTA:
-        return (1.0 + qmap.param.delta) * z + z * z
-    return z * z + 0.25 + qmap.param.epsilon
+    """Value of f_delta at z (scalar or array)."""
+    return (1.0 + qmap.param.delta) * z + z * z
 
 
 def evaluate_deriv(qmap: QuadMap, z):
-    """First derivative of the family polynomial at z."""
-    if qmap.family is Family.F_DELTA:
-        return (1.0 + qmap.param.delta) + 2.0 * z
-    return 2.0 * z
+    """First derivative of f_delta at z."""
+    return (1.0 + qmap.param.delta) + 2.0 * z
 
 
 def critical_point(qmap: QuadMap) -> complex:
-    if qmap.family is Family.F_DELTA:
-        return -(1.0 + qmap.param.delta) / 2.0
-    return 0.0j
+    return -(1.0 + qmap.param.delta) / 2.0
 
 
-def fixed_points(qmap: QuadMap) -> tuple[complex, complex]:
-    """Both fixed points; for F_DELTA these are 0 and -delta."""
-    if qmap.family is Family.F_DELTA:
-        return 0.0j, -qmap.param.delta
-    d = qmap.param.delta
-    # conjugate images of 0 and -delta under tau
-    return conjugate_to_p(0.0j, d), conjugate_to_p(-d, d)
-
-
-def conjugate_to_p(z, delta: complex):
-    """The similarity tau(z) = z + (1+delta)/2 carrying f_delta to p_eps."""
-    return z + (1.0 + delta) / 2.0
-
-
-def conjugate_from_p(z, delta: complex):
-    return z - (1.0 + delta) / 2.0
-
-
-def inverse_branch(qmap: QuadMap, z: complex, hint: complex,
-                   ambiguity_rtol: float = 1e-12) -> complex:
+def inverse_branch(qmap: QuadMap, z: complex, hint: complex) -> complex:
     """The preimage of z under the map that lies closest to ``hint``.
 
     Raises AmbiguousBranchError when both preimages are equidistant from
-    the hint to within ``ambiguity_rtol`` relative tolerance, in which case
+    the hint to within ``AMBIGUITY_RTOL`` relative tolerance, in which case
     the caller must supply a sharper hint.
     """
     w1, w2 = preimage_pair(qmap, z)
     d1, d2 = abs(w1 - hint), abs(w2 - hint)
     scale = max(d1, d2)
-    if scale > 0 and abs(d1 - d2) <= ambiguity_rtol * scale:
+    if scale > 0 and abs(d1 - d2) <= AMBIGUITY_RTOL * scale:
         raise AmbiguousBranchError(
             f"preimages of {z} equidistant from hint {hint}")
     return w1 if d1 <= d2 else w2
@@ -129,12 +95,9 @@ def inverse_branch(qmap: QuadMap, z: complex, hint: complex,
 
 def preimage_pair(qmap: QuadMap, z):
     """Both solutions w of qmap(w) = z (vectorized over z)."""
-    if qmap.family is Family.F_DELTA:
-        h = 1.0 + qmap.param.delta
-        r = np.sqrt(np.asarray(h * h / 4.0 + z, dtype=complex))
-        return -h / 2.0 + r, -h / 2.0 - r
-    r = np.sqrt(np.asarray(z - 0.25 - qmap.param.epsilon, dtype=complex))
-    return r, -r
+    h = 1.0 + qmap.param.delta
+    r = np.sqrt(np.asarray(h * h / 4.0 + z, dtype=complex))
+    return -h / 2.0 + r, -h / 2.0 - r
 
 
 def inverse_branch_array(qmap: QuadMap, z, hint):
@@ -143,20 +106,17 @@ def inverse_branch_array(qmap: QuadMap, z, hint):
     return np.where(np.abs(w1 - hint) <= np.abs(w2 - hint), w1, w2)
 
 
-def in_mandelbrot(delta: complex, max_iter: int = MAX_ITER_DEFAULT,
-                  escape_radius: float = ESCAPE_RADIUS_DEFAULT) -> bool:
+def in_mandelbrot(delta: complex, max_iter: int = MAX_ITER_DEFAULT) -> bool:
     """True iff the critical orbit of f_delta stays bounded for max_iter steps.
 
     The orbit is iterated in the p_eps normalization (critical point 0),
-    where |z| > escape_radius >= 4 certifies escape.
+    where |z| > ESCAPE_RADIUS = 4 certifies escape.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if escape_radius < 4.0:
-        raise ValueError("escape_radius must be >= 4")
     c = 0.25 - complex(delta) ** 2 / 4.0
     z = 0.0j
-    r2 = escape_radius * escape_radius
+    r2 = ESCAPE_RADIUS * ESCAPE_RADIUS
     for _ in range(max_iter):
         z = z * z + c
         if (z.real * z.real + z.imag * z.imag) > r2:
@@ -180,7 +140,7 @@ def in_mandelbrot_grid(deltas, max_iter: int = MAX_ITER_DEFAULT) -> np.ndarray:
     active = np.arange(c.size)
     cr, ci = c.real.copy(), c.imag.copy()
     zr, zi = np.zeros(c.size), np.zeros(c.size)
-    r2 = ESCAPE_RADIUS_DEFAULT * ESCAPE_RADIUS_DEFAULT
+    r2 = ESCAPE_RADIUS * ESCAPE_RADIUS
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             if active.size == 0:

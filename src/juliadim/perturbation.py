@@ -75,11 +75,11 @@ def gamma_fn(z: complex) -> complex:
 
 
 def sinh_z_minus_z_nonvanishing(radius: float = 2.0, samples: int = 10_000,
-                                floor: float = 1e-3, rng_seed: int = 0) -> bool:
+                                floor: float = 1e-3) -> bool:
     """Sampled check that |sinh z - z|/|z|^3 stays above ``floor`` on 0<|z|<=radius."""
     if radius > 2.0:
         raise ValueError("radius must be <= 2")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, samples))
     r = np.maximum(r, 1e-12)
     # include the boundary circle where the minimum is approached
@@ -101,12 +101,12 @@ class PhiDotResult:
     terms: int
 
 
-def phi_dot_series(delta: complex, table: BoettcherTable, s: DyadicAngle,
-                   m: int | None = None) -> PhiDotResult:
+def phi_dot_series(delta: complex, table: BoettcherTable,
+                   s: DyadicAngle) -> PhiDotResult:
     """Truncated series for the parameter derivative of the landing point at s.
 
-    Terms are added until the orbit derivative exceeds 1e6, the optional cap
-    ``m``, or the orbit reaches the fixed angle 0.  In the last case the
+    Terms are added until the orbit derivative exceeds 1e6, the table level
+    is reached, or the orbit reaches the fixed angle 0.  In the last case the
     remaining terms form an exact geometric tail (the fixed point does not
     move with the parameter), so the reported truncation error is zero.
     """
@@ -117,12 +117,11 @@ def phi_dot_series(delta: complex, table: BoettcherTable, s: DyadicAngle,
     idx = s.numerator << (table.level - s.level)
     if idx == 0:
         return PhiDotResult(0.0 + 0j, 0.0, 0)
-    cap = table.level if m is None else m
     qmap = maps.f_delta(delta)
     acc = -0.5 + 0j
     deriv = 1.0 + 0j
     k = 0
-    while k < cap:
+    while k < table.level:
         deriv *= maps.evaluate_deriv(qmap, table.points[idx])
         acc += (delta / 2.0) / deriv
         idx = (2 * idx) % n
@@ -175,7 +174,6 @@ class PsiDotResult:
 
 
 def psi_dot(delta: complex, n: int, z: complex,
-            table: BoettcherTable | None = None,
             agreement_tol: float = 1e-10) -> PsiDotResult:
     """Partial sums along the first n orbit steps of z, in both algebraic forms.
 

@@ -23,18 +23,19 @@ from .perturbation import GAMMA_SERIES_THRESHOLD
 
 NEAR_ZERO_CROSSOVER = 1e-2
 X_MAX_CAP = 200.0
+MAX_SUBDIVISIONS = 200   # panels per integral in ``_gk21``
+THETA0_XTOL = 1e-6       # bracket width at which ``find_theta0`` stops
+Q_REL_TOL = 1e-8         # relative tolerance of ``q_integral``'s outer integral
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    x_split: float = 1.0
-    max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.x_split <= 0:
-            raise ValueError("tolerances and x_split must be positive")
+        if self.abs_tol <= 0 or self.rel_tol <= 0:
+            raise ValueError("tolerances must be positive")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -147,23 +148,18 @@ def _gk21(f, a, b, epsabs, epsrel, limit):
     return value.reshape(shape), err.reshape(shape), (42 * panels - 21).reshape(shape)
 
 
-def _stretched(f, p: float, xs: float):
-    """f in the variable w: w = x^p below xs^p, w = x * xs^p / xs above.
+def _stretched(f, p: float):
+    """f in the variable w: w = x^p below 1, w = x above.
 
     The power piece flattens an x^(p-1) endpoint singularity at zero; both
     pieces, with limits mapped accordingly, go through one ``_gk21`` call.
     With r = 1/p below and r = 1 above, dx/dw = r * x / w on both.  A
     panel's piece is read off its centre node (column 10), so a node that
-    rounds onto xs^p stays with its panel.
+    rounds onto 1 stays with its panel.
     """
-    P = xs ** p
-
     def g(w):
-        low = w[:, 10:11] < P
-        r = np.where(low, 1.0 / p, 1.0)
+        r = np.where(w[:, 10:11] < 1.0, 1.0 / p, 1.0)
         x = w ** r
-        if xs != P:
-            x *= np.where(low, 1.0, xs / P)
         return f(x) * (r * x / w)
 
     return g
@@ -255,17 +251,17 @@ def _x_max(d0: float, abs_tol: float) -> float:
     return x
 
 
-def _split_panels(p: float, xs: float, xmax: float, tol: float):
+def _split_panels(xmax: float, tol: float):
     """Limits and absolute tolerances of (0, xmax) in the variable of
-    ``_stretched``: the power piece (0, xs), then the tail (xs, xmax) as
-    dyadic panels [xs 2^k, xs 2^(k+1)], each with its width share of
-    ``tol``.  Starting the tail graded spares the bisection rounds that
-    would otherwise refine towards xs one panel at a time.
+    ``_stretched``: the power piece (0, 1), then the tail (1, xmax) as
+    dyadic panels [2^k, 2^(k+1)], each with its width share of ``tol``.
+    Starting the tail graded spares the bisection rounds that would
+    otherwise refine towards 1 one panel at a time.
     """
-    cuts = [xs]
+    cuts = [1.0]
     while cuts[-1] < xmax:
         cuts.append(min(2.0 * cuts[-1], xmax))
-    w = np.array(cuts) * (xs ** p / xs)
+    w = np.array(cuts)
     tail = tol * np.diff(w) / (w[-1] - w[0]) if len(cuts) > 1 else []
     return (np.concatenate(([0.0], w[:-1])), w,
             np.concatenate(([tol], tail)))
@@ -273,11 +269,9 @@ def _split_panels(p: float, xs: float, xmax: float, tol: float):
 
 def _split_quad(integrand, d0: float, spec: QuadratureSpec) -> QuadratureResult:
     """Integrate over (0, inf): stretched panel near 0 plus smooth tail."""
-    p = 3.0 - 2.0 * d0
-    xs = spec.x_split
-    a, b, epsabs = _split_panels(p, xs, _x_max(d0, spec.abs_tol), spec.abs_tol / 2)
-    vals, errs, nevals = _gk21(_stretched(integrand, p, xs), a, b, epsabs,
-                               spec.rel_tol, spec.max_subdivisions)
+    a, b, epsabs = _split_panels(_x_max(d0, spec.abs_tol), spec.abs_tol / 2)
+    vals, errs, nevals = _gk21(_stretched(integrand, 3.0 - 2.0 * d0), a, b,
+                               epsabs, spec.rel_tol, MAX_SUBDIVISIONS)
     value, err = float(vals.sum()), float(errs.sum())
     _checked(value, err, spec.abs_tol, spec.rel_tol, "quadrature")
     return QuadratureResult(value, err, int(nevals.sum()))
@@ -300,23 +294,21 @@ def omega(theta: float, d0: float,
                             res.evaluations)
 
 
-def find_theta0(d0: float, bracket: tuple[float, float] = (1.0, 2.0),
-                spec: QuadratureSpec = DEFAULT_SPEC,
-                xtol: float = 1e-6) -> float:
+def find_theta0(d0: float, bracket: tuple[float, float] = (1.0, 2.0)) -> float:
     """Positive zero of theta -> omega(theta, d0), by bisection."""
     _check_dimension(d0)
     a, b = bracket
-    fa = omega(a, d0, spec).value
-    fb = omega(b, d0, spec).value
+    fa = omega(a, d0).value
+    fb = omega(b, d0).value
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if fa * fb > 0:
         raise NoSignChangeError(f"omega({a})={fa} and omega({b})={fb}")
-    while b - a > xtol:
+    while b - a > THETA0_XTOL:
         m = 0.5 * (a + b)
-        fm = omega(m, d0, spec).value
+        fm = omega(m, d0).value
         if fm == 0.0:
             return m
         if fa * fm < 0:
@@ -326,8 +318,7 @@ def find_theta0(d0: float, bracket: tuple[float, float] = (1.0, 2.0),
     return 0.5 * (a + b)
 
 
-def delta_alpha(alpha: float, D0: float, H_mu: float = 1.0,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureResult:
+def delta_alpha(alpha: float, D0: float, H_mu: float = 1.0) -> QuadratureResult:
     """The ray-angle form of the master integral, with theta = tan(alpha).
 
     Equals -2^(-D0) * H_mu * omega(tan alpha, D0); positive for |alpha| <= pi/4.
@@ -343,7 +334,7 @@ def delta_alpha(alpha: float, D0: float, H_mu: float = 1.0,
         num, D = nd(x)
         return num * (0.5 / D) ** D0 / D
 
-    res = _split_quad(integrand, D0, spec)
+    res = _split_quad(integrand, D0, DEFAULT_SPEC)
     scale = H_mu / math.cos(alpha)
     return QuadratureResult(scale * res.value, scale * res.err_estimate,
                             res.evaluations)
@@ -414,8 +405,8 @@ def _lambda_tails(h: float, eps: float, alpha: float, t_lower,
         lo = np.append(lo, 1.0)
         hi = np.append(hi, smax[near][0])
         tol = np.append(tol, 0.5 * spec.abs_tol)
-    vals, errs, nevals = _gk21(_stretched(f, p, 1.0), lo, hi, tol,
-                               spec.rel_tol, spec.max_subdivisions)
+    vals, errs, nevals = _gk21(_stretched(f, p), lo, hi, tol, spec.rel_tol,
+                               MAX_SUBDIVISIONS)
     value, err, neval = vals[:tt.size], errs[:tt.size], nevals[:tt.size]
     if shared:
         value[near] += vals[-1]
@@ -425,14 +416,14 @@ def _lambda_tails(h: float, eps: float, alpha: float, t_lower,
     return value.reshape(t.shape), err.reshape(t.shape), neval.reshape(t.shape)
 
 
-def lambda_tail(h: float, eps: float, alpha: float, t_lower: float,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureResult:
+def lambda_tail(h: float, eps: float, alpha: float,
+                t_lower: float) -> QuadratureResult:
     """Integral of s -> lambda(h, eps, s*e^{i alpha}) over (t_lower, inf).
 
     Requires eps - h < 0 for integrability; the s^(-2h) endpoint behavior is
     flattened by the same power substitution as the master integrals.
     """
-    value, err, neval = _lambda_tails(h, eps, alpha, float(t_lower), spec)
+    value, err, neval = _lambda_tails(h, eps, alpha, float(t_lower), DEFAULT_SPEC)
     return QuadratureResult(float(value), float(err), int(neval))
 
 
@@ -448,16 +439,18 @@ def _ray_drift(v: complex, t):
     return (v * g).real
 
 
-def q_fn(h: float, alpha: float, t: float, H_mu: float = 1.0,
-         spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def q_fn(h: float, alpha: float, t: float, H_mu: float = 1.0) -> float:
     """H_mu * Re(v + 2 v Gamma(v t)) * tail(t) along the ray v = e^{i alpha}."""
     v = complex(math.cos(alpha), math.sin(alpha))
-    return H_mu * float(_ray_drift(v, t)) * lambda_tail(h, 0.0, alpha, t, spec).value
+    return H_mu * float(_ray_drift(v, t)) * lambda_tail(h, 0.0, alpha, t).value
 
 
-def q_integral(h: float, alpha: float, H_mu: float = 1.0,
-               spec: QuadratureSpec = DEFAULT_SPEC,
-               rel_tol: float = 1e-8) -> QuadratureResult:
+# the inner tails of ``q_integral``, 100x and 10x tighter than its outer one
+_Q_INNER_SPEC = QuadratureSpec(abs_tol=DEFAULT_SPEC.abs_tol * 1e-2,
+                               rel_tol=min(DEFAULT_SPEC.rel_tol, Q_REL_TOL * 1e-1))
+
+
+def q_integral(h: float, alpha: float, H_mu: float = 1.0) -> QuadratureResult:
     """Integral of q_fn over t in (0, inf); equals delta_alpha for h = D0.
 
     The outer integrand behaves like t^(2-2h) at zero and decays like
@@ -466,23 +459,19 @@ def q_integral(h: float, alpha: float, H_mu: float = 1.0,
     """
     _check_dimension(h)
     p = 3.0 - 2.0 * h
-    inner_spec = QuadratureSpec(abs_tol=spec.abs_tol * 1e-2,
-                                rel_tol=min(spec.rel_tol, rel_tol * 1e-1),
-                                x_split=spec.x_split,
-                                max_subdivisions=spec.max_subdivisions)
     v = complex(math.cos(alpha), math.sin(alpha))
 
     def qf(t):
         return H_mu * _ray_drift(v, t) * _lambda_tails(h, 0.0, alpha, t,
-                                                       inner_spec)[0]
+                                                       _Q_INNER_SPEC)[0]
 
     ca = math.cos(alpha)
     tmax = 10.0
     while math.exp(-h * tmax * ca) > 1e-14 and tmax < 400.0:
         tmax += 1.0
-    vals, errs, nevals = _gk21(_stretched(qf, p, 1.0),
-                               *_split_panels(p, 1.0, tmax, spec.abs_tol),
-                               rel_tol, spec.max_subdivisions)
+    abs_tol = DEFAULT_SPEC.abs_tol
+    vals, errs, nevals = _gk21(_stretched(qf, p), *_split_panels(tmax, abs_tol),
+                               Q_REL_TOL, MAX_SUBDIVISIONS)
     value, err = float(vals.sum()), float(errs.sum())
-    _checked(value, err, spec.abs_tol, rel_tol, "outer quadrature")
+    _checked(value, err, abs_tol, Q_REL_TOL, "outer quadrature")
     return QuadratureResult(value, err, int(nevals.sum()))

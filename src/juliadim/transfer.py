@@ -804,23 +804,22 @@ def ray_point(delta: complex, level: int) -> RayPoint:
 FD_REL_STEP = 1e-2
 
 
-def fd_stencil(delta: complex, rel_step: float = FD_REL_STEP):
-    """The two points delta +- rel_step * delta of the ray finite difference."""
+def fd_stencil(delta: complex):
+    """The two points delta +- FD_REL_STEP * delta of the ray finite difference."""
     v = delta / abs(delta)
-    h = rel_step * abs(delta)
+    h = FD_REL_STEP * abs(delta)
     return [delta + sgn * h * v for sgn in (1.0, -1.0)]
 
 
-def dprime_fd(delta: complex, level: int, rel_step: float = FD_REL_STEP,
-              near: tuple | None = None) -> float:
+def dprime_fd(delta: complex, level: int, near: tuple | None = None) -> float:
     """Central finite difference of the raw top-level dimension on the ray.
     ``near``, the level-``level`` state ``(tau, h, chi)`` at ``delta`` (such
     as ``RayPoint.near``), starts each stencil root there
     (``_bowen_root``)."""
     check_disk([delta])
-    stencil = fd_stencil(delta, rel_step)
+    stencil = fd_stencil(delta)
     check_disk(stencil)
-    h = rel_step * abs(delta)
+    h = FD_REL_STEP * abs(delta)
     vals = []
     for d in stencil:
         op = TransferOperator(d, build_table(d, level), level)

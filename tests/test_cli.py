@@ -1,11 +1,16 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from juliadim import cli, transfer
 from juliadim.cli import _fit_d0, main
@@ -119,6 +124,57 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
 def test_config_flag_without_path(capsys):
     assert run(["dim", "--delta", "0.3", "--config"]) == 2
     assert "PARSE_ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, argv", [
+    (b"level = abc\n", ["dim", "--delta", "0.3"]),
+    (b"suite = nope\n", ["verify"]),
+    (b"family = xyz\n", ["mandelbrot", "--grid", "3"]),
+    (b"\xff = 1\n", ["theta0"])], ids=["level", "suite", "family", "not-utf8"])
+def test_config_values_checked_like_flags(tmp_path, monkeypatch, capsys, text, argv):
+    # a value argparse would refuse as a flag, or a file that is not UTF-8,
+    # is refused before any work: exit 2 and no output file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_bytes(text)
+    assert run(["--config", "run.conf", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "error[PARSE_ERROR]" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["run.conf"]
+
+
+def _config_valid(pairs) -> bool:
+    """Whether the mandelbrot options take these config values as flags."""
+    conf = {k.replace("-", "_"): v.strip() for k, v in pairs}
+    try:
+        for key in ("grid", "max_iter"):
+            int(conf.get(key, "1"))
+    except ValueError:
+        return False
+    return conf.get("family", "delta") in ("delta", "eps")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["grid", "family", "max_iter", "max-iter", "out", "nope"]),
+    st.one_of(st.sampled_from(["delta", " eps ", "3", "-1", "1e3", "true"]),
+              st.text(st.characters(blacklist_characters="#\r\n"), max_size=8))),
+    max_size=5))
+def test_config_values_property(pairs):
+    # flags win over the config, so --grid and --max-iter keep the run
+    # small whatever the config says; every value is still checked
+    with tempfile.TemporaryDirectory() as tmp:
+        conf, out = os.path.join(tmp, "run.conf"), os.path.join(tmp, "m.csv")
+        with open(conf, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{k} = {v}\n" for k, v in pairs)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--config", conf, "mandelbrot", "--grid", "1",
+                         "--max-iter", "50", "--out", out])
+        if _config_valid(pairs):
+            assert code == 0 and os.path.exists(out)
+        else:
+            assert code == 2 and not os.path.exists(out)
+            assert "error[PARSE_ERROR]: config " in err.getvalue()
 
 
 def test_ray_scan_csv(tmp_path, capsys):
@@ -302,10 +358,13 @@ def test_scans_reject_grid_outside_disk(tmp_path, capsys, argv):
     ["omega", "--step", "-0.05"],
     ["omega", "--theta-min", "1", "--theta-max", "-1"],
     ["convexity", "--points", "1", "--level", "10"],
-    ["convexity", "--points", "2", "--level", "10"]])
+    ["convexity", "--points", "2", "--level", "10"],
+    # two grid points leave one for the refit that gives the uncertainty
+    ["d0", "--t-start", "0.4", "--t-min", "0.28", "--level", "10"]])
 def test_grids_reject_empty_or_degenerate(tmp_path, capsys, argv):
-    # a grid with no point, or a convexity grid with no second difference,
-    # is refused before any work: exit 2 and no CSV
+    # a grid with no point, a convexity grid with no second difference or a
+    # d0 grid too short for its refit is refused before any work: exit 2 and
+    # no CSV
     out = str(tmp_path / "grid.csv")
     assert run([*argv, "--out", out]) == 2
     err = capsys.readouterr().err

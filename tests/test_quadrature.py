@@ -168,11 +168,11 @@ def test_quadrature_spec_validation():
 # ---------------------------------------------------------------------------
 # the numpy Gauss-Kronrod against QUADPACK (scipy, test-only) and exact rules
 
-def omega_quadpack(theta: float, d0: float, spec=qd.DEFAULT_SPEC) -> float:
+def omega_quadpack(theta: float, d0: float) -> float:
     """omega through scipy's QUADPACK on the stretched split of the seed code."""
     quad = pytest.importorskip("scipy.integrate").quad
     p = 3.0 - 2.0 * d0
-    xs = spec.x_split
+    spec = qd.DEFAULT_SPEC
 
     def f(x):
         return qd.omega_integrand(x, theta, d0)
@@ -182,9 +182,9 @@ def omega_quadpack(theta: float, d0: float, spec=qd.DEFAULT_SPEC) -> float:
         return f(x) * x ** (1.0 - p) / p
 
     kw = dict(epsabs=spec.abs_tol / 2, epsrel=spec.rel_tol,
-              limit=spec.max_subdivisions)
-    value = (quad(stretched, 0.0, xs ** p, **kw)[0]
-             + quad(f, xs, qd._x_max(d0, spec.abs_tol), **kw)[0])
+              limit=qd.MAX_SUBDIVISIONS)
+    value = (quad(stretched, 0.0, 1.0, **kw)[0]
+             + quad(f, 1.0, qd._x_max(d0, spec.abs_tol), **kw)[0])
     return math.sqrt(theta * theta + 1.0) * value
 
 
@@ -202,7 +202,7 @@ def test_lambda_tails_batched_match_single_calls():
                           (1.4, -0.5, 0.0)):
         vals, errs, nevals = qd._lambda_tails(h, eps, alpha, ts, spec)
         for t, v, e, n in zip(ts, vals, errs, nevals):
-            one = qd.lambda_tail(h, eps, alpha, t, spec)
+            one = qd.lambda_tail(h, eps, alpha, t)
             assert abs(v - one.value) <= 1e-13 * abs(one.value)
             assert (e, n) == pytest.approx((one.err_estimate, one.evaluations),
                                            rel=1e-13)
@@ -266,12 +266,12 @@ def test_gk21_no_more_work_than_quadpack(f, a, b, tol):
 
 
 def test_split_panels_tile_the_range():
-    p, tol = 3.0 - 2.0 * 1.08, 5e-11
-    for xs, xmax in ((1.0, 32.0), (1.0, 40.0), (0.5, 21.0), (1.0, 1.0)):
-        a, b, epsabs = qd._split_panels(p, xs, xmax, tol)
-        assert a[0] == 0.0 and b[0] == pytest.approx(xs ** p)
+    tol = 5e-11
+    for xmax in (32.0, 40.0, 21.0, 1.0):
+        a, b, epsabs = qd._split_panels(xmax, tol)
+        assert a[0] == 0.0 and b[0] == 1.0
         assert np.array_equal(a[1:], b[:-1])
-        assert b[-1] * xs / xs ** p == pytest.approx(max(xs, xmax))
+        assert b[-1] == pytest.approx(max(1.0, xmax))
         # the power piece gets tol, the tail pieces share another tol by width
         assert epsabs[0] == tol
         if len(b) > 1:

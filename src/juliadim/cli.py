@@ -41,7 +41,9 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Writes ``rows``, an iterable of lists, as CSV; str cells are written
+    as they are, numbers through ``_fmt``."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -378,11 +380,14 @@ def cmd_mandelbrot(args) -> int:
     deltas = (complex(re, im) for re in res for im in ims)
     if args.family == "eps":
         deltas = (Param.from_epsilon(e).delta for e in deltas)
-    inside = in_mandelbrot_grid(deltas, args.max_iter)
-    rows = [[re, im, 1 if inside[i * n + j] else 0]
-            for i, re in enumerate(res) for j, im in enumerate(ims)]
+    inside = in_mandelbrot_grid(deltas, args.max_iter).tolist()
     out = args.out or f"mandelbrot_{args.family}.csv"
-    _write_csv(out, ["re", "im", "inside"], rows)
+    # the n distinct coordinates are formatted once each, not once per row
+    re_cells, im_cells = [_fmt(re) for re in res], [_fmt(im) for im in ims]
+    _write_csv(out, ["re", "im", "inside"],
+               ([re, im, "1" if inside[i * n + j] else "0"]
+                for i, re in enumerate(re_cells)
+                for j, im in enumerate(im_cells)))
     dur = (time.monotonic() - t0) * 1e3
     _write_manifest("mandelbrot", {"grid": n, "family": args.family,
                                    "max_iter": args.max_iter}, [out], dur)
@@ -494,11 +499,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_defaults(sub: argparse.ArgumentParser, conf: dict) -> dict:
     """The config values of the options ``sub`` takes, converted and checked
     against ``choices`` as argparse does a flag's value; other keys are
-    ignored."""
+    ignored. A required option that the config sets is no longer required
+    of the command line."""
     defaults = {}
     for action in sub._actions:
         if action.dest not in conf or action.default is argparse.SUPPRESS:
             continue
+        action.required = False
         raw = conf[action.dest]
         if action.nargs == 0:   # a store_true flag
             defaults[action.dest] = raw.lower() in ("1", "true", "yes", "on")
@@ -514,6 +521,19 @@ def _config_defaults(sub: argparse.ArgumentParser, conf: dict) -> dict:
     return defaults
 
 
+def _command(parser: argparse.ArgumentParser, subs: dict, argv: list) -> str:
+    """The command ``argv`` names, read before a config can satisfy any of
+    its required options."""
+    required = [a for sub in subs.values() for a in sub._actions if a.required]
+    for action in required:
+        action.required = False
+    try:
+        return parser.parse_known_args(argv)[0].cmd
+    finally:
+        for action in required:
+            action.required = True
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -523,8 +543,8 @@ def main(argv: list[str] | None = None) -> int:
             if pos == len(argv):
                 raise ParseError("--config needs a file path")
             conf = _load_config(argv[pos])
-            cmd = parser.parse_known_args(argv)[0].cmd
-            sub = parser._subparsers._group_actions[0].choices[cmd]
+            subs = parser._subparsers._group_actions[0].choices
+            sub = subs[_command(parser, subs, argv)]
             sub.set_defaults(**_config_defaults(sub, conf))
         args = parser.parse_args(argv)
         if getattr(args, "threads", 1) < 1:

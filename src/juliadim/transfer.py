@@ -16,6 +16,17 @@ conjugates it onto the ordinary doubling operator on n/2 words. So a real
 delta is solved on n/2 words by the same kernels: the operator keeps
 ``log_deriv[:n/2]`` in Gray order (``_gray_fold``), and ``unfold`` turns its
 vectors back into masses of all n words.
+
+Pair-sum space. On its n words the operator is L = D S W: W multiplies by
+the weights, S adds the two shift preimages, (S x)[k] = x[k] + x[k + n/2],
+and D writes each of those n/2 sums to both words 2k and 2k+1. So L has rank
+n/2, and K = S W D on n/2 words has the same nonzero spectrum. The Perron
+loop iterates K on the pair sums c = S W u: every step, check and pass
+touches n/2 words, and D K c = L D c word for word. ``expand`` turns a
+Perron vector of K into one of L (D c / 2), and ``conformal`` a Perron
+vector of K^T into one of L^T (W S^T mu, unit sum). The kernels read the
+weights in quarter order (``_quarter_order``): each half of the words, its
+even words first, then its odd ones.
 """
 
 from __future__ import annotations
@@ -38,9 +49,11 @@ EIG_MAXIT = 100_000
 PRESSURE_TOL = 1e-10
 # the dimension of every Julia curve solved for lies in [1, 2)
 ROOT_BRACKET = (1.0, 2.0)
-# From this many words on, every full-length pass of the Perron loop works
-# on two halves at once when the process may run on two CPUs; below it the
-# thread handoff costs more than the half it saves.
+# From an operator of this many weights on, every pass of the Perron loop
+# works on two halves at once when the process may run on two CPUs: each
+# step, which reads all the weights, and each pass over the iterates, which
+# have half as many words. Below it the thread handoff costs more than the
+# half it saves.
 SPLIT_MIN_WORDS = 1 << 18
 # The Collatz-Wielandt check divides in chunks of this many words, which
 # stay in cache, instead of into an n-word ratio array.
@@ -66,8 +79,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# vectors of this many words or more are split; never on a single CPU
-_SPLIT_FROM = SPLIT_MIN_WORDS if _usable_cpus() >= 2 else float("inf")
+# iterates of this many words or more are split; never on a single CPU
+_SPLIT_FROM = SPLIT_MIN_WORDS // 2 if _usable_cpus() >= 2 else float("inf")
 # takes the upper half of a split pass; its thread starts on first use
 _HALF_POOL = ThreadPoolExecutor(max_workers=1,
                                 thread_name_prefix="juliadim-half")
@@ -86,21 +99,19 @@ def _in_halves(fn, first: tuple, second: tuple):
 
 
 def _halves(fn, arrays: tuple, *args) -> tuple:
-    """``(fn(*arrays, *args),)``, or, for arrays of ``_SPLIT_FROM`` words or
-    more, ``fn`` on the lower halves of ``arrays`` on this thread and on the
-    upper halves in the pool: both results, lower first.
+    """``(fn(*arrays, *args),)``, or, when ``arrays[0]`` has ``_SPLIT_FROM``
+    words or more, ``fn`` on the lower halves of ``arrays`` on this thread
+    and on the upper halves in the pool: both results, lower first.
 
     Elementwise work, min and max come out the same either way, and so do
     sums of power-of-two arrays of 256 words or more: numpy sums a
     contiguous float64 array pairwise, and the top split of its tree falls
     at ``len(x) // 2``, so the two half sums add up to the whole bit for
     bit."""
-    n = len(arrays[0])
-    if n < _SPLIT_FROM:
+    if len(arrays[0]) < _SPLIT_FROM:
         return (fn(*arrays, *args),)
-    h = n // 2
-    return _in_halves(fn, (*(a[:h] for a in arrays), *args),
-                      (*(a[h:] for a in arrays), *args))
+    return _in_halves(fn, (*(a[:len(a) // 2] for a in arrays), *args),
+                      (*(a[len(a) // 2:] for a in arrays), *args))
 
 
 def _rescale(s: float, x: np.ndarray) -> float:
@@ -111,22 +122,26 @@ def _rescale(s: float, x: np.ndarray) -> float:
     return m
 
 
-def _pair_sums(a, wa, b, wb, out: np.ndarray) -> float:
-    """out[2k] = out[2k+1] = a[k]*wa[k] + b[k]*wb[k]; returns the sum of
-    ``out``."""
-    pairs = out.reshape(len(a), 2)
-    even, odd = pairs[:, 0], pairs[:, 1]
-    np.multiply(a, wa, out=even)
-    np.multiply(b, wb, out=odd)
-    even += odd
-    odd[...] = even
+def _pair_step(out, lo, hi, w0, w1, w2, w3) -> float:
+    """out[2j] = lo[j]*w0[j] + hi[j]*w2[j] and out[2j+1] = lo[j]*w1[j] +
+    hi[j]*w3[j]; returns the sum of ``out``. Allocates one temporary the
+    size of ``hi``: ``out`` has no word to spare for the second product."""
+    t = np.multiply(hi, w2)
+    even, odd = out[0::2], out[1::2]
+    np.multiply(lo, w0, out=even)
+    even += t
+    np.multiply(hi, w3, out=t)
+    np.multiply(lo, w1, out=odd)
+    odd += t
     return out.sum()
 
 
-def _dual_sums(even, odd, w, out: np.ndarray) -> float:
-    """out = (even + odd) * w; returns the sum of ``out``."""
-    np.add(even, odd, out=out)
-    out *= w
+def _dual_sums(even, odd, wa, wb, out: np.ndarray) -> float:
+    """out = even * wa + odd * wb; returns the sum of ``out``. Allocates
+    one temporary the size of ``out``."""
+    t = np.multiply(odd, wb)
+    np.multiply(even, wa, out=out)
+    out += t
     return out.sum()
 
 
@@ -229,6 +244,26 @@ def _gray_fold(x: np.ndarray, inverse: bool = False) -> None:
         upper[...] = upper[:, ::-1]
 
 
+def _quarter_order(x: np.ndarray, inverse: bool = False,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` with each of its halves reordered to the half's even words,
+    then its odd words, into ``out`` (a new array by default): word
+    a*n/2 + 2j + b goes to a*n/2 + b*n/4 + j. With ``inverse``, the inverse
+    permutation. On two words it is a copy."""
+    if out is None:
+        out = np.empty_like(x)
+    if len(x) < 4:
+        out[...] = x
+        return out
+    words = (out if inverse else x).reshape(2, -1, 2).transpose(0, 2, 1)
+    quarters = (x if inverse else out).reshape(2, 2, -1)
+    if inverse:
+        words[...] = quarters
+    else:
+        quarters[...] = words
+    return out
+
+
 def _endpoint_mean(x: np.ndarray, m: int) -> np.ndarray:
     """``(x[k] + x[k+1]) / 2`` for k < ``m``, with ``x[len(x)]`` read as
     ``x[0]``."""
@@ -255,10 +290,12 @@ def _reps_from_table(table: BoettcherTable, level: int) -> np.ndarray:
 class TransferOperator:
     """Weighted doubling-word operator at a fixed parameter and word length.
 
-    At real delta, from level 2 on, it is folded: it works on the 2^(level-1)
-    lower words in Gray order (see the module docstring), and every vector
-    it takes or returns, weights and Perron vectors included, lives in that
-    space. ``unfold`` gives the masses of all 2^level words."""
+    At real delta, from level 2 on, it is folded: its words are the
+    2^(level-1) lower words in Gray order (see the module docstring), else
+    all 2^level words. ``weights`` lives on those words, in quarter order;
+    ``apply``, ``apply_dual`` and the Perron vectors live in pair-sum space,
+    half as many words. ``expand`` and ``conformal`` give vectors on the
+    operator's words, and ``unfold`` the masses of all 2^level words."""
 
     def __init__(self, delta: complex, table: BoettcherTable,
                  level: int | None = None):
@@ -277,17 +314,20 @@ class TransferOperator:
         # average over the word's two endpoint angles: keeps the weight
         # array index-aligned with the table and, unlike a one-endpoint
         # rule, commutes exactly with complex conjugation of delta
-        self.log_deriv = _endpoint_mean(ld, m)
+        mean = _endpoint_mean(ld, m)
         if m < n:
-            _gray_fold(self.log_deriv)
+            _gray_fold(mean)
+        # in the kernels' order, over the endpoint values
+        self.log_deriv = _quarter_order(mean, out=ld[:m])
 
     @property
     def size(self) -> int:
-        """Words the operator works on: 2^level, or 2^(level-1) folded."""
-        return len(self.log_deriv)
+        """Words of the pair-sum space the Perron loop works on: half the
+        operator's words, 2^(level-1), or 2^(level-2) folded."""
+        return len(self.log_deriv) // 2
 
     def unfold(self, x: np.ndarray) -> np.ndarray:
-        """A unit-sum vector of the operator's space as unit-sum masses of
+        """A unit-sum vector on the operator's words as unit-sum masses of
         all 2^level words: ``x`` itself unless folded, else the lower half
         in word order, its mirror image as the upper half, halved."""
         m = len(x)
@@ -301,54 +341,70 @@ class TransferOperator:
         out *= 0.5
         return out
 
+    def expand(self, c: np.ndarray) -> np.ndarray:
+        """The unit-sum Perron vector on the operator's words, D c / 2, of
+        the unit-sum Perron vector ``c`` of ``apply``."""
+        return np.repeat(c * 0.5, 2)
+
+    def conformal(self, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The unit-sum Perron vector on the operator's words, W S^T mu up
+        to scale, of the Perron vector ``mu`` of ``apply_dual`` at the
+        weights ``w``: word k gets w[k] * mu[k mod n/2]."""
+        om = _quarter_order(w, inverse=True)
+        om.reshape(2, -1)[...] *= mu
+        om /= om.sum()
+        return om
+
     def weights(self, tau: float) -> np.ndarray:
-        w = np.empty(self.size)
+        """The weights on the operator's words, in quarter order."""
+        w = np.empty(len(self.log_deriv))
         _halves(_neg_exp, (self.log_deriv, w), tau)
         return w
 
-    def apply(self, u: np.ndarray, w: np.ndarray,
+    def apply(self, c: np.ndarray, w: np.ndarray,
               out: np.ndarray | None = None) -> float:
-        """Sum over the two shift preimages of each word, into ``out``;
-        returns the sum of ``out``.
+        """K = S W D on pair sums, into ``out``; returns the sum of ``out``.
 
-        Words 2k and 2k+1 share the preimages k and k + n/2, so both get
-        u[k]*w[k] + u[k+n/2]*w[k+n/2]. With ``out`` (contiguous, not
-        aliasing ``u``) nothing is allocated. From ``SPLIT_MIN_WORDS``
-        words on, on two CPUs, the pool computes and sums the upper half of
-        ``out`` while this thread does the lower; the results are the same.
+        With lo and hi the halves of ``c``, pair sum 2j collects lo[j] and
+        hi[j] weighted by the even words of the two halves of the operator,
+        and 2j+1 the same two weighted by the odd words: D K c = L D c.
+        ``out`` (contiguous, not aliasing ``c``) is written in place; the
+        one temporary is half its size (``_pair_step``). From ``SPLIT_MIN_WORDS`` weights on, on two CPUs, the
+        pool computes and sums the upper half of ``out`` while this thread
+        does the lower; the results are the same.
         """
-        n = len(u)
         if out is None:
-            out = np.empty_like(u)
-        if n >= _SPLIT_FROM:
-            # output half j holds words 2k, 2k+1 for k in quarter j, so it
-            # reads quarters j and j + 2 of u and w
-            q = n // 4
-            a, b = _in_halves(
-                _pair_sums,
-                (u[:q], w[:q], u[2 * q:3 * q], w[2 * q:3 * q], out[:2 * q]),
-                (u[q:2 * q], w[q:2 * q], u[3 * q:], w[3 * q:], out[2 * q:]))
-            return a + b
-        half = n // 2
-        return _pair_sums(u[:half], w[:half], u[half:], w[half:], out)
+            out = np.empty_like(c)
+        q = len(c) // 2
+        if q == 0:              # one word, which is both its preimages
+            out[0] = c[0] * w[0] + c[0] * w[1]
+            return out[0]
+        return sum(_halves(_pair_step, (out, c[:q], c[q:], *w.reshape(4, q))))
 
-    def apply_dual(self, om: np.ndarray, w: np.ndarray,
+    def apply_dual(self, mu: np.ndarray, w: np.ndarray,
                    out: np.ndarray | None = None) -> float:
-        """Dual action on mass vectors, into ``out``: word k collects words
-        2k and 2k+1 (mod n). Returns the sum of ``out``. With ``out`` (not
-        aliasing ``om``) nothing is allocated; split like ``apply``."""
-        half = len(om) // 2
+        """K^T = D^T W S^T on pair-sum masses, into ``out``: pair sum k
+        collects pair sums 2k and 2k+1 (mod n/2), weighted by the words 2k
+        and 2k+1 of the operator. Returns the sum of ``out``. ``out`` (not
+        aliasing ``mu``) is written in place, through one temporary of its
+        size (``_dual_sums``); split like ``apply``."""
         if out is None:
-            out = np.empty_like(om)
-        even, odd = om[0::2], om[1::2]
-        if len(om) >= _SPLIT_FROM:
-            a, b = _in_halves(_dual_sums, (even, odd, w[:half], out[:half]),
-                              (even, odd, w[half:], out[half:]))
+            out = np.empty_like(mu)
+        q = len(mu) // 2
+        if q == 0:
+            out[0] = mu[0] * w[0] + mu[0] * w[1]
+            return out[0]
+        even, odd = mu[0::2], mu[1::2]
+        quarters = w.reshape(4, q)
+        if len(mu) >= _SPLIT_FROM:
+            a, b = _in_halves(
+                _dual_sums, (even, odd, *quarters[:2], out[:q]),
+                (even, odd, *quarters[2:], out[q:]))
             return a + b
-        np.add(even, odd, out=out[:half])
-        out[half:] = out[:half]
-        out *= w
-        return out.sum()
+        # both halves in one pass each: out[h*q + k] collects quarters 2h
+        # and 2h + 1
+        return _dual_sums(even, odd, quarters[0::2], quarters[1::2],
+                          out.reshape(2, q))
 
     def _perron(self, w: np.ndarray, u0: np.ndarray | None = None,
                 rtol: float = EIG_RTOL, *, dual: bool = False):
@@ -366,11 +422,11 @@ class TransferOperator:
         ratio estimate predicts the spread has shrunk to ``rtol``.
 
         Each step is one apply, which returns the sum of its output: the
-        iterate stays unnormalised, the eigenvalue is the ratio of its
-        successive sums, and it is rescaled by an exact power of two only
-        when its sum leaves the ``RESCALE_WINDOW``. From ``_SPLIT_FROM``
-        words on every full-length pass runs in halves on two threads
-        (``_halves``), with bit-identical results.
+        iterate, ``size`` pair sums, stays unnormalised, the eigenvalue is
+        the ratio of its successive sums, and it is rescaled by an exact
+        power of two only when its sum leaves the ``RESCALE_WINDOW``. From
+        ``_SPLIT_FROM`` pair sums on every full-length pass runs in halves on
+        two threads (``_halves``), with bit-identical results.
 
         When two estimates of the ratio agree, sign included, the last
         step's change lies along one mode and is multiplied by the ratio per
@@ -561,8 +617,8 @@ def _bowen_root(op: TransferOperator, near: tuple | None = None,
     narrowed by its sign, and takes the Newton step ``tau + P/chi`` (P' =
     -chi there) first.
 
-    The Perron vectors, ``h`` of ``near`` and the one returned, live in
-    the operator's space: n/2 words in Gray order for a folded operator.
+    The Perron vectors, ``h`` of ``near`` and the one returned, are the
+    operator's unit-sum pair sums (``TransferOperator.apply``).
 
     Raises BracketFailureError if P does not change sign on
     ``ROOT_BRACKET``, and NoConvergenceError once (a, b) holds no midpoint.
@@ -641,8 +697,8 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
     geometric level error; ``error_bound`` is the last inter-level
     difference. ``dim`` uses step 1, the scans step 2. ``at_root(level,
     root, h)``, if given, is called after each root with the unit-sum
-    Perron vector ``h`` there, in the space of that level's operator (folded
-    at real delta), which is dropped after the call. Raises
+    Perron vector ``h`` there, the pair sums of that level's operator, which
+    is dropped after the call. Raises
     ValueError for delta outside B(1, 1), where -delta is not attracting
     (delta = 0 included).
     """
@@ -688,22 +744,22 @@ def equilibrium(delta: complex, tau: float, table: BoettcherTable,
     """Left and right Perron vectors, combined into the invariant state.
 
     Two ``_perron`` solves from the uniform vector: the primal one gives the
-    eigenvector h, the dual one the mass vector omega, and mu = h * omega.
-    A caller that has h at ``tau`` already, such as the unit-sum vector
-    ``_bowen_root`` returns with its root, passes it and saves the primal
-    solve; h lives in the operator's space (folded at real delta). chi is
-    computed there, and mu and omega are unfolded to all 2^level words.
+    eigenvector h, the dual one the mass vector omega (``conformal``), and
+    mu = h * omega on the operator's words. A caller that has h at ``tau``
+    already, such as the unit-sum pair sums ``_bowen_root`` returns with
+    its root, passes it and saves the primal solve. chi is computed on the
+    operator's words, and mu and omega are unfolded to all 2^level words.
     """
     op = TransferOperator(delta, table, level)
     w = op.weights(tau)
     if h is None:
         h = op._perron(w)[1]
-    om = op._perron(w, dual=True)[1]
-    mu = h * om
+    om = op.conformal(op._perron(w, dual=True)[1], w)
+    mu = op.expand(h) * om
     mu /= mu.sum()
+    chi = float(np.sum(mu * _quarter_order(op.log_deriv, inverse=True)))
     return EquilibriumWeights(complex(delta), op.level, float(tau),
-                              op.unfold(mu), op.unfold(om),
-                              float(np.sum(mu * op.log_deriv)))
+                              op.unfold(mu), op.unfold(om), chi)
 
 
 def _cylinder_bins(level: int) -> np.ndarray:
@@ -766,8 +822,8 @@ class RayPoint:
     dim: DimensionResult                # levels L-4, L-2, L
     dprime: tuple[float, float]         # raw, extrapolated
     weights: EquilibriumWeights         # equilibrium state at level L
-    # unit-sum Perron vector at level L, in the operator's space (folded at
-    # real delta; weights.mu and .omega are unfolded)
+    # unit-sum Perron vector at level L, the operator's pair sums
+    # (weights.mu and .omega are masses of all words)
     h: np.ndarray
 
     @property

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from juliadim import cli, transfer
 from juliadim.cli import _fit_d0, main
 from juliadim.errors import NoConvergenceError
+from juliadim.maps import Param, in_mandelbrot_grid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -119,6 +121,22 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
                 "--level", "10"]) == 0
     out = capsys.readouterr().out
     assert "level 10" in out
+
+
+def test_config_satisfies_required_option(tmp_path, capsys):
+    # a config line for a required option stands in for the flag, and the
+    # flag still wins; without either the run exits 2
+    conf = tmp_path / "run.conf"
+    conf.write_text("delta = 0.3\nlevel = 10\n")
+    assert run(["--config", str(conf), "dim"]) == 0
+    assert "level 10" in capsys.readouterr().out
+    assert run(["--config", str(conf), "dim", "--delta", "1.0"]) == 0
+    assert "dimension 1.000000000000" in capsys.readouterr().out
+    conf.write_text("level = 10\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(conf), "dim"])
+    assert exc.value.code == 2
+    assert "required: --delta" in capsys.readouterr().err
 
 
 def test_config_flag_without_path(capsys):
@@ -301,6 +319,29 @@ def test_mandelbrot_grid_pinned_digest(tmp_path):
     bits = [ln.rsplit(",", 1)[1] for ln in open(out).read().splitlines()[1:]]
     assert len(bits) == ref["points"]
     assert hashlib.sha256("".join(bits).encode()).hexdigest() == ref["sha256"]
+
+
+@pytest.mark.parametrize("family", ["delta", "eps"])
+@pytest.mark.parametrize("grid", [1, 7])
+def test_mandelbrot_csv_matches_per_row_formatting(tmp_path, family, grid):
+    # byte for byte the CSV of one formatted row per grid point
+    out = str(tmp_path / "m.csv")
+    assert run(["mandelbrot", "--grid", str(grid), "--family", family,
+                "--out", out]) == 0
+    if family == "delta":
+        res, ims = np.linspace(-2.5, 2.5, grid), np.linspace(-2.5, 2.5, grid)
+    else:
+        res, ims = np.linspace(-2.0, 0.5, grid), np.linspace(-1.25, 1.25, grid)
+    deltas = [complex(re, im) for re in res for im in ims]
+    if family == "eps":
+        deltas = [Param.from_epsilon(e).delta for e in deltas]
+    inside = in_mandelbrot_grid(deltas, 1000)
+    rows = [[re, im, 1 if inside[i * grid + j] else 0]
+            for i, re in enumerate(res) for j, im in enumerate(ims)]
+    ref = str(tmp_path / "ref.csv")
+    cli._write_csv(ref, ["re", "im", "inside"], rows)
+    with open(out, "rb") as fh, open(ref, "rb") as fr:
+        assert fh.read() == fr.read()
 
 
 @pytest.mark.parametrize("argv", [["--grid", "0"], ["--grid", "-3"],

@@ -265,29 +265,72 @@ def test_orbit_expansion_report():
 
 
 # ---------------------------------------------------------------------------
-# the allocation-free kernels against the original allocating formulas
+# the allocation-free kernels on pair sums against allocating formulas
 
 def _repeat_apply(u, w):
+    """The operator L = D S W on its words, ``w`` in word order."""
     t = u * w
     half = len(t) // 2
     return np.repeat(t[:half] + t[half:], 2)
 
 
 def _gather_apply_dual(om, w):
+    """L^T on the operator's words, ``w`` in word order."""
     n = len(om)
     idx = np.arange(n)
     return w * (om[(2 * idx) % n] + om[(2 * idx + 1) % n])
+
+
+def _pair_apply(c, w):
+    """K = S W D on pair sums, ``w`` in word order."""
+    t = np.repeat(c, 2) * w
+    return t[:len(c)] + t[len(c):]
+
+
+def _pair_apply_dual(mu, w):
+    """K^T = D^T W S^T on pair sums, ``w`` in word order."""
+    t = np.tile(mu, 2) * w
+    return t[0::2] + t[1::2]
+
+
+def _quarter_positions(n):
+    """Where the kernels keep the weight of each of ``n`` words: word
+    a*n/2 + 2j + b at a*n/2 + b*n/4 + j."""
+    k = np.arange(n)
+    if n < 4:
+        return k
+    h = n // 2
+    a, r = divmod(k, h)
+    return a * h + (r % 2) * (h // 2) + r // 2
+
+
+def _word_order(w):
+    """Weights in the kernels' quarter order, in word order."""
+    return w[_quarter_positions(len(w))]
+
+
+def _quartered(x):
+    """Weights in word order, in the kernels' quarter order."""
+    out = np.empty_like(x)
+    out[_quarter_positions(len(x))] = x
+    return out
+
+
+def _conformal(mu, w):
+    """W S^T mu at unit sum, ``w`` in word order."""
+    om = np.tile(mu, 2) * w
+    return om / om.sum()
 
 
 def _allocating_run(monkeypatch, fn, *args):
     """``fn(*args)`` with ``apply`` and ``apply_dual`` computed by the
     allocating formulas above and copied into ``out``."""
     def apply(self, u, w, out=None):
-        out[...] = _repeat_apply(u, w)
+        out[...] = _pair_apply(u, _word_order(w))
         return out.sum()
 
     def apply_dual(self, om, w, out=None):
-        out[...] = _gather_apply_dual(om, w)
+        out[...] = _pair_apply_dual(om, _word_order(w))
         return out.sum()
     with monkeypatch.context() as m:
         m.setattr(TransferOperator, "apply", apply)
@@ -296,11 +339,15 @@ def _allocating_run(monkeypatch, fn, *args):
 
 
 def _converged_perron(op, w, u0=None, dual=False):
-    """Reference Perron solve: normalising power iteration with the
-    allocating formulas, run until the Collatz-Wielandt spread of a step is
-    at most ``REF_SPREAD``; the eigenvalue is then that close."""
+    """Reference Perron solve on the operator's words: normalising power
+    iteration of L (or L^T) with the allocating formulas, from the uniform
+    vector or the expanded pair sums ``u0``, run until the
+    Collatz-Wielandt spread of a step is at most ``REF_SPREAD``; the
+    eigenvalue is then that close."""
     step = _gather_apply_dual if dual else _repeat_apply
-    u = np.full(op.size, 1.0 / op.size) if u0 is None else u0 / u0.sum()
+    w = _word_order(w)
+    n = len(w)
+    u = np.full(n, 1.0 / n) if u0 is None else np.repeat(u0 / u0.sum(), 2) / 2
     for _ in range(20_000):
         v = step(u, w)
         ratio = v / u
@@ -337,55 +384,107 @@ def table16():
     return build_table(0.3 + 0.2j, 16)
 
 
+@pytest.fixture(scope="module")
+def table13():
+    return build_table(0.3, 13)
+
+
 @pytest.mark.parametrize("level", range(1, 17))
-def test_kernels_bit_identical(table16, level):
-    op = TransferOperator(0.3 + 0.2j, table16, level)
-    rng = np.random.default_rng(level)
-    u = rng.random(op.size)
-    w = rng.random(op.size)
-    u_in, w_in = u.copy(), w.copy()
-    ref = _repeat_apply(u, w)
-    assert op.apply(u, w) == ref.sum()
-    out = np.full(op.size, np.nan)
-    assert op.apply(u, w, out=out) == ref.sum()
-    assert np.array_equal(out, ref)
-    ref_dual = _gather_apply_dual(u, w)
-    assert op.apply_dual(u, w) == ref_dual.sum()
-    assert op.apply_dual(u, w, out=out) == ref_dual.sum()
-    assert np.array_equal(out, ref_dual)
-    assert np.array_equal(u, u_in) and np.array_equal(w, w_in)
+def test_kernels_bit_identical(table16, table13, level):
+    # complex delta at every level, folded real delta up to 13; the
+    # one-pair-sum operators are complex level 1 and real levels 1 and 2
+    cases = [(0.3 + 0.2j, table16)] + ([(0.3, table13)] if level <= 13 else [])
+    for delta, table in cases:
+        op = TransferOperator(delta, table, level)
+        n = len(op.log_deriv)
+        assert op.size == n // 2
+        rng = np.random.default_rng(level)
+        u = rng.random(op.size)
+        w_words = rng.random(n)
+        w = _quartered(w_words)
+        u_in, w_in = u.copy(), w.copy()
+        ref = _pair_apply(u, w_words)
+        assert op.apply(u, w) == ref.sum()
+        out = np.full(op.size, np.nan)
+        assert op.apply(u, w, out=out) == ref.sum()
+        assert np.array_equal(out, ref)
+        ref_dual = _pair_apply_dual(u, w_words)
+        assert op.apply_dual(u, w) == ref_dual.sum()
+        assert op.apply_dual(u, w, out=out) == ref_dual.sum()
+        assert np.array_equal(out, ref_dual)
+        assert np.array_equal(u, u_in) and np.array_equal(w, w_in)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 13), st.integers(0, 2 ** 32 - 1))
+def test_pair_kernels_are_the_operator_on_expanded_vectors(p, seed):
+    # D K c = L D c and W S^T K^T mu = L^T W S^T mu word for word, on 2^p
+    # operator words; the kernels read nothing of the operator, so they run
+    # unbound
+    rng = np.random.default_rng(seed)
+    n = 1 << p
+    c, mu, w = rng.random(n // 2), rng.random(n // 2), rng.random(n)
+    out = np.empty(n // 2)
+    TransferOperator.apply(None, c, _quartered(w), out)
+    assert np.array_equal(np.repeat(out, 2),
+                          _repeat_apply(np.repeat(c, 2), w))
+    TransferOperator.apply_dual(None, mu, _quartered(w), out)
+    assert np.array_equal(np.tile(out, 2) * w,
+                          _gather_apply_dual(np.tile(mu, 2) * w, w))
+
+
+def test_quarter_order_is_the_index_form(table16):
+    for level in range(1, 11):
+        op = TransferOperator(0.3 + 0.2j, table16, level)
+        x = np.random.default_rng(level).random(len(op.log_deriv))
+        assert np.array_equal(transfer._quarter_order(x), _quartered(x))
+        assert np.array_equal(transfer._quarter_order(x, inverse=True),
+                              _word_order(x))
+        # the expanded Perron vectors, against the formulas
+        c = x[:op.size] / x[:op.size].sum()
+        assert np.array_equal(op.expand(c), np.repeat(c, 2) / 2)
+        assert np.allclose(op.conformal(c, x), _conformal(c, _word_order(x)),
+                           rtol=1e-15, atol=0)
 
 
 def test_power_steps_bit_identical(table16):
+    # bit for bit against the allocating pair-sum step, and within rounding
+    # of the old step on all words, whose iterate is the expanded one
     op = TransferOperator(0.3 + 0.2j, table16, 14)
     w = op.weights(1.1)
-    n = op.size
-    u_ref = np.full(n, 1.0 / n)
-    u = np.full(n, 1.0 / n)
-    v = np.empty(n)
+    w_words = _word_order(w)
+    m = op.size
+    c_ref = np.full(m, 1.0 / m)
+    c = np.full(m, 1.0 / m)
+    u_old = np.full(2 * m, 1.0 / (2 * m))
+    v = np.empty(m)
     for _ in range(50):
-        t = _repeat_apply(u_ref, w)
+        t = _pair_apply(c_ref, w_words)
         s_ref = t.sum()
-        lam_ref = s_ref / u_ref.sum()
-        u_ref = t / s_ref
-        s = op.apply(u, w, out=v)
-        lam = s / u.sum()
+        lam_ref = s_ref / c_ref.sum()
+        c_ref = t / s_ref
+        s = op.apply(c, w, out=v)
+        lam = s / c.sum()
         np.divide(v, s, out=v)
-        u, v = v, u
+        c, v = v, c
         assert lam == lam_ref
-    assert np.array_equal(u, u_ref)
+        t = _repeat_apply(u_old, w_words)
+        assert abs(lam - t.sum() / u_old.sum()) <= 1e-14 * lam
+        u_old = t / t.sum()
+    assert np.array_equal(c, c_ref)
+    assert np.all(np.abs(op.expand(c) - u_old) <= 1e-13 * u_old)
 
 
 def test_perron_and_equilibrium_bit_identical(table16, monkeypatch):
     # bit for bit against the loops run with the allocating kernels, and
-    # within tolerance of the converged reference
+    # within tolerance of the converged reference on all words
     op = TransferOperator(0.3 + 0.2j, table16, 12)
     w = op.weights(1.2)
     lam, u = op._perron(w)
     lam_a, u_a = _allocating_run(monkeypatch, op._perron, w)
     assert lam == lam_a and np.array_equal(u, u_a)
     lam_ref, u_ref = _converged_perron(op, w)
-    _assert_close_to_ref([u], [u_ref], lam, lam_ref)
+    _assert_close_to_ref([op.expand(u)], [u_ref], lam, lam_ref)
     # warm start: same result, and the caller's start vector is left alone
     w2 = op.weights(1.25)
     u0 = u.copy()
@@ -393,7 +492,7 @@ def test_perron_and_equilibrium_bit_identical(table16, monkeypatch):
     lam_a, u_a = _allocating_run(monkeypatch, op._perron, w2, u0)
     assert lam == lam_a and np.array_equal(u2, u_a)
     lam_ref, u_ref = _converged_perron(op, w2, u0)
-    _assert_close_to_ref([u2], [u_ref], lam, lam_ref)
+    _assert_close_to_ref([op.expand(u2)], [u_ref], lam, lam_ref)
     assert np.array_equal(u, u0)
     eq = equilibrium(0.3 + 0.2j, 1.2, table16, 12)
     eq_a = _allocating_run(monkeypatch, equilibrium, 0.3 + 0.2j, 1.2, table16, 12)
@@ -417,11 +516,6 @@ def _folded(x):
     return _gray_index_form(x[:len(x) // 2])
 
 
-@pytest.fixture(scope="module")
-def table13():
-    return build_table(0.3, 13)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
 def test_gray_fold_is_the_index_form_and_unfolds_exactly(table13, p, seed):
@@ -433,7 +527,7 @@ def test_gray_fold_is_the_index_form_and_unfolds_exactly(table13, p, seed):
     assert np.array_equal(y, x)
     # a unit-sum mirror-symmetric vector, folded at twice its weight
     op = TransferOperator(0.3, table13, p + 1)
-    assert op.size == len(x)
+    assert len(op.log_deriv) == len(x)
     full = np.concatenate([x, x[::-1]]) / (2.0 * x.sum())
     assert np.array_equal(op.unfold(2.0 * _folded(full)), full)
 
@@ -441,20 +535,35 @@ def test_gray_fold_is_the_index_form_and_unfolds_exactly(table13, p, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
 def test_folded_kernels_match_full_kernels_on_mirrored_vectors(p, seed):
-    # on mirror-symmetric vectors the doubling kernels on n/2 words in Gray
-    # order are the full kernels on n words; they read nothing of the
-    # operator, so they run unbound
+    # on mirror-symmetric vectors the pair-sum kernels of the 2^p words in
+    # Gray order, expanded, are the full kernels on all 2^(p+1) words; they
+    # read nothing of the operator, so they run unbound
     rng = np.random.default_rng(seed)
-    u, ld = rng.random(1 << p) + 1e-3, rng.standard_normal(1 << p)
-    u_full = np.concatenate([u, u[::-1]])
+    c, mu = rng.random(1 << (p - 1)) + 1e-3, rng.random(1 << (p - 1)) + 1e-3
+    ld = rng.standard_normal(1 << p)
     w_full = np.exp(-np.concatenate([ld, ld[::-1]]))
-    for name, ref in [("apply", _repeat_apply(u_full, w_full)),
-                      ("apply_dual", _gather_apply_dual(u_full, w_full))]:
-        out = np.empty(len(u))
-        s = getattr(TransferOperator, name)(None, _folded(u_full),
-                                            _folded(w_full), out)
-        assert np.all(np.abs(out - _folded(ref)) <= 1e-15 * out), name
-        assert abs(s - ref.sum() / 2.0) <= 1e-15 * s, name
+    w = _folded(w_full)
+
+    def mirrored(x):
+        lower = x.copy()
+        transfer._gray_fold(lower, inverse=True)
+        return np.concatenate([lower, lower[::-1]])
+    out = np.empty(len(c))
+    s = TransferOperator.apply(None, c, _quartered(w), out)
+    ref = _repeat_apply(mirrored(np.repeat(c, 2)), w_full)
+    d_out = np.repeat(out, 2)
+    assert np.all(np.abs(d_out - _folded(ref)) <= 1e-15 * d_out)
+    assert abs(s - ref.sum() / 4.0) <= 1e-15 * s
+    # K^T mu is D^T of the conformal vector W S^T mu on all words, and
+    # L^T maps that vector to W S^T K^T mu
+    s = TransferOperator.apply_dual(None, mu, _quartered(w), out)
+    om = mirrored(np.tile(mu, 2) * w)
+    ref = om[0::2] + om[1::2]
+    assert np.all(np.abs(out - _folded(ref)) <= 1e-15 * out)
+    assert abs(s - ref.sum() / 2.0) <= 1e-15 * s
+    ref = _gather_apply_dual(om, w_full)
+    x = np.tile(out, 2) * w
+    assert np.all(np.abs(x - _folded(ref)) <= 1e-15 * x)
 
 
 @pytest.mark.parametrize("delta, level", [(0.05, 20), (0.8, 14), (0.3, 12),
@@ -465,7 +574,7 @@ def test_real_delta_weights_are_mirror_symmetric_and_folded(delta, level):
     ld = _full_log_deriv(delta, table)
     assert np.array_equal(ld, ld[::-1])
     assert np.array_equal(TransferOperator(delta, table).log_deriv,
-                          _folded(ld))
+                          _quartered(_folded(ld)))
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.8])
@@ -475,7 +584,7 @@ def test_folded_solve_matches_near_real_unfolded_solve(delta):
     table, table_c = build_table(delta, level), build_table(near_real, level)
     op, op_c = TransferOperator(delta, table), TransferOperator(near_real,
                                                                 table_c)
-    assert 2 * op.size == op_c.size == 1 << level
+    assert 2 * len(op.log_deriv) == len(op_c.log_deriv) == 1 << level
     a = hausdorff_dim(delta, level, table=table)
     b = hausdorff_dim(near_real, level, table=table_c)
     assert np.all(np.abs(np.subtract(a.roots, b.roots)) <= 1e-12)
@@ -487,28 +596,18 @@ def test_folded_solve_matches_near_real_unfolded_solve(delta):
         assert np.all(np.abs(x - x_c) <= 1e-10 * x_c)
     assert abs(eq.chi - eq_c.chi) <= 1e-12
     # the unfolded Perron vector, certified on the full kernel
-    h_full = op.unfold(h)
+    h_full = op.unfold(op.expand(h))
     w_full = np.exp(-tau * _full_log_deriv(delta, table))
     assert transfer._cw_spread(_repeat_apply(h_full, w_full), h_full,
                                1.0)[0] <= 2e-12
 
 
 # ---------------------------------------------------------------------------
-# the two-way split of the Perron step at SPLIT_MIN_WORDS words and more,
-# against the unsplit code
+# the two-way split of the Perron loop from SPLIT_MIN_WORDS weights, that is
+# half as many pair sums, on, against the unsplit code
 
-def _unsplit_apply(u, w, out=None):
-    half = len(u) // 2
-    if out is None:
-        out = np.empty_like(u)
-    pairs = out.reshape(half, 2)
-    even, odd = pairs[:, 0], pairs[:, 1]
-    np.multiply(u[:half], w[:half], out=even)
-    np.multiply(u[half:], w[half:], out=odd)
-    even += odd
-    odd[...] = even
-    return out
-
+# the pair sums from which the loop is split on two CPUs
+SPLIT_PAIR_SUMS = transfer.SPLIT_MIN_WORDS // 2
 
 DELTA18 = 0.3 + 0.2j
 
@@ -528,7 +627,7 @@ def split(request, monkeypatch):
     """Runs a test as the CPU affinity decides, then forced either way."""
     if request.param != "auto":
         monkeypatch.setattr(transfer, "_SPLIT_FROM",
-                            transfer.SPLIT_MIN_WORDS if request.param == "split"
+                            SPLIT_PAIR_SUMS if request.param == "split"
                             else float("inf"))
 
 
@@ -536,7 +635,7 @@ def test_split_follows_cpu_affinity():
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("no CPU affinity on this platform")
     two_cpus = len(os.sched_getaffinity(0)) >= 2
-    assert transfer._SPLIT_FROM == (transfer.SPLIT_MIN_WORDS if two_cpus
+    assert transfer._SPLIT_FROM == (SPLIT_PAIR_SUMS if two_cpus
                                     else float("inf"))
 
 
@@ -560,12 +659,12 @@ def test_split_apply_bit_identical(op18):
     u = rng.random(op18.size)
     w = op18.weights(1.1)
     u_in = u.copy()
-    ref = _unsplit_apply(u, w)
+    ref = _pair_apply(u, _word_order(w))
     assert op18.apply(u, w) == ref.sum()
     out = np.full(op18.size, np.nan)
     assert op18.apply(u, w, out=out) == ref.sum()
     assert np.array_equal(out, ref)
-    ref_dual = _gather_apply_dual(u, w)
+    ref_dual = _pair_apply_dual(u, _word_order(w))
     assert op18.apply_dual(u, w, out=out) == ref_dual.sum()
     assert np.array_equal(out, ref_dual)
     assert np.array_equal(u, u_in)
@@ -577,19 +676,21 @@ def test_split_sums_bit_identical(op18, monkeypatch):
     # the old step's normalised one
     n = op18.size
     w = op18.weights(1.1)
+    w_words = _word_order(w)
     v = np.empty(n)
-    for split_from in (transfer.SPLIT_MIN_WORDS, float("inf")):
+    for split_from in (SPLIT_PAIR_SUMS, float("inf")):
         monkeypatch.setattr(transfer, "_SPLIT_FROM", split_from)
         u = np.full(n, 1.0 / n)
         u_old = u.copy()
         for _ in range(3):
             s = op18.apply(u, w, v)
-            u = _unsplit_apply(u, w)
+            u = _pair_apply(u, w_words)
             assert np.array_equal(v, u) and s == u.sum()
-            t = _unsplit_apply(u_old, w)
+            t = _pair_apply(u_old, w_words)
             u_old = t / t.sum()
             assert np.all(np.abs(u / s - u_old) <= 1e-12 * u_old)
-        assert op18.apply_dual(u, w, v) == _gather_apply_dual(u, w).sum()
+        assert (op18.apply_dual(u, w, v)
+                == _pair_apply_dual(u, w_words).sum())
 
 
 def _unsplit_run(monkeypatch, fn, *args):
@@ -608,14 +709,14 @@ def test_split_perron_bit_identical(op18, monkeypatch):
     lam_u, u_u = _unsplit_run(monkeypatch, op18._perron, w)
     assert lam == lam_u and np.array_equal(u, u_u)
     lam_ref, u_ref = _converged_perron(op18, w)
-    _assert_close_to_ref([u], [u_ref], lam, lam_ref)
+    _assert_close_to_ref([op18.expand(u)], [u_ref], lam, lam_ref)
     w2 = op18.weights(1.15)
     u0 = u.copy()
     lam, u2 = op18._perron(w2, u)
     lam_u, u_u = _unsplit_run(monkeypatch, op18._perron, w2, u0)
     assert lam == lam_u and np.array_equal(u2, u_u)
     lam_ref, u_ref = _converged_perron(op18, w2, u0)
-    _assert_close_to_ref([u2], [u_ref], lam, lam_ref)
+    _assert_close_to_ref([op18.expand(u2)], [u_ref], lam, lam_ref)
     assert np.array_equal(u, u0)
 
 
@@ -634,10 +735,12 @@ def table19_real():
 
 @pytest.mark.usefixtures("split")
 def test_split_folded_perron_bit_identical(table19_real, monkeypatch):
-    # a real delta at level 19 folds onto 2^18 = SPLIT_MIN_WORDS words, so
-    # its passes are split when forced or on two CPUs
+    # a real delta at level 19 folds onto 2^18 = SPLIT_MIN_WORDS words, the
+    # fewest whose passes are split, when forced or on two CPUs: the
+    # pair-sum kernels, primal and dual, then run both ways
     op = TransferOperator(0.3, table19_real)
-    assert op.size == transfer.SPLIT_MIN_WORDS
+    assert len(op.log_deriv) == transfer.SPLIT_MIN_WORDS
+    assert op.size == SPLIT_PAIR_SUMS
     handoffs = _count_calls(monkeypatch, "_in_halves")
     w = op.weights(1.1)
     for dual in (False, True):
@@ -861,7 +964,8 @@ def _full_log_deriv(delta, table):
 
 
 def _dense(w):
-    """The operator on all ``len(w)`` words as a dense matrix."""
+    """The operator on all ``len(w)`` words as a dense matrix, ``w`` in
+    word order."""
     n = len(w)
     a = np.zeros((n, n))
     j = np.arange(n)
@@ -887,7 +991,7 @@ def test_perron_aitken_matches_dense_eigenvalue(delta, tau, monkeypatch,
                                                 applications):
     op = TransferOperator(delta, build_table(delta, 10))
     w = op.weights(tau)
-    a = _dense(w)
+    a = _dense(_word_order(w))
     ev = np.linalg.eigvals(a)
     lam_dense = ev[np.argmax(ev.real)].real
     lam, u = op._perron(w)
@@ -900,8 +1004,9 @@ def test_perron_aitken_matches_dense_eigenvalue(delta, tau, monkeypatch,
     # the dual solve behind equilibrium's mass vector takes the step too,
     # and lands on the dense left eigenvector
     aitken = _count_calls(monkeypatch, "_remove_mode")
-    _, om = op._perron(w, dual=True)
+    _, mu = op._perron(w, dual=True)
     assert aitken[0] > 0
+    om = op.conformal(mu, w)
     ev, vecs = np.linalg.eig(a.T)
     om_dense = vecs[:, np.argmax(ev.real)].real
     om_dense /= om_dense.sum()
@@ -919,17 +1024,19 @@ def test_perron_aitken_matches_dense_eigenvalue(delta, tau, monkeypatch,
 def test_perron_certified_against_dense_eigenvalue(delta, tau):
     table = build_table(delta, 10)
     op = TransferOperator(delta, table)
-    assert op.size == (512 if delta.imag == 0 else 1024)
+    assert op.size == (256 if delta.imag == 0 else 512)
     a = _dense(np.exp(-tau * _full_log_deriv(delta, table)))
     for dual in (False, True):
         ev, vecs = np.linalg.eig(a.T if dual else a)
         k = np.argmax(ev.real)
         lam_dense = ev[k].real
         vec = vecs[:, k].real / vecs[:, k].real.sum()
-        lam, u = op._perron(op.weights(tau), dual=dual)
+        w = op.weights(tau)
+        lam, u = op._perron(w, dual=dual)
         assert abs(lam - lam_dense) <= 1e-12 * lam_dense
         assert np.all(u > 0)
-        assert np.all(np.abs(op.unfold(u) - vec) <= VEC_RTOL * vec)
+        x = op.conformal(u, w) if dual else op.expand(u)
+        assert np.all(np.abs(op.unfold(x) - vec) <= VEC_RTOL * vec)
 
 
 def test_iteration_budget(monkeypatch):
@@ -1032,7 +1139,7 @@ def test_perron_aitken_from_tau_one_vector(monkeypatch, applications):
 def test_split_perron_aitken_bit_identical(op18, monkeypatch, applications):
     w = op18.weights(2.0)
     runs = []
-    for split_from in (transfer.SPLIT_MIN_WORDS, float("inf")):
+    for split_from in (SPLIT_PAIR_SUMS, float("inf")):
         monkeypatch.setattr(transfer, "_SPLIT_FROM", split_from)
         applications[0] = 0
         runs.append((*op18._perron(w), applications[0]))

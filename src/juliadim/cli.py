@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -94,13 +93,6 @@ def _geometric_grid(t_start: float, t_end: float, ratio: float) -> list[float]:
     return ts
 
 
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -147,7 +139,9 @@ def cmd_omega(args) -> int:
     t0 = time.monotonic()
     spec = QuadratureSpec()
     rows = []
-    n_steps = int(round((args.theta_max - args.theta_min) / args.step))
+    # the steps that fit in the range; 1e-9 absorbs the rounding of a range
+    # that is a whole number of steps
+    n_steps = math.floor((args.theta_max - args.theta_min) / args.step + 1e-9)
     for i in range(n_steps + 1):
         th = args.theta_min + i * args.step
         try:
@@ -205,10 +199,7 @@ def cmd_d0(args) -> int:
                          f"(lower --t-min or raise --t-start)")
     check_disk(ts, ParseError)
 
-    def solve(t):
-        return hausdorff_dim(t, args.level, step=2)
-
-    sols = _map_maybe_parallel(solve, ts, args.threads)
+    sols = [hausdorff_dim(t, args.level, step=2) for t in ts]
     dims = [s.aitken_estimate for s in sols]
     est = _fit_d0(ts, dims)
     est_drop = _fit_d0(ts[:-1], dims[:-1])
@@ -269,7 +260,7 @@ def cmd_ray(args) -> int:
         return [t, pt.dim.tau0, pt.dim.aitken_estimate, dp_raw, dp_ext,
                 fd, r, "ok"], pt.weights.chi
 
-    solved = _map_maybe_parallel(solve, ts, args.threads)
+    solved = [solve(t) for t in ts]
     rows = [row for row, _ in solved]
     good = [row for row in rows if row[-1] == "ok"]
     chis = [chi for row, chi in solved if row[-1] == "ok"]
@@ -333,6 +324,8 @@ def cmd_verify(args) -> int:
 def cmd_convexity(args) -> int:
     if args.points < 3:
         raise ParseError("--points must be >= 3 for a second difference")
+    if args.eps_min == args.eps_max:
+        raise ParseError("need --eps-min != --eps-max for a second difference")
     t0 = time.monotonic()
     eps = np.linspace(args.eps_min, args.eps_max, args.points)
     if np.any(eps >= 0):
@@ -340,10 +333,7 @@ def cmd_convexity(args) -> int:
     deltas = [2.0 * math.sqrt(-e) for e in eps]
     check_disk(deltas, ParseError)
 
-    def solve(delta):
-        return hausdorff_dim(delta, args.level, step=2)
-
-    sols = _map_maybe_parallel(solve, deltas, args.threads)
+    sols = [hausdorff_dim(d, args.level, step=2) for d in deltas]
     dims = np.array([s.aitken_estimate for s in sols])
     gaps = np.array([s.error_bound for s in sols])
     h = eps[1] - eps[0]
@@ -426,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p, *flags, level=16):
-        """--out, and those of --level, --tol, --threads, --json named in
+        """--out, and those of --level, --tol, --json named in
         ``flags``: each command takes only the flags it reads."""
         if "level" in flags:
             p.add_argument("--level", type=int, default=level,
@@ -434,8 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if "tol" in flags:
             p.add_argument("--tol", type=float, default=PRESSURE_TOL)
         p.add_argument("--out", help="output file")
-        if "threads" in flags:
-            p.add_argument("--threads", type=int, default=1)
         if "json" in flags:
             p.add_argument("--json", action="store_true")
 
@@ -465,13 +453,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=DEFAULT_RAY_T_END)
     p.add_argument("--d0", type=float, default=1.0812,
                    help="limit dimension used in the ratio normalization")
-    common(p, "level", "threads", "json", level=14)
+    common(p, "level", "json", level=14)
     p.set_defaults(fn=cmd_ray)
 
     p = sub.add_parser("d0", help="extrapolate the dimension limit on the real ray")
     p.add_argument("--t-start", type=float, default=0.4)
     p.add_argument("--t-min", type=float, default=0.05)
-    common(p, "level", "threads", "json")
+    common(p, "level", "json")
     p.set_defaults(fn=cmd_d0)
 
     p = sub.add_parser("verify", help="run a property suite")
@@ -484,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-min", type=float, default=-0.05)
     p.add_argument("--eps-max", type=float, default=-0.01)
     p.add_argument("--points", type=int, default=9)
-    common(p, "level", "threads", level=14)
+    common(p, "level", level=14)
     p.set_defaults(fn=cmd_convexity)
 
     p = sub.add_parser("mandelbrot", help="membership grid for either family")
@@ -547,8 +535,6 @@ def main(argv: list[str] | None = None) -> int:
             sub = subs[_command(parser, subs, argv)]
             sub.set_defaults(**_config_defaults(sub, conf))
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise ParseError("--threads must be >= 1")
     except ParseError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -191,9 +191,6 @@ class Sector:
     r: float = np.inf
     cutoff: float | None = None
 
-    def __contains__(self, z: complex) -> bool:
-        return sector_contains(self, z)
-
 
 def sector_contains(s: Sector, z: complex) -> bool:
     z = complex(z)

@@ -55,9 +55,6 @@ class Param:
 class QuadMap:
     param: Param
 
-    def __call__(self, z):
-        return evaluate(self, z)
-
 
 def f_delta(delta: complex) -> QuadMap:
     return QuadMap(Param(delta))

@@ -86,22 +86,12 @@ _HALF_POOL = ThreadPoolExecutor(max_workers=1,
                                 thread_name_prefix="juliadim-half")
 
 
-def _in_halves(fn, first: tuple, second: tuple):
-    """``fn(*first)`` on this thread while the pool runs ``fn(*second)``.
-    ``fn`` must not call this function: the pool's one worker would wait
-    for itself."""
-    fut = _HALF_POOL.submit(fn, *second)
-    try:
-        a = fn(*first)
-    finally:
-        b = fut.result()
-    return a, b
-
-
 def _halves(fn, arrays: tuple, *args) -> tuple:
     """``(fn(*arrays, *args),)``, or, when ``arrays[0]`` has ``_SPLIT_FROM``
     words or more, ``fn`` on the lower halves of ``arrays`` on this thread
-    and on the upper halves in the pool: both results, lower first.
+    while the pool runs it on the upper halves: both results, lower first.
+    ``fn`` must not call this function: the pool's one worker would wait
+    for itself.
 
     Elementwise work, min and max come out the same either way, and so do
     sums of power-of-two arrays of 256 words or more: numpy sums a
@@ -110,8 +100,12 @@ def _halves(fn, arrays: tuple, *args) -> tuple:
     bit."""
     if len(arrays[0]) < _SPLIT_FROM:
         return (fn(*arrays, *args),)
-    return _in_halves(fn, (*(a[:len(a) // 2] for a in arrays), *args),
-                      (*(a[len(a) // 2:] for a in arrays), *args))
+    fut = _HALF_POOL.submit(fn, *(a[len(a) // 2:] for a in arrays), *args)
+    try:
+        lower = fn(*(a[:len(a) // 2] for a in arrays), *args)
+    finally:
+        upper = fut.result()
+    return lower, upper
 
 
 def _rescale(s: float, x: np.ndarray) -> float:
@@ -136,12 +130,16 @@ def _pair_step(out, lo, hi, w0, w1, w2, w3) -> float:
     return out.sum()
 
 
-def _dual_sums(even, odd, wa, wb, out: np.ndarray) -> float:
-    """out = even * wa + odd * wb; returns the sum of ``out``. Allocates
-    one temporary the size of ``out``."""
-    t = np.multiply(odd, wb)
-    np.multiply(even, wa, out=out)
-    out += t
+def _dual_sums(out: np.ndarray, w: np.ndarray, even, odd) -> float:
+    """out[h] = even * w[h, 0] + odd * w[h, 1] for each half h of the
+    operator that ``out`` covers, with ``out`` read as ``(-1, q)`` and ``w``
+    as ``(-1, 2, q)``: the half's even words, then its odd ones. Returns the
+    sum of ``out``. Allocates one temporary the size of ``out``."""
+    q = len(even)
+    wq, o = w.reshape(-1, 2, q), out.reshape(-1, q)
+    t = np.multiply(odd, wq[:, 1])
+    np.multiply(even, wq[:, 0], out=o)
+    o += t
     return out.sum()
 
 
@@ -390,21 +388,10 @@ class TransferOperator:
         size (``_dual_sums``); split like ``apply``."""
         if out is None:
             out = np.empty_like(mu)
-        q = len(mu) // 2
-        if q == 0:
+        if len(mu) == 1:
             out[0] = mu[0] * w[0] + mu[0] * w[1]
             return out[0]
-        even, odd = mu[0::2], mu[1::2]
-        quarters = w.reshape(4, q)
-        if len(mu) >= _SPLIT_FROM:
-            a, b = _in_halves(
-                _dual_sums, (even, odd, *quarters[:2], out[:q]),
-                (even, odd, *quarters[2:], out[q:]))
-            return a + b
-        # both halves in one pass each: out[h*q + k] collects quarters 2h
-        # and 2h + 1
-        return _dual_sums(even, odd, quarters[0::2], quarters[1::2],
-                          out.reshape(2, q))
+        return sum(_halves(_dual_sums, (out, w), mu[0::2], mu[1::2]))
 
     def _perron(self, w: np.ndarray, u0: np.ndarray | None = None,
                 rtol: float = EIG_RTOL, *, dual: bool = False):

@@ -62,22 +62,6 @@ def test_theta0_uncertainty_propagation(capsys):
     assert 0 < spread < 0.1
 
 
-def test_threads_deterministic(tmp_path):
-    outs = []
-    for i, threads in enumerate(("1", "3")):
-        out = str(tmp_path / f"d{i}.csv")
-        assert run(["d0", "--level", "12", "--t-start", "0.4", "--t-min", "0.2",
-                    "--threads", threads, "--out", out]) == 0
-        outs.append(open(out).read())
-    assert outs[0] == outs[1]
-
-
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_below_one_rejected(capsys, threads):
-    assert run(["d0", "--level", "12", "--threads", threads]) == 2
-    assert "--threads must be >= 1" in capsys.readouterr().err
-
-
 def test_omega_row_count(tmp_path, capsys):
     out = str(tmp_path / "om.csv")
     assert run(["omega", "--d0", "1.08", "--theta-min", "-3", "--theta-max", "3",
@@ -92,6 +76,12 @@ def test_omega_row_count(tmp_path, capsys):
     # sign change between 1.2 and 1.4
     assert by_theta[1.2] < 0 < by_theta[1.4]
     assert os.path.exists(out + ".manifest.json")
+    # a range that is not a whole number of steps ends at the last step
+    # inside it
+    assert run(["omega", "--theta-min", "0", "--theta-max", "1",
+                "--step", "0.6", "--out", out]) == 0
+    thetas = [float(ln.split(",")[0]) for ln in open(out).read().splitlines()[1:]]
+    assert thetas == [0.0, 0.6]
 
 
 def test_omega_determinism_and_manifest_replay(tmp_path):
@@ -401,11 +391,13 @@ def test_scans_reject_grid_outside_disk(tmp_path, capsys, argv):
     ["convexity", "--points", "1", "--level", "10"],
     ["convexity", "--points", "2", "--level", "10"],
     # two grid points leave one for the refit that gives the uncertainty
-    ["d0", "--t-start", "0.4", "--t-min", "0.28", "--level", "10"]])
+    ["d0", "--t-start", "0.4", "--t-min", "0.28", "--level", "10"],
+    ["convexity", "--eps-min", "-0.03", "--eps-max", "-0.03", "--points", "3",
+     "--level", "10"]])
 def test_grids_reject_empty_or_degenerate(tmp_path, capsys, argv):
-    # a grid with no point, a convexity grid with no second difference or a
-    # d0 grid too short for its refit is refused before any work: exit 2 and
-    # no CSV
+    # a grid with no point, a convexity grid with no second difference (too
+    # few points, or all at one eps) or a d0 grid too short for its refit is
+    # refused before any work: exit 2 and no CSV
     out = str(tmp_path / "grid.csv")
     assert run([*argv, "--out", out]) == 2
     err = capsys.readouterr().err
@@ -450,12 +442,13 @@ COMMAND_FLAGS = {
     "dim": {"--level", "--tol", "--out", "--json"},
     "omega": {"--out"},
     "theta0": {"--out"},
-    "ray": {"--level", "--out", "--threads", "--json"},
-    "d0": {"--level", "--out", "--threads", "--json"},
+    "ray": {"--level", "--out", "--json"},
+    "d0": {"--level", "--out", "--json"},
     "verify": {"--out"},
-    "convexity": {"--level", "--out", "--threads"},
+    "convexity": {"--level", "--out"},
     "mandelbrot": {"--out"},
 }
+# --threads is on none: a large solve splits on its own
 FLAG_ARGS = {"--level": ["12"], "--tol": ["1e-8"], "--out": ["x.csv"],
              "--threads": ["2"], "--json": []}
 
@@ -474,13 +467,13 @@ def test_commands_take_only_the_flags_they_read(cmd, capsys):
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_threads_check_skips_commands_without_the_flag(tmp_path, capsys):
+def test_config_check_skips_commands_without_the_key(tmp_path, capsys):
     conf = tmp_path / "run.conf"
-    conf.write_text("threads = 0\nlevel = 9\n")
+    conf.write_text("level = abc\n")
     # keys a command lacks stay ignored; a command that reads them checks them
     assert run(["--config", str(conf), "theta0", "--d0", "1.08"]) == 0
     assert run(["--config", str(conf), "d0", "--level", "12"]) == 2
-    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert "config level = 'abc'" in capsys.readouterr().err
 
 
 def test_quadrature_not_finite_is_an_error(tmp_path, capsys):

@@ -741,7 +741,7 @@ def test_split_folded_perron_bit_identical(table19_real, monkeypatch):
     op = TransferOperator(0.3, table19_real)
     assert len(op.log_deriv) == transfer.SPLIT_MIN_WORDS
     assert op.size == SPLIT_PAIR_SUMS
-    handoffs = _count_calls(monkeypatch, "_in_halves")
+    handoffs = _count_calls(monkeypatch, "submit", transfer._HALF_POOL)
     w = op.weights(1.1)
     for dual in (False, True):
         lam, u = op._perron(w, dual=dual)
@@ -754,15 +754,15 @@ def test_split_folded_perron_bit_identical(table19_real, monkeypatch):
     assert np.array_equal(eq.mu, ref.mu) and np.array_equal(eq.omega, ref.omega)
 
 
-def _count_calls(monkeypatch, name):
-    """Counts calls of ``transfer.<name>`` in ``count[0]``."""
+def _count_calls(monkeypatch, name, owner=transfer):
+    """Counts calls of ``owner.<name>`` in ``count[0]``."""
     count = [0]
-    fn = getattr(transfer, name)
+    fn = getattr(owner, name)
 
     def counted(*args):
         count[0] += 1
         return fn(*args)
-    monkeypatch.setattr(transfer, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return count
 
 
@@ -771,7 +771,7 @@ def _count_calls(monkeypatch, name):
 def test_split_step_is_one_apply_one_handoff(op18, monkeypatch, dual):
     # each power step calls apply once, on the calling thread, and hands
     # work to the worker thread once when split, for the step and its sum
-    handoffs = _count_calls(monkeypatch, "_in_halves")
+    handoffs = _count_calls(monkeypatch, "submit", transfer._HALF_POOL)
     per_step = []
     name = "apply_dual" if dual else "apply"
     step = getattr(TransferOperator, name)

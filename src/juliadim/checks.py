@@ -582,8 +582,7 @@ def check_formula_vs_fd_grid() -> CheckResult:
             op = TransferOperator(delta, table, level)
             tau, _, h = transfer._bowen_root(op)
             w = equilibrium(delta, tau, table, level, h)
-            formula = transfer.directional_derivative_formula(
-                delta, delta / abs(delta), table, w)
+            formula = transfer.directional_derivative_formula(delta, table, w)
             fd = transfer.dprime_fd(delta, level, near=(tau, h, w.chi))
             worst = max(worst, abs(formula - fd) / abs(fd))
     return _result("transfer.formula_vs_fd_grid", worst < 0.05,

@@ -1,8 +1,9 @@
 """Command-line entry points: dimension queries, ray scans, verification.
 
-Every CSV-emitting command drops a JSON manifest next to its output with
-the full parameter set, so a scan can be reproduced byte-for-byte (modulo
-the timestamp field) by replaying the recorded arguments.
+Every command runs through ``_run``, which times it and records its
+parsed parameters: as a JSON manifest next to the first CSV it writes, so
+a scan can be reproduced byte-for-byte (modulo the duration field) by
+replaying them, and in its ``--json`` document.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import __version__, checks
 from .boettcher import MAX_LEVEL
-from .errors import JuliaDimError, NoConvergenceError, ParseError
+from .errors import (InvalidDimensionError, JuliaDimError,
+                     NoConvergenceError, ParseError)
 from .maps import Param, in_mandelbrot_grid
 from .quadrature import QuadratureSpec, find_theta0, omega
 from .transfer import (PRESSURE_TOL, check_disk, dprime_fd, fd_stencil,
@@ -59,22 +61,36 @@ def _print_lines(lines: list[str], out: str | None) -> None:
             fh.writelines(line + "\n" for line in lines)
 
 
-def _write_manifest(command: str, params: dict, outputs: list[str],
-                    duration_ms: float) -> str | None:
-    if not outputs:
-        return None
-    path = outputs[0] + ".manifest.json"
-    doc = {
-        "command": command,
-        "params": params,
-        "outputs": outputs,
-        "duration_ms": duration_ms,
-        "version": __version__,
-    }
+def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+
+
+def _run(args) -> int:
+    """Runs ``args.fn``, which prints its lines, writes its CSVs and returns
+    ``(exit code, CSV paths, summary)``, and times it. The record (every
+    parsed option but the command and its outputs) plus the CSV paths is
+    the first CSV's manifest; the record plus the summary is the document
+    that --json prints, and that a command with a summary but no CSV
+    writes to --out."""
+    t0 = time.monotonic()
+    code, outputs, summary = args.fn(args)
+    record = {
+        "command": args.cmd,
+        "params": {k: v for k, v in vars(args).items()
+                   if k not in ("cmd", "fn", "config", "out", "json")},
+        "duration_ms": (time.monotonic() - t0) * 1e3,
+        "version": __version__,
+    }
+    doc = {**record, **summary}
+    if outputs:
+        _write_json(outputs[0] + ".manifest.json", {**record, "outputs": outputs})
+    elif summary and args.out:
+        _write_json(args.out, doc)
+    if getattr(args, "json", False):
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    return code
 
 
 def _parse_complex(text: str) -> complex:
@@ -96,7 +112,7 @@ def _geometric_grid(t_start: float, t_end: float, ratio: float) -> list[float]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_dim(args) -> int:
+def cmd_dim(args) -> tuple[int, list[str], dict]:
     delta = _parse_complex(args.delta)
     # +delta and -delta share one eps; solve at the root with Re delta >= 0
     # (negated part by part so that a zero imaginary part stays +0.0)
@@ -106,37 +122,24 @@ def cmd_dim(args) -> int:
     # --tol may tighten the root's |P| acceptance, never loosen it
     if not 0 < args.tol <= PRESSURE_TOL:
         raise ParseError(f"need 0 < --tol <= {PRESSURE_TOL:g}")
-    t0 = time.monotonic()
+    args.delta = str(delta)     # the record holds the delta solved
     res = hausdorff_dim(delta, args.level, args.tol)
-    dur = (time.monotonic() - t0) * 1e3
-    doc = {
-        "command": "dim",
-        "params": {"delta": str(delta), "level": args.level, "tol": args.tol},
+    if not args.json:
+        print(f"dimension {res.tau0:.12f}  (extrapolated {res.aitken_estimate:.12f}, "
+              f"level {res.level}, inter-level gap {res.error_bound:.2e})")
+    return EXIT_OK, [], {
         "tau0": res.tau0,
         "richardson_estimate": res.aitken_estimate,     # published key name
         "error_bound": res.error_bound,
         "pressure_residual": res.pressure_residual,
-        "duration_ms": dur,
-        "version": __version__,
     }
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"dimension {res.tau0:.12f}  (extrapolated {res.aitken_estimate:.12f}, "
-              f"level {res.level}, inter-level gap {res.error_bound:.2e})")
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return EXIT_OK
 
 
-def cmd_omega(args) -> int:
+def cmd_omega(args) -> tuple[int, list[str], dict]:
     if not args.step > 0:
         raise ParseError("--step must be > 0")
     if not args.theta_min <= args.theta_max:
         raise ParseError("need theta_min <= theta_max")
-    t0 = time.monotonic()
     spec = QuadratureSpec()
     rows = []
     # the steps that fit in the range; 1e-9 absorbs the rounding of a range
@@ -147,19 +150,19 @@ def cmd_omega(args) -> int:
         try:
             res = omega(th, args.d0, spec)
             rows.append([th, res.value, res.err_estimate, "ok"])
+        except InvalidDimensionError:
+            raise       # --d0 itself: no row can be solved
         except JuliaDimError as exc:
             rows.append([th, "", "", exc.code])
     out = args.out or "omega.csv"
     _write_csv(out, ["theta", "omega", "err", "status"], rows)
-    dur = (time.monotonic() - t0) * 1e3
-    _write_manifest("omega", {"d0": args.d0, "theta_min": args.theta_min,
-                              "theta_max": args.theta_max, "step": args.step},
-                    [out], dur)
     print(f"wrote {len(rows)} rows to {out}")
-    return EXIT_OK
+    return EXIT_OK, [out], {}
 
 
-def cmd_theta0(args) -> int:
+def cmd_theta0(args) -> tuple[int, list[str], dict]:
+    if not args.d0_err >= 0:
+        raise ParseError("--d0-err must be >= 0")
     root = find_theta0(args.d0)
     if args.d0_err:
         lo = find_theta0(args.d0 - args.d0_err)
@@ -169,7 +172,7 @@ def cmd_theta0(args) -> int:
     else:
         line = f"theta0 = {root:.6f} (d0 = {args.d0})"
     _print_lines([line], args.out)
-    return EXIT_OK
+    return EXIT_OK, [], {}
 
 
 def _fit_d0(ts, dims) -> float:
@@ -189,8 +192,7 @@ def _fit_d0(ts, dims) -> float:
         f"(last estimate {d0!r})")
 
 
-def cmd_d0(args) -> int:
-    t0 = time.monotonic()
+def cmd_d0(args) -> tuple[int, list[str], dict]:
     ts = _geometric_grid(args.t_start, args.t_min, RAY_GRID_RATIO)
     # the uncertainty refits without the innermost point: two fits of two
     # parameters need three points
@@ -206,37 +208,21 @@ def cmd_d0(args) -> int:
     uncertainty = abs(est - est_drop)
     rows = [[t, s.tau0, s.aitken_estimate, s.error_bound]
             for t, s in zip(ts, sols)]
-    outputs = []
     if args.out:
         _write_csv(args.out, ["t", "dim_raw", "dim_extrapolated", "level_gap"], rows)
-        outputs.append(args.out)
     in_bracket = D0_BRACKET[0] < est < D0_BRACKET[1]
-    dur = (time.monotonic() - t0) * 1e3
-    doc = {
-        "command": "d0",
-        "params": {"level": args.level, "t_start": args.t_start,
-                   "t_min": args.t_min},
-        "estimate": est,
-        "uncertainty": uncertainty,
-        "in_expected_bracket": in_bracket,
-        "duration_ms": dur,
-        "version": __version__,
-    }
-    if outputs:
-        _write_manifest("d0", doc["params"], outputs, dur)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
+    if not args.json:
         print(f"d0 estimate = {est:.6f} +- {uncertainty:.1e} "
               f"(level {args.level}, t in [{ts[-1]:.3f}, {ts[0]:.3f}])")
     if not in_bracket:
         print(f"warning: OUT_OF_KNOWN_BRACKET: estimate {est:.6f} outside "
               f"({D0_BRACKET[0]}, {D0_BRACKET[1]})", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK, [args.out] if args.out else [], {
+        "estimate": est, "uncertainty": uncertainty,
+        "in_expected_bracket": in_bracket}
 
 
-def cmd_ray(args) -> int:
-    t0 = time.monotonic()
+def cmd_ray(args) -> tuple[int, list[str], dict]:
     alpha = args.alpha
     if not -math.pi / 2 < alpha < math.pi / 2:
         raise ParseError("alpha must lie in (-pi/2, pi/2)")
@@ -281,13 +267,13 @@ def cmd_ray(args) -> int:
     out = args.out or "ray.csv"
     _write_csv(out, ["t", "dim_raw", "dim_extrapolated", "dprime_raw",
                      "dprime_extrapolated", "dprime_fd", "r", "status"], rows)
-    dur = (time.monotonic() - t0) * 1e3
-    params = {"alpha": alpha, "t_start": args.t_start, "t_end": args.t_end,
-              "level": args.level, "d0": d0}
-    _write_manifest("ray", params, [out], dur)
-    doc = {
-        "command": "ray",
-        "params": params,
+    if not args.json:
+        print(f"ray alpha={alpha:.4f}: {len(good)}/{len(rows)} points, "
+              f"Omega({math.tan(alpha):.3f})={om:.6f}, fitted A={fitted_A:.4f}")
+        print(f"chi({t_min:.3f})={chi:.4f}, implied H_mu={implied_H_mu:.4f}, "
+              f"planar-family A={planar_A:.4f}")
+        print(f"wrote {out}")
+    return EXIT_OK, [out], {
         "omega": om,
         "fitted_A": fitted_A,
         "chi": chi,
@@ -297,36 +283,24 @@ def cmd_ray(args) -> int:
         "planar_A_consistent": bool(abs(planar_A_refit - abs(planar_A))
                                     < 1e-9 * abs(planar_A)),
         "ratios": rs,
-        "duration_ms": dur,
-        "version": __version__,
     }
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"ray alpha={alpha:.4f}: {len(good)}/{len(rows)} points, "
-              f"Omega({math.tan(alpha):.3f})={om:.6f}, fitted A={fitted_A:.4f}")
-        print(f"chi({t_min:.3f})={chi:.4f}, implied H_mu={implied_H_mu:.4f}, "
-              f"planar-family A={planar_A:.4f}")
-        print(f"wrote {out}")
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, list[str], dict]:
     results = checks.run_suite(args.suite)
     lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}"
              for r in results]
     n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
     _print_lines(lines, args.out)
-    return EXIT_OK if n_fail == 0 else EXIT_VERIFY
+    return (EXIT_OK if n_fail == 0 else EXIT_VERIFY), [], {}
 
 
-def cmd_convexity(args) -> int:
+def cmd_convexity(args) -> tuple[int, list[str], dict]:
     if args.points < 3:
         raise ParseError("--points must be >= 3 for a second difference")
     if args.eps_min == args.eps_max:
         raise ParseError("need --eps-min != --eps-max for a second difference")
-    t0 = time.monotonic()
     eps = np.linspace(args.eps_min, args.eps_max, args.points)
     if np.any(eps >= 0):
         raise ParseError("convexity probe needs eps < 0")
@@ -345,19 +319,14 @@ def cmd_convexity(args) -> int:
         rows.append([e, dims[i], val])
     out = args.out or "convexity.csv"
     _write_csv(out, ["eps", "dim", "second_difference"], rows)
-    dur = (time.monotonic() - t0) * 1e3
-    _write_manifest("convexity", {"eps_min": args.eps_min, "eps_max": args.eps_max,
-                                  "points": args.points, "level": args.level},
-                    [out], dur)
     all_positive = bool(np.all(d2 > 0))
     print(f"second differences positive: {all_positive}"
           + ("  (noise flag: level gap near difference scale)" if noise_flag else ""))
     print(f"wrote {out}")
-    return EXIT_OK if all_positive else EXIT_NUMERIC
+    return (EXIT_OK if all_positive else EXIT_NUMERIC), [out], {}
 
 
-def cmd_mandelbrot(args) -> int:
-    t0 = time.monotonic()
+def cmd_mandelbrot(args) -> tuple[int, list[str], dict]:
     n = args.grid
     if n < 1:
         raise ParseError("--grid must be >= 1")
@@ -378,11 +347,8 @@ def cmd_mandelbrot(args) -> int:
                ([re, im, "1" if inside[i * n + j] else "0"]
                 for i, re in enumerate(re_cells)
                 for j, im in enumerate(im_cells)))
-    dur = (time.monotonic() - t0) * 1e3
-    _write_manifest("mandelbrot", {"grid": n, "family": args.family,
-                                   "max_iter": args.max_iter}, [out], dur)
     print(f"wrote {n * n} grid points to {out}")
-    return EXIT_OK
+    return EXIT_OK, [out], {}
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("dim", help="Hausdorff dimension at one parameter")
-    p.add_argument("--delta", required=True, help="complex, e.g. 0.3+0.2j")
+    p.add_argument("--delta", required=True, help="complex, e.g. 0.3+0.2j; "
+                   "solved at +delta if negative, given as --delta=-0.3+0.1j")
     common(p, "level", "tol", "json")
     p.set_defaults(fn=cmd_dim)
 
@@ -443,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta0", help="positive zero of the master integral")
     p.add_argument("--d0", type=float, default=1.08)
     p.add_argument("--d0-err", type=float, default=0.0,
-                   help="propagate a d0 uncertainty through the root")
+                   help="propagate a d0 uncertainty (>= 0) through the root")
     common(p)
     p.set_defaults(fn=cmd_theta0)
 
@@ -539,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.fn(args)
+        return _run(args)
     except ParseError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_PARSE

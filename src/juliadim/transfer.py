@@ -774,11 +774,10 @@ def partition_residual(weights: EquilibriumWeights) -> float:
     return float(weights.mu[0])
 
 
-def directional_derivative_formula(delta: complex, v: complex,
-                                   table: BoettcherTable,
+def directional_derivative_formula(delta: complex, table: BoettcherTable,
                                    weights: EquilibriumWeights,
                                    pdot: np.ndarray | None = None) -> float:
-    """Dimension derivative along the unit ray v through delta.
+    """Dimension derivative along the unit ray v = delta/|delta|.
 
     Evaluates -tau/chi times the invariant average of
     Re((v + 2 v phi_dot) / Df(point)), with phi_dot the parameter
@@ -787,9 +786,7 @@ def directional_derivative_formula(delta: complex, v: complex,
     ``phi_dot_table(delta, table)`` if the caller already has it.
     """
     delta = complex(delta)
-    v = complex(v)
-    if abs(v - delta / abs(delta)) > 1e-9:
-        raise ValueError("v must be delta/|delta|")
+    v = delta / abs(delta)
     reps = _reps_from_table(table, weights.level)
     deriv = maps.evaluate_deriv(maps.f_delta(delta), reps)
     stride = 1 << (table.level - weights.level)
@@ -830,7 +827,6 @@ def ray_point(delta: complex, level: int) -> RayPoint:
     """
     check_disk([delta])
     table = build_table(delta, level)
-    v = delta / abs(delta)
     pdot = phi_dot_table(delta, table)
     vals = []
     weights = top_h = None
@@ -838,7 +834,7 @@ def ray_point(delta: complex, level: int) -> RayPoint:
     def derivative(lev, tau, h):
         nonlocal weights, top_h
         weights, top_h = equilibrium(delta, tau, table, lev, h), h
-        vals.append(directional_derivative_formula(delta, v, table, weights,
+        vals.append(directional_derivative_formula(delta, table, weights,
                                                    pdot=pdot))
     dim = hausdorff_dim(delta, level, table=table, step=2, at_root=derivative)
     return RayPoint(dim, (vals[-1], _aitken(*vals)), weights, top_h)

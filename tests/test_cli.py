@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from juliadim import cli, transfer
+from juliadim import __version__, cli, transfer
 from juliadim.cli import _fit_d0, main
 from juliadim.errors import NoConvergenceError
 from juliadim.maps import Param, in_mandelbrot_grid
@@ -43,8 +43,14 @@ def test_parse_error_exit_code(capsys):
     assert run(["dim", "--delta", "nonsense"]) == 2
 
 
-def test_invalid_dimension_exit_code(capsys):
-    assert run(["theta0", "--d0", "1.6"]) == 3
+@pytest.mark.parametrize("cmd", ["theta0", "omega", "ray"])
+def test_invalid_dimension_exit_code(tmp_path, capsys, cmd):
+    # --d0 outside (1, 1.5) is refused before the first row: exit 3 and no
+    # CSV or manifest
+    out = tmp_path / "out.csv"
+    assert run([cmd, "--d0", "1.6", "--out", str(out)]) == 3
+    assert "error[INVALID_DIMENSION]" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_theta0_output(capsys):
@@ -60,6 +66,14 @@ def test_theta0_uncertainty_propagation(capsys):
     assert "+-" in out
     spread = float(out.split("+-")[1].split("(")[0])
     assert 0 < spread < 0.1
+
+
+def test_theta0_rejects_negative_d0_err(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    assert run(["theta0", "--d0", "1.08", "--d0-err", "-0.005",
+                "--out", str(out)]) == 2
+    assert "error[PARSE_ERROR]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_omega_row_count(tmp_path, capsys):
@@ -84,20 +98,53 @@ def test_omega_row_count(tmp_path, capsys):
     assert thetas == [0.0, 0.6]
 
 
-def test_omega_determinism_and_manifest_replay(tmp_path):
-    out1 = str(tmp_path / "a.csv")
-    out2 = str(tmp_path / "b.csv")
-    args = ["omega", "--d0", "1.08", "--theta-min", "-1", "--theta-max", "1",
-            "--step", "0.25"]
-    assert run(args + ["--out", out1]) == 0
-    manifest = json.load(open(out1 + ".manifest.json"))
-    params = manifest["params"]
-    replay = ["omega", "--d0", str(params["d0"]),
-              "--theta-min", str(params["theta_min"]),
-              "--theta-max", str(params["theta_max"]),
-              "--step", str(params["step"]), "--out", out2]
-    assert run(replay) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+@pytest.mark.parametrize("argv", [
+    ["omega", "--d0", "1.08", "--theta-min", "-1", "--theta-max", "1",
+     "--step", "0.25"],
+    ["ray", "--alpha", "0.3", "--t-start", "0.4", "--t-end", "0.2",
+     "--level", "10"],
+    ["d0", "--level", "10", "--t-start", "0.4", "--t-min", "0.2"],
+    ["convexity", "--points", "3", "--level", "10"],
+    ["mandelbrot", "--grid", "7", "--family", "eps", "--max-iter", "50"]],
+    ids=lambda argv: argv[0])
+def test_manifest_replay_is_byte_identical(tmp_path, argv):
+    # the manifest records every option of the run, so replaying its
+    # params alone rewrites the CSV byte for byte
+    out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert run([*argv, "--out", out1]) == 0
+    with open(out1 + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["command"] == argv[0] and manifest["outputs"] == [out1]
+    assert manifest["version"] == __version__ and manifest["duration_ms"] >= 0
+    replay = [argv[0]]
+    for key, value in manifest["params"].items():
+        replay += ["--" + key.replace("_", "-"), str(value)]
+    assert run([*replay, "--out", out2]) == 0
+    with open(out1, "rb") as fa, open(out2, "rb") as fb:
+        assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--delta", "-0.3", "--level", "10"],
+    ["d0", "--level", "10", "--t-start", "0.4", "--t-min", "0.2"],
+    ["ray", "--alpha", "0.3", "--t-start", "0.4", "--t-end", "0.2",
+     "--level", "10"]], ids=lambda argv: argv[0])
+def test_json_document_holds_the_record(tmp_path, capsys, argv):
+    # --json prints the record the manifest holds; dim, which writes no
+    # CSV, writes the printed document to --out
+    out = str(tmp_path / "out")
+    assert run([*argv, "--json", "--out", out]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == argv[0] and doc["version"] == __version__
+    assert doc["duration_ms"] >= 0
+    with open(out if argv[0] == "dim" else out + ".manifest.json") as fh:
+        saved = json.load(fh)
+    if argv[0] == "dim":
+        assert saved == doc
+        assert doc["params"] == {"delta": "(0.3+0j)", "level": 10,
+                                 "tol": transfer.PRESSURE_TOL}
+    else:
+        assert saved["params"] == doc["params"]
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):
@@ -165,7 +212,8 @@ def _config_valid(pairs) -> bool:
 @given(st.lists(st.tuples(
     st.sampled_from(["grid", "family", "max_iter", "max-iter", "out", "nope"]),
     st.one_of(st.sampled_from(["delta", " eps ", "3", "-1", "1e3", "true"]),
-              st.text(st.characters(blacklist_characters="#\r\n"), max_size=8))),
+              st.text(st.characters(exclude_categories=("Cs",),
+                                    exclude_characters="#\r\n"), max_size=8))),
     max_size=5))
 def test_config_values_property(pairs):
     # flags win over the config, so --grid and --max-iter keep the run
@@ -343,11 +391,14 @@ def test_mandelbrot_rejects_bad_sizes(tmp_path, argv):
 
 
 def test_dim_minus_delta_shares_dimension(capsys):
-    taus = []
-    for delta in ("0.3", "-0.3"):
-        assert run(["dim", "--delta", delta, "--level", "10", "--json"]) == 0
-        taus.append(json.loads(capsys.readouterr().out)["tau0"])
-    assert taus[0] == taus[1]
+    # a value with a leading minus and more than one part needs the = form
+    for plus, minus in ((["--delta", "0.3"], ["--delta", "-0.3"]),
+                        (["--delta", "0.3-0.1j"], ["--delta=-0.3+0.1j"])):
+        taus = []
+        for delta in (plus, minus):
+            assert run(["dim", *delta, "--level", "10", "--json"]) == 0
+            taus.append(json.loads(capsys.readouterr().out)["tau0"])
+        assert taus[0] == taus[1]
 
 
 @pytest.mark.parametrize("delta", ["0.3j", "0", "2.236"])

@@ -216,7 +216,7 @@ def test_directional_derivative_matches_fd():
         table = build_table(delta, level)
         tau = hausdorff_dim(delta, level, table=table).tau0
         w = equilibrium(delta, tau, table)
-        formula = directional_derivative_formula(delta, v, table, w)
+        formula = directional_derivative_formula(delta, table, w)
         h = abs(delta) / 100.0
         dims = []
         for sgn in (1.0, -1.0):
@@ -233,7 +233,7 @@ def test_directional_derivative_sign_real_ray():
     table = build_table(delta, 11)
     tau = hausdorff_dim(delta, 11, table=table).tau0
     w = equilibrium(delta, tau, table)
-    assert directional_derivative_formula(delta, 1.0, table, w) < 0
+    assert directional_derivative_formula(delta, table, w) < 0
 
 
 def test_directional_derivative_conjugate_rays():
@@ -242,17 +242,8 @@ def test_directional_derivative_conjugate_rays():
         table = build_table(delta, 10)
         tau = hausdorff_dim(delta, 10, table=table).tau0
         w = equilibrium(delta, tau, table)
-        vals.append(directional_derivative_formula(delta, delta / abs(delta), table, w))
+        vals.append(directional_derivative_formula(delta, table, w))
     assert vals[0] == pytest.approx(vals[1], abs=1e-10)
-
-
-def test_directional_derivative_requires_unit_ray():
-    delta = 0.4
-    table = build_table(delta, 10)
-    tau = hausdorff_dim(delta, 10, table=table).tau0
-    w = equilibrium(delta, tau, table)
-    with pytest.raises(ValueError):
-        directional_derivative_formula(delta, 1j, table, w)
 
 
 def test_orbit_expansion_report():

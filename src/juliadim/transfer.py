@@ -70,6 +70,15 @@ RESCALE_WINDOW = 2.0 ** 256
 # proposes a stop, so that the power loop ends where its iterate is an exact
 # eigenvector.
 ROUNDING_RTOL = 4 * np.finfo(float).eps
+# Inexact solves on the way to a pressure root (the forcing term of Dembo,
+# Eisenstat and Steihaug, Inexact Newton methods, 1982): a pressure that
+# steers the next tau is solved to FORCING times the smaller of the last two
+# |P|, and the cold pair P(1), P(2), of order one, to FORCING; none tighter
+# than EIG_RTOL.
+FORCING = 1e-6
+# A pressure solved to rtol > EIG_RTOL with |P| < SIGN_MARGIN * rtol is
+# finished at EIG_RTOL: its sign, or its acceptance, would rest on its error.
+SIGN_MARGIN = 1e3
 
 
 def _usable_cpus() -> int:
@@ -513,9 +522,20 @@ class TransferOperator:
         lam, _ = self._perron(self.weights(tau))
         return float(np.log(lam))
 
-    def pressure_with_state(self, tau: float, u0=None):
-        lam, u = self._perron(self.weights(tau), u0)
-        return float(np.log(lam)), u
+    def pressure_with_state(self, tau: float, u0=None, rtol: float = EIG_RTOL):
+        """``(P(tau), unit-sum Perron vector)`` from the start ``u0``, the
+        Perron eigenvalue certified to relative error ``rtol`` by the
+        Collatz-Wielandt spread (``_perron``), so P to about ``rtol``. A
+        solve looser than ``EIG_RTOL`` that gives |P| < ``SIGN_MARGIN *
+        rtol`` is finished at ``EIG_RTOL`` from its own vector, in this
+        call: the sign of the P returned is certain."""
+        w = self.weights(tau)
+        lam, u = self._perron(w, u0, rtol)
+        p = float(np.log(lam))
+        if rtol > EIG_RTOL and abs(p) < SIGN_MARGIN * rtol:
+            lam, u = self._perron(w, u)
+            p = float(np.log(lam))
+        return p, u
 
 
 def pressure(delta: complex, tau: float, table: BoettcherTable,
@@ -595,7 +615,9 @@ def _bowen_root(op: TransferOperator, near: tuple | None = None,
     there)`` once |P| <= ``ptol``. Secant steps through the last two points;
     a step that leaves the bracket (a, b) the signs have given so far, or
     that is undefined, bisects it. Each Perron solve starts from the
-    extrapolation of the last two solves' vectors (``_extrapolated_start``).
+    extrapolation of the last two solves' vectors (``_extrapolated_start``),
+    to a tolerance forced by the last two |P| (``FORCING``); a point that
+    could be accepted is certified to ``EIG_RTOL`` (``SIGN_MARGIN``).
 
     Without ``near`` the first two points are the ends of ``ROOT_BRACKET``.
     ``near``, the state ``(tau, h, chi)`` of a nearby parameter at the same
@@ -613,19 +635,23 @@ def _bowen_root(op: TransferOperator, near: tuple | None = None,
     h = None
     path = []
 
-    def pressure_at(tau):
+    def pressure_at(tau, scale):
+        rtol = max(EIG_RTOL, FORCING * scale)
+        # the refine covers every |P| <= ptol only below this
+        if SIGN_MARGIN * rtol <= ptol:
+            rtol = EIG_RTOL
         start = _extrapolated_start(path, tau)
         del path[:-1]           # the older vector is spent
-        p, u = op.pressure_with_state(tau, h if start is None else start)
+        p, u = op.pressure_with_state(tau, h if start is None else start, rtol)
         path.append((tau, u))
         return p
 
     a, b = ROOT_BRACKET
     if near is None:
-        f0 = pressure_at(a)
+        f0 = pressure_at(a, 1.0)
         if abs(f0) <= ptol:
             return a, f0, path[-1][1]
-        f1 = pressure_at(b)
+        f1 = pressure_at(b, 1.0)
         if abs(f1) <= ptol:
             return b, f1, path[-1][1]
         if not f0 > 0 > f1:
@@ -635,7 +661,7 @@ def _bowen_root(op: TransferOperator, near: tuple | None = None,
         x0, x1 = a, b
     else:
         x1, h, chi = near
-        f1 = pressure_at(x1)
+        f1 = pressure_at(x1, 0.0)
         if abs(f1) <= ptol:
             return x1, f1, path[-1][1]
         if f1 > 0:
@@ -656,7 +682,7 @@ def _bowen_root(op: TransferOperator, near: tuple | None = None,
                 raise NoConvergenceError(
                     f"pressure root bracket ({a!r}, {b!r}) holds no "
                     f"midpoint; P = {f1:.3g} at its end {x1!r}")
-        fx = pressure_at(x)
+        fx = pressure_at(x, abs(f1) if f0 is None else min(abs(f0), abs(f1)))
         if fx > 0:
             a = x
         else:

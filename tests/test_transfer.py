@@ -1157,9 +1157,9 @@ def _root_path(op, near=None):
     taus = []
     state = op.pressure_with_state
 
-    def recorded(tau, u0=None):
+    def recorded(tau, u0=None, rtol=transfer.EIG_RTOL):
         taus.append(tau)
-        return state(tau, u0)
+        return state(tau, u0, rtol)
     op.pressure_with_state = recorded
     try:
         return transfer._bowen_root(op, near)[0], taus
@@ -1171,12 +1171,96 @@ def _root_path(op, near=None):
                                    0.4 / math.sqrt(2) * complex(
                                        math.cos(0.5236), math.sin(0.5236))])
 def test_bowen_root_path_unchanged_by_aitken(delta, monkeypatch):
+    # every solve at EIG_RTOL: forced solves move the intermediate taus of
+    # the two loops apart by up to about 3e-8, which is not the Aitken step
+    monkeypatch.setattr(transfer, "FORCING", 0.0)
     op = TransferOperator(delta, build_table(delta, 16))
     root, taus = _root_path(op)
     root_plain, taus_plain = _without_aitken(monkeypatch, _root_path, op)
     assert len(taus) == len(taus_plain) == 7
     assert taus == pytest.approx(taus_plain, rel=0, abs=1e-12)
     assert root == pytest.approx(root_plain, rel=0, abs=1e-12)
+
+
+_R = 1 / math.sqrt(2)
+
+
+# d0's row 3, t = 0.4 / 2^1.5 as its grid makes it, is the closest call
+# against PRESSURE_TOL
+@pytest.mark.parametrize("delta, level", [
+    (0.05, 16), (0.4 * _R * _R * _R, 16),
+    (0.3 * complex(math.cos(0.5236), math.sin(0.5236)), 14), (0.8 + 0.3j, 12)])
+def test_forced_root_path_matches_tight_path(delta, level, monkeypatch,
+                                             applications):
+    # forced solves take as many pressure evaluations as solves all at
+    # EIG_RTOL, to a root within 5e-11, in fewer applications
+    op = TransferOperator(delta, build_table(delta, level), level)
+    root, taus = _root_path(op)
+    forced = applications[0]
+    applications[0] = 0
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "FORCING", 0.0)
+        root_tight, taus_tight = _root_path(op)
+    assert len(taus) == len(taus_tight)
+    assert root == pytest.approx(root_tight, rel=0, abs=5e-11)
+    assert forced < applications[0]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Records ``(rtol, start, vector)`` of every ``_perron`` call."""
+    calls = []
+    perron = TransferOperator._perron
+
+    def recorded(self, w, u0=None, rtol=transfer.EIG_RTOL, *, dual=False):
+        lam, u = perron(self, w, u0, rtol, dual=dual)
+        calls.append((rtol, u0, u))
+        return lam, u
+    monkeypatch.setattr(TransferOperator, "_perron", recorded)
+    return calls
+
+
+def test_loose_pressure_near_zero_is_finished_tight(solves, monkeypatch):
+    # a solve to 1e-6 at the root lands with |P| < SIGN_MARGIN * 1e-6: the
+    # same call finishes it at EIG_RTOL from its own vector
+    delta, level = 0.3 + 0.1j, 12
+    op = TransferOperator(delta, build_table(delta, level), level)
+    root = transfer._bowen_root(op)[0]
+    evals = _count_calls(monkeypatch, "pressure_with_state", TransferOperator)
+    pressures = _count_calls(monkeypatch, "pressure", TransferOperator)
+    del solves[:]
+    p, u = op.pressure_with_state(root, None, 1e-6)
+    assert [r for r, _, _ in solves] == [1e-6, transfer.EIG_RTOL]
+    assert solves[1][1] is solves[0][2] and u is solves[1][2]
+    assert abs(p) <= transfer.PRESSURE_TOL
+    assert evals[0] == 1 and pressures[0] == 0
+    # away from the root the loose solve stands
+    del solves[:]
+    op.pressure_with_state(1.0, None, 1e-6)
+    assert [r for r, _, _ in solves] == [1e-6]
+
+
+@pytest.mark.parametrize("ptol", [transfer.PRESSURE_TOL, 1e-2])
+def test_bowen_root_decides_on_certain_pressures(ptol, solves):
+    # the sign of every P on the root path is certain, its last solve at
+    # EIG_RTOL or to at most |P| / SIGN_MARGIN, and the accepted P is
+    # certified at EIG_RTOL, also when ptol lies above that margin
+    delta, level = 0.3 + 0.1j, 12
+    op = TransferOperator(delta, build_table(delta, level), level)
+    state = op.pressure_with_state
+    evals = []
+
+    def recorded(tau, u0=None, rtol=transfer.EIG_RTOL):
+        del solves[:]
+        p, u = state(tau, u0, rtol)
+        evals.append((p, solves[-1][0]))
+        return p, u
+    op.pressure_with_state = recorded
+    p = transfer._bowen_root(op, ptol=ptol)[1]
+    assert evals[-1] == (p, transfer.EIG_RTOL)
+    for p_tau, rtol in evals:
+        assert (rtol == transfer.EIG_RTOL or
+                abs(p_tau) >= transfer.SIGN_MARGIN * rtol)
 
 
 class _Pressure:
@@ -1187,7 +1271,7 @@ class _Pressure:
         self.p = p
         self.taus = []
 
-    def pressure_with_state(self, tau, u0=None):
+    def pressure_with_state(self, tau, u0=None, rtol=transfer.EIG_RTOL):
         self.taus.append(tau)
         return self.p(tau), np.full(4, 0.25)
 
@@ -1211,7 +1295,7 @@ def test_bowen_root_stops_when_bracket_collapses():
 # ---------------------------------------------------------------------------
 # stencil roots started from the nearby ray point
 
-def test_dprime_fd_from_near_state_matches_cold(applications):
+def test_dprime_fd_from_near_state_matches_cold(applications, monkeypatch):
     level = 12
     cold_steps = warm_steps = 0
     for alpha in (0.0, 0.5236):
@@ -1219,13 +1303,19 @@ def test_dprime_fd_from_near_state_matches_cold(applications):
             delta = t * complex(math.cos(alpha), math.sin(alpha))
             near = transfer.ray_point(delta, level).near
             applications[0] = 0
-            cold = transfer.dprime_fd(delta, level)
+            # the cold stencil with every solve at EIG_RTOL, as the near
+            # start's saving is measured against
+            with monkeypatch.context() as m:
+                m.setattr(transfer, "FORCING", 0.0)
+                cold = transfer.dprime_fd(delta, level)
             cold_steps += applications[0]
             applications[0] = 0
             warm = transfer.dprime_fd(delta, level, near=near)
             warm_steps += applications[0]
             assert warm == pytest.approx(cold, rel=1e-7, abs=0), (alpha, t)
     assert 3 * warm_steps < cold_steps
+    # and forced solves make it no dearer than with every solve at EIG_RTOL
+    assert warm_steps <= 715
 
 
 def test_bowen_root_from_distant_state_finds_cold_root():

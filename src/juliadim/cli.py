@@ -21,7 +21,7 @@ from .boettcher import MAX_LEVEL
 from .errors import (InvalidDimensionError, JuliaDimError,
                      NoConvergenceError, ParseError)
 from .maps import Param, in_mandelbrot_grid
-from .quadrature import QuadratureSpec, find_theta0, omega
+from .quadrature import find_theta0, omega
 from .transfer import (PRESSURE_TOL, check_disk, dprime_fd, fd_stencil,
                        hausdorff_dim, ray_point)
 
@@ -140,7 +140,6 @@ def cmd_omega(args) -> tuple[int, list[str], dict]:
         raise ParseError("--step must be > 0")
     if not args.theta_min <= args.theta_max:
         raise ParseError("need theta_min <= theta_max")
-    spec = QuadratureSpec()
     rows = []
     # the steps that fit in the range; 1e-9 absorbs the rounding of a range
     # that is a whole number of steps
@@ -148,7 +147,7 @@ def cmd_omega(args) -> tuple[int, list[str], dict]:
     for i in range(n_steps + 1):
         th = args.theta_min + i * args.step
         try:
-            res = omega(th, args.d0, spec)
+            res = omega(th, args.d0)
             rows.append([th, res.value, res.err_estimate, "ok"])
         except InvalidDimensionError:
             raise       # --d0 itself: no row can be solved
@@ -476,31 +475,30 @@ def _config_defaults(sub: argparse.ArgumentParser, conf: dict) -> dict:
     return defaults
 
 
-def _command(parser: argparse.ArgumentParser, subs: dict, argv: list) -> str:
-    """The command ``argv`` names, read before a config can satisfy any of
-    its required options."""
-    required = [a for sub in subs.values() for a in sub._actions if a.required]
-    for action in required:
-        action.required = False
+def _config_and_command(argv: list) -> tuple[str | None, str | None]:
+    """The --config path, in any spelling argparse takes, and the command
+    that ``argv`` names, read before a config can satisfy any of the
+    command's required options."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    pre.add_argument("cmd", nargs="?")
     try:
-        return parser.parse_known_args(argv)[0].cmd
-    finally:
-        for action in required:
-            action.required = True
+        known = pre.parse_known_args(argv)[0]
+    except argparse.ArgumentError as exc:
+        raise ParseError(str(exc)) from None
+    return known.config, known.cmd
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        if "--config" in argv:
-            pos = argv.index("--config") + 1
-            if pos == len(argv):
-                raise ParseError("--config needs a file path")
-            conf = _load_config(argv[pos])
+        path, cmd = _config_and_command(argv)
+        if path is not None:
+            conf = _load_config(path)
             subs = parser._subparsers._group_actions[0].choices
-            sub = subs[_command(parser, subs, argv)]
-            sub.set_defaults(**_config_defaults(sub, conf))
+            if cmd in subs:
+                subs[cmd].set_defaults(**_config_defaults(subs[cmd], conf))
         args = parser.parse_args(argv)
     except ParseError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

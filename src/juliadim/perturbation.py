@@ -1,10 +1,11 @@
 """Parameter derivative of the boundary conjugacy and its model function.
 
 The derivative phi-dot of the landing points with respect to delta obeys a
-one-step recursion under angle doubling; unrolling it along an orbit gives
-a series whose terms are damped by the orbit derivative.  On deep cylinders
-the partial sums (psi-dot) are approximated by the explicit function
-Gamma(n*delta), where Gamma(z) = (e^z - z e^z - 1)/(e^z - 1)^2.
+one-step recursion under angle doubling.  Run backwards from the fixed
+angle, it gives the whole table in one pass; unrolled along one orbit, it
+gives a series whose terms are damped by the orbit derivative.  On deep
+cylinders the partial sums (psi-dot) are approximated by the explicit
+function Gamma(n*delta), where Gamma(z) = (e^z - z e^z - 1)/(e^z - 1)^2.
 """
 
 from __future__ import annotations
@@ -138,9 +139,13 @@ def phi_dot_series(delta: complex, table: BoettcherTable,
 
 
 def phi_dot_table(delta: complex, table: BoettcherTable) -> np.ndarray:
-    """phi-dot at every table angle at once (exact fixed-angle tails).
+    """phi-dot at every table angle, from the semiconjugacy recursion.
 
-    Requires |1+delta| > 1 so the tail at the repelling fixed point sums.
+    Differentiating f(points[k]) = points[2k mod n] in delta (df/ddelta = z)
+    gives phi-dot[k] = (phi-dot[2k mod n] - points[k]) / f'(points[k]).  It
+    starts at the fixed angle, whose point 0 does not move, and fills the
+    odd multiples of 2^j for j = level-1 .. 0, each from the level before.
+    Requires |1+delta| > 1, the domain of the series it sums exactly.
     """
     delta = complex(delta)
     if abs(1.0 + delta) <= 1.0:
@@ -148,22 +153,12 @@ def phi_dot_table(delta: complex, table: BoettcherTable) -> np.ndarray:
     pts = table.points
     n = table.size
     qmap = maps.f_delta(delta)
-    cur = np.arange(n)
-    deriv = np.ones(n, dtype=complex)
-    acc = np.full(n, -0.5 + 0j)
-    acc[0] = 0.0
-    alive = np.ones(n, dtype=bool)
-    alive[0] = False
-    for _ in range(table.level + 1):
-        if not alive.any():
-            break
-        deriv[alive] *= maps.evaluate_deriv(qmap, pts[cur[alive]])
-        acc[alive] += (delta / 2.0) / deriv[alive]
-        cur[alive] = (2 * cur[alive]) % n
-        done = alive & (cur == 0)
-        acc[done] += 0.5 / deriv[done]
-        alive &= ~done
-    return acc
+    phi = np.zeros(n, dtype=complex)
+    for j in reversed(range(table.level)):
+        k = np.arange(1 << j, n, 2 << j)
+        p = pts[k]
+        phi[k] = (phi[2 * k % n] - p) / maps.evaluate_deriv(qmap, p)
+    return phi
 
 
 @dataclass(frozen=True)

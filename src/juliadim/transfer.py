@@ -801,24 +801,20 @@ def partition_residual(weights: EquilibriumWeights) -> float:
 
 
 def directional_derivative_formula(delta: complex, table: BoettcherTable,
-                                   weights: EquilibriumWeights,
-                                   pdot: np.ndarray | None = None) -> float:
+                                   weights: EquilibriumWeights) -> float:
     """Dimension derivative along the unit ray v = delta/|delta|.
 
     Evaluates -tau/chi times the invariant average of
     Re((v + 2 v phi_dot) / Df(point)), with phi_dot the parameter
     derivative of the landing points. This is the exact derivative of the
-    discretized dimension at the operator's word length. ``pdot`` is
-    ``phi_dot_table(delta, table)`` if the caller already has it.
+    discretized dimension at the operator's word length.
     """
     delta = complex(delta)
     v = delta / abs(delta)
     reps = _reps_from_table(table, weights.level)
     deriv = maps.evaluate_deriv(maps.f_delta(delta), reps)
     stride = 1 << (table.level - weights.level)
-    if pdot is None:
-        pdot = phi_dot_table(delta, table)
-    pdot = pdot[::stride]
+    pdot = phi_dot_table(delta, table)[::stride]
     integrand = np.real((v + 2.0 * v * pdot) / deriv)
     # endpoint-averaged, matching the operator's weight rule, so this is
     # the exact parameter derivative of the discretized dimension
@@ -853,15 +849,13 @@ def ray_point(delta: complex, level: int) -> RayPoint:
     """
     check_disk([delta])
     table = build_table(delta, level)
-    pdot = phi_dot_table(delta, table)
     vals = []
     weights = top_h = None
 
     def derivative(lev, tau, h):
         nonlocal weights, top_h
         weights, top_h = equilibrium(delta, tau, table, lev, h), h
-        vals.append(directional_derivative_formula(delta, table, weights,
-                                                   pdot=pdot))
+        vals.append(directional_derivative_formula(delta, table, weights))
     dim = hausdorff_dim(delta, level, table=table, step=2, at_root=derivative)
     return RayPoint(dim, (vals[-1], _aitken(*vals)), weights, top_h)
 

@@ -84,8 +84,8 @@ def test_criterion_5_identity_chain():
     for alpha in (0.0, np.pi / 6, np.pi / 4, 3 * np.pi / 8):
         for D0 in (1.05, 1.08, 1.2):
             om = qd.omega(math.tan(alpha), D0).value
-            da = qd.delta_alpha(alpha, D0, H_mu=1.0).value
-            qi = qd.q_integral(D0, alpha, H_mu=1.0).value
+            da = qd.delta_alpha(alpha, D0).value
+            qi = qd.q_integral(D0, alpha).value
             worst_oi = max(worst_oi, abs(da + 2.0 ** (-D0) * om) / abs(om))
             worst_qd_ = max(worst_qd_, abs(qi - da) / abs(da))
     elapsed = time.monotonic() - t0

@@ -150,14 +150,16 @@ def test_json_document_holds_the_record(tmp_path, capsys, argv):
 def test_config_file_defaults_and_override(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("level = 9\nd0 = 1.08\n")
-    assert run(["--config", str(conf), "dim", "--delta", "1.0"]) == 0
-    out = capsys.readouterr().out
-    assert "level 9" in out
-    # explicit flag beats the config value
-    assert run(["--config", str(conf), "dim", "--delta", "1.0",
-                "--level", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "level 10" in out
+    # every spelling argparse accepts for --config loads the file
+    for spelling in (["--config", str(conf)], [f"--config={conf}"],
+                     ["--conf", str(conf)]):
+        assert run([*spelling, "dim", "--delta", "1.0"]) == 0
+        out = capsys.readouterr().out
+        assert "level 9" in out
+        # explicit flag beats the config value
+        assert run([*spelling, "dim", "--delta", "1.0", "--level", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "level 10" in out
 
 
 def test_config_satisfies_required_option(tmp_path, capsys):
@@ -284,8 +286,8 @@ def test_ray_golden_and_one_solve_per_point(tmp_path, monkeypatch):
         for col in ("dprime_raw", "dprime_extrapolated", "dprime_fd", "r"):
             assert float(row[col]) == pytest.approx(float(ref[col]), rel=1e-5)
     # per point: its own table plus the two finite-difference tables, and
-    # one phi-dot table shared by the three stencil levels
-    assert calls == {"build_table": 3 * points, "phi_dot_table": points}
+    # one phi-dot table for each of the three stencil levels
+    assert calls == {"build_table": 3 * points, "phi_dot_table": 3 * points}
 
 
 def test_ray_rejects_bad_alpha():

@@ -101,12 +101,21 @@ def test_phi_dot_against_finite_difference():
 
 
 def test_phi_dot_table_matches_scalar():
-    delta = 0.3 + 0.1j
-    table = build_table(delta, 9)
-    vec = perturbation.phi_dot_table(delta, table)
-    for k in (0, 1, 7, 100, 333):
-        scal = perturbation.phi_dot_series(delta, table, DyadicAngle(k, 9)).value
-        assert abs(vec[k] - scal) < 1e-12
+    # the recursion against the orbit series wherever the series is exact
+    for delta, level in ((0.3 + 0.1j, 9), (0.05 * np.exp(0.5236j), 14),
+                         (0.05, 16)):
+        table = build_table(delta, level)
+        vec = perturbation.phi_dot_table(delta, table)
+        n = table.size
+        ks = [0, 1, 7, n // 4, n // 2, n // 2 + 1, n - 1]
+        ks += np.random.default_rng(level).integers(1, n, 40).tolist()
+        exact = 0
+        for k in ks:
+            res = perturbation.phi_dot_series(delta, table, DyadicAngle(k, level))
+            if res.trunc_error == 0:
+                exact += 1
+                assert abs(vec[k] - res.value) < 1e-12
+        assert exact >= 5
 
 
 def test_phi_dot_ray_independent():

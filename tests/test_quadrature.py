@@ -91,12 +91,6 @@ def test_delta_alpha_positivity_and_symmetry():
                                                       rel=1e-10)
 
 
-def test_delta_alpha_scales_with_prefactor():
-    one = qd.delta_alpha(0.2, 1.08, H_mu=1.0).value
-    three = qd.delta_alpha(0.2, 1.08, H_mu=3.0).value
-    assert three == pytest.approx(3.0 * one, rel=1e-12)
-
-
 def test_lambda_small_z_power():
     h = 1.08
     z = 1e-4 * np.exp(1j * 0.3)
@@ -138,6 +132,13 @@ def test_tail_monotone_and_integrable():
     assert vals[0] > vals[1] > vals[2] > 0
     with pytest.raises(ValueError):
         qd.lambda_tail(1.2, 1.3, 0.0, 0.5)
+
+
+def test_tail_panels_start_graded():
+    # dyadic tail panels spare the bisection rounds towards the lower end,
+    # which took 294 / 210 / 147 evaluations from one panel per tail
+    for t, one_panel in ((0.1, 294), (0.5, 210), (2.0, 147)):
+        assert qd.lambda_tail(1.08, 0.0, np.pi / 6, t).evaluations < one_panel
 
 
 def test_q_bound_small_t():

@@ -3,6 +3,8 @@
 Each check samples one structural fact (an identity, an inequality
 envelope, a two-regime bound) and returns a pass/fail record with a short
 numeric detail string.  Sampling is seeded, so suites are deterministic.
+A sampled check draws each variate for all its samples at once; only the
+library routine under test is called sample by sample.
 """
 
 from __future__ import annotations
@@ -41,6 +43,33 @@ def _random_z(rng, n, rmin=1e-3, rmax=30.0):
     return r * np.exp(1j * th)
 
 
+def _per_sample(n, *axes):
+    """Every combination of the axes' values, each repeated for n samples."""
+    return (np.repeat(g.ravel(), n) for g in np.meshgrid(*axes, indexing="ij"))
+
+
+def _random_disc(rng, n):
+    """Points of the closed unit disc, uniform in radius and in angle."""
+    return rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+
+
+def _pole_distance(x, ks):
+    """Distance from each x to the nearest of the points 2 pi i k, k in ks."""
+    return np.min(np.abs(x[:, None] - 2j * np.pi * np.asarray(ks)), axis=1)
+
+
+def _each(fn, *args, skip=()):
+    """fn at each sample in turn, as the library routines under test take
+    one point at a time; nan where it raises one of ``skip``."""
+    out = []
+    for a in zip(*(x.tolist() for x in args)):
+        try:
+            out.append(fn(*a))
+        except skip:
+            out.append(np.nan)
+    return np.array(out)
+
+
 def _well_conditioned(z):
     """Keep samples where cosh x - cos y is not a catastrophic difference."""
     cond = (np.cosh(z.real) + 1.0) / (np.cosh(z.real) - np.cos(z.imag))
@@ -66,24 +95,22 @@ def check_coth_half_angle(rng) -> CheckResult:
 
 
 def check_exp_inequalities(rng) -> CheckResult:
-    worst = np.inf
-    for _ in range(4000):
-        eps, teps = rng.uniform(1e-3, 1 - 1e-3, 2)
-        e1, te1 = rng.uniform(0.0, 2.0, 2)
-        z = complex(_random_z(rng, 1, 1e-3, 3.0)[0])
-        az = abs(z)
-        # (1): e^|z|(1+eps) - 1 < e^{2|z|} - 1 + 2 eps
-        m1 = (math.exp(2 * az) - 1 + 2 * eps) - (math.exp(az) * (1 + eps) - 1)
-        # (2): product bound
-        bx = math.exp(e1 * az) - 1 + eps
-        by = math.exp(te1 * az) - 1 + teps
-        X = 1.0 + bx * rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        Y = 1.0 + by * rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        m2 = (math.exp((2 * e1 + 2 * te1) * az) - 1 + 2 * (eps + teps)) - abs(X * Y - 1)
-        # (3): |X e^z - 1| < e^{2|z|} - 1 + 2 eps when |X-1| < eps
-        X3 = 1.0 + eps * rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        m3 = (math.exp(2 * az) - 1 + 2 * eps) - abs(X3 * np.exp(z) - 1)
-        worst = min(worst, m1, m2, m3)
+    n = 4000
+    eps, teps = rng.uniform(1e-3, 1 - 1e-3, (2, n))
+    e1, te1 = rng.uniform(0.0, 2.0, (2, n))
+    z = _random_z(rng, n, 1e-3, 3.0)
+    ux, uy, u3 = _random_disc(rng, (3, n))
+    az = np.abs(z)
+    # (1): e^|z|(1+eps) - 1 < e^{2|z|} - 1 + 2 eps
+    m1 = (np.exp(2 * az) - 1 + 2 * eps) - (np.exp(az) * (1 + eps) - 1)
+    # (2): product bound
+    X = 1.0 + (np.exp(e1 * az) - 1 + eps) * ux
+    Y = 1.0 + (np.exp(te1 * az) - 1 + teps) * uy
+    m2 = (np.exp((2 * e1 + 2 * te1) * az) - 1 + 2 * (eps + teps)) - np.abs(X * Y - 1)
+    # (3): |X e^z - 1| < e^{2|z|} - 1 + 2 eps when |X-1| < eps
+    X3 = 1.0 + eps * u3
+    m3 = (np.exp(2 * az) - 1 + 2 * eps) - np.abs(X3 * np.exp(z) - 1)
+    worst = min(m1.min(), m2.min(), m3.min())
     return _result("appendix.exp_inequalities", worst > 0, f"min margin {worst:.2e}")
 
 
@@ -104,60 +131,45 @@ def check_sum_alignment(rng) -> CheckResult:
 
 
 def check_wedge_membership(rng) -> CheckResult:
-    bad = 0
     n = 10_000
     alphas = rng.uniform(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, n)
     alphas = alphas[np.abs(alphas) > 1e-4]
     rr = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), len(alphas)))
-    for a, r in zip(alphas, rr):
-        w = r * np.exp(1j * a)
-        if w.real > 50.0:
-            val = 0.5 + np.exp(-w)  # 1/(e^w - 1) ~ e^-w, overflow-free
-        else:
-            val = 1.0 / np.expm1(w) + 0.5
-        if not fatou.w_region_contains(a, complex(val)):
-            bad += 1
+    w = rr * np.exp(1j * alphas)
+    far = w.real > 50.0
+    val = np.empty_like(w)
+    val[far] = 0.5 + np.exp(-w[far])  # 1/(e^w - 1) ~ e^-w, overflow-free
+    val[~far] = 1.0 / np.expm1(w[~far]) + 0.5
+    bad = np.count_nonzero(~_each(fatou.w_region_contains, alphas, val))
     return _result("appendix.wedge_membership", bad == 0, f"{bad} violations / {len(alphas)}")
 
 
 def check_exp_ratio_ball(rng) -> CheckResult:
     """(e^{w~ d} - 1)/(e^{w d} - 1) stays eps-close to 1 on the stated balls."""
-    worst = np.inf
-    for alpha in (0.0, np.pi / 6, 1.1, -0.9):
-        ca = math.cos(alpha)
-        for t in (1e-3, 0.05, 0.3):
-            delta = t * np.exp(1j * alpha)
-            for eps in (0.1, 0.3, 0.5, 0.9):
-                w = -np.exp(rng.uniform(np.log(1e-2), np.log(1e3), 200))
-                u = rng.uniform(0, 1, 200) * np.exp(1j * rng.uniform(0, 2 * np.pi, 200))
-                wt = w + eps * np.abs(w) * ca * u
-                num = np.expm1(wt * delta)
-                den = np.expm1(w * delta)
-                dev = np.abs(num / den - 1.0)
-                worst = min(worst, float(np.min(eps - dev)))
-                # interchanged roles at half radius
-                wt2 = w + 0.5 * eps * np.abs(w) * ca * u
-                dev2 = np.abs(np.expm1(w * delta) / np.expm1(wt2 * delta) - 1.0)
-                worst = min(worst, float(np.min(eps - dev2)))
+    alpha, t, eps = _per_sample(200, (0.0, np.pi / 6, 1.1, -0.9), (1e-3, 0.05, 0.3),
+                                (0.1, 0.3, 0.5, 0.9))
+    delta = t * np.exp(1j * alpha)
+    w = -np.exp(rng.uniform(np.log(1e-2), np.log(1e3), len(alpha)))
+    u = eps * np.abs(w) * np.cos(alpha) * _random_disc(rng, len(alpha))
+    den = np.expm1(w * delta)
+    dev = np.abs(np.expm1((w + u) * delta) / den - 1.0)
+    # interchanged roles at half radius
+    dev2 = np.abs(den / np.expm1((w + 0.5 * u) * delta) - 1.0)
+    worst = np.min(eps - np.maximum(dev, dev2))
     return _result("appendix.exp_ratio_ball", worst > 0, f"min margin {worst:.2e}")
 
 
 def check_deriv_ratio_ball(rng) -> CheckResult:
     """psi' ratio bound with wedge constant K(alpha) = 16/cos(alpha)."""
-    worst = np.inf
-    for alpha in (0.0, np.pi / 6, 1.0):
-        K = 16.0 / math.cos(alpha)
-        for t in (1e-3, 0.05):
-            delta = t * np.exp(1j * alpha)
-            for eps in (0.2, 0.5, 0.9):
-                w = -np.exp(rng.uniform(np.log(1e-1), np.log(1e3), 300))
-                u = rng.uniform(0, 1, 300) * np.exp(1j * rng.uniform(0, 2 * np.pi, 300))
-                wt = w + eps * np.abs(w) / K * u
-                ratio = np.array([fatou.psi_prime(delta, a) / fatou.psi_prime(delta, b)
-                                  for a, b in zip(wt, w)])
-                bound = np.exp(eps * np.abs(w * delta)) - 1.0 + eps
-                worst = min(worst, float(np.min(bound - np.abs(ratio - 1.0))))
-                worst = min(worst, float(np.min(bound - np.abs(1.0 / ratio - 1.0))))
+    alpha, t, eps = _per_sample(300, (0.0, np.pi / 6, 1.0), (1e-3, 0.05), (0.2, 0.5, 0.9))
+    K = 16.0 / np.cos(alpha)
+    delta = t * np.exp(1j * alpha)
+    w = -np.exp(rng.uniform(np.log(1e-1), np.log(1e3), len(alpha)))
+    wt = w + eps * np.abs(w) / K * _random_disc(rng, len(alpha))
+    ratio = _each(fatou.psi_prime, delta, wt) / _each(fatou.psi_prime, delta, w)
+    bound = np.exp(eps * np.abs(w * delta)) - 1.0 + eps
+    worst = min(np.min(bound - np.abs(ratio - 1.0)),
+                np.min(bound - np.abs(1.0 / ratio - 1.0)))
     return _result("appendix.deriv_ratio_ball", worst > 0, f"min margin {worst:.2e}")
 
 
@@ -178,60 +190,51 @@ def suite_appendix() -> list[CheckResult]:
 # fatou: coordinate identities and the near-translation contract
 
 def check_round_trip(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(1000):
-        t = math.exp(rng.uniform(math.log(1e-4), math.log(0.5)))
-        alpha = rng.uniform(-1.3, 1.3)
-        delta = t * np.exp(1j * alpha)
-        w = complex(-np.exp(rng.uniform(0, np.log(200)))
-                    * np.exp(1j * rng.uniform(-0.6, 0.6)))
-        if abs((w * delta).imag) > 2.5:  # stay inside the principal strip
-            continue
-        z = fatou.psi(delta, w)
-        w2 = fatou.phi_fatou(delta, z)
-        worst = max(worst, abs(w2 - w) / abs(w))
+    n = 1000
+    t = np.exp(rng.uniform(math.log(1e-4), math.log(0.5), n))
+    delta = t * np.exp(1j * rng.uniform(-1.3, 1.3, n))
+    w = -np.exp(rng.uniform(0, np.log(200), n)) * np.exp(1j * rng.uniform(-0.6, 0.6, n))
+    inside = np.abs((w * delta).imag) <= 2.5  # stay inside the principal strip
+    delta, w = delta[inside], w[inside]
+    w2 = _each(lambda d, x: fatou.phi_fatou(d, fatou.psi(d, x)), delta, w)
+    worst = np.max(np.abs(w2 - w) / np.abs(w), initial=0.0)
     return _result("fatou.round_trip", worst < 1e-10, f"max rel err {worst:.2e}")
 
 
 def check_psi_limit(rng) -> CheckResult:
-    delta = 1e-8
-    worst = 0.0
-    for _ in range(500):
-        r = math.exp(rng.uniform(math.log(1e-2), math.log(1e6)))
-        psi_val = fatou.psi(delta, complex(-r))
-        worst = max(worst, abs(psi_val - 1.0 / r))
+    r = np.exp(rng.uniform(math.log(1e-2), math.log(1e6), 500))
+    psi_val = _each(lambda x: fatou.psi(1e-8, -x), r)
+    worst = np.max(np.abs(psi_val - 1.0 / r))
     return _result("fatou.psi_limit", worst < 1e-6, f"max abs err {worst:.2e}")
 
 
 def check_psi_prime_forms(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(2000):
-        delta = complex(_random_z(rng, 1, 1e-3, 0.8)[0])
-        w = complex(_random_z(rng, 1, 1e-2, 50.0)[0])
-        x = w * delta
-        if abs(x) < 2e-4 or min(abs(x - 2j * np.pi * k) for k in (-1, 1)) < 1e-2:
-            continue
-        f1 = (delta / np.expm1(-x)) ** 2 * np.exp(-x)
-        f2 = (delta / np.expm1(x)) ** 2 * np.exp(x)
-        f3 = (delta / 2.0 / np.sinh(x / 2.0)) ** 2
-        lib = fatou.psi_prime(delta, w)
-        ref = abs(f3)
-        worst = max(worst, abs(f1 - f3) / ref, abs(f2 - f3) / ref, abs(lib - f3) / ref)
+    n = 2000
+    delta = _random_z(rng, n, 1e-3, 0.8)
+    w = _random_z(rng, n, 1e-2, 50.0)
+    x = w * delta
+    keep = (np.abs(x) >= 2e-4) & (_pole_distance(x, (-1, 1)) >= 1e-2)
+    delta, w, x = delta[keep], w[keep], x[keep]
+    f1 = (delta / np.expm1(-x)) ** 2 * np.exp(-x)
+    f2 = (delta / np.expm1(x)) ** 2 * np.exp(x)
+    f3 = (delta / 2.0 / np.sinh(x / 2.0)) ** 2
+    lib = _each(fatou.psi_prime, delta, w)
+    ref = np.abs(f3)
+    worst = max(np.max(np.abs(f - f3) / ref, initial=0.0) for f in (f1, f2, lib))
     return _result("fatou.psi_prime_forms", worst < 1e-12, f"max rel spread {worst:.2e}")
 
 
 def check_psi_prime_ratio(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(1000):
-        delta = complex(_random_z(rng, 1, 1e-3, 0.5)[0])
-        w = complex(_random_z(rng, 1, 1e-1, 30.0)[0])
-        wt = complex(_random_z(rng, 1, 1e-1, 30.0)[0])
-        try:
-            lhs = fatou.psi_prime(delta, wt) / fatou.psi_prime(delta, w)
-        except fatou.PoleError:
-            continue
-        rhs = (np.sinh(w * delta / 2.0) / np.sinh(wt * delta / 2.0)) ** 2
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    n = 1000
+    delta = _random_z(rng, n, 1e-3, 0.5)
+    w = _random_z(rng, n, 1e-1, 30.0)
+    wt = _random_z(rng, n, 1e-1, 30.0)
+    lhs = (_each(fatou.psi_prime, delta, wt, skip=fatou.PoleError)
+           / _each(fatou.psi_prime, delta, w, skip=fatou.PoleError))
+    keep = ~np.isnan(lhs)  # off the poles
+    delta, w, wt, lhs = delta[keep], w[keep], wt[keep], lhs[keep]
+    rhs = (np.sinh(w * delta / 2.0) / np.sinh(wt * delta / 2.0)) ** 2
+    worst = np.max(np.abs(lhs - rhs) / np.abs(rhs), initial=0.0)
     return _result("fatou.psi_prime_ratio", worst < 1e-11, f"max rel err {worst:.2e}")
 
 
@@ -300,17 +303,18 @@ def _smallest_stable_cutoff(alpha, theta, n_steps, candidates=(2.0, 3.0, 5.0, 8.
 
 
 def check_step_inverse(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(300):
-        t = math.exp(rng.uniform(math.log(1e-3), math.log(0.3)))
-        delta = t * np.exp(1j * rng.uniform(-1.2, 1.2))
-        w = complex(_sample_sector_minus(rng, np.pi / 5, 4.0, 1)[0])
-        try:
-            back = fatou.fatou_step(delta, w, fatou.Direction.BWD)
-            again = fatou.fatou_step(delta, back, fatou.Direction.FWD)
-        except (fatou.BranchCutError, fatou.PoleError):
-            continue
-        worst = max(worst, abs(again - w) / abs(w))
+    n = 300
+    t = np.exp(rng.uniform(math.log(1e-3), math.log(0.3), n))
+    delta = t * np.exp(1j * rng.uniform(-1.2, 1.2, n))
+    w = _sample_sector_minus(rng, np.pi / 5, 4.0, n)
+    # the identity holds where phi inverts psi: the principal strip
+    inside = np.abs((w * delta).imag) < np.pi
+    delta, w = delta[inside], w[inside]
+    fwd, bwd = fatou.Direction.FWD, fatou.Direction.BWD
+    again = _each(lambda d, x: fatou.fatou_step(d, fatou.fatou_step(d, x, bwd), fwd),
+                  delta, w, skip=(fatou.BranchCutError, fatou.PoleError))
+    keep = ~np.isnan(again)
+    worst = np.max(np.abs(again[keep] - w[keep]) / np.abs(w[keep]), initial=0.0)
     return _result("fatou.step_inverse", worst < 1e-10, f"max rel err {worst:.2e}")
 
 
@@ -610,18 +614,14 @@ def suite_transfer() -> list[CheckResult]:
 def check_gamma_forms(rng) -> CheckResult:
     # comparison restricted to |z| <= 8: beyond, the value is exponentially
     # small and the sinh/cosh form loses it to O(1) cancellation
-    worst = 0.0
-    for _ in range(3000):
-        z = complex(_random_z(rng, 1, 0.3, 8.0)[0])
-        if min(abs(z - 2j * np.pi * k) for k in (-2, -1, 1, 2)) < 0.3:
-            continue
-        f1 = 0.5 * (-1.0 + (np.sinh(z) - z) / (np.cosh(z) - 1.0))
-        f2 = 0.5 * (-perturbation.g_fn(z)) / (np.cosh(z) - 1.0)
-        f3 = (np.exp(z) - z * np.exp(z) - 1.0) / (np.exp(z) - 1.0) ** 2
-        lib = perturbation.gamma_fn(z)
-        ref = abs(f1)
-        worst = max(worst, abs(f1 - f2) / ref, abs(f1 - f3) / ref,
-                    abs(lib - f1) / ref)
+    z = _random_z(rng, 3000, 0.3, 8.0)
+    z = z[_pole_distance(z, (-2, -1, 1, 2)) >= 0.3]
+    f1 = 0.5 * (-1.0 + (np.sinh(z) - z) / (np.cosh(z) - 1.0))
+    f2 = 0.5 * (-_each(perturbation.g_fn, z)) / (np.cosh(z) - 1.0)
+    f3 = (np.exp(z) - z * np.exp(z) - 1.0) / (np.exp(z) - 1.0) ** 2
+    lib = _each(perturbation.gamma_fn, z)
+    ref = np.abs(f1)
+    worst = max(np.max(np.abs(f - f1) / ref, initial=0.0) for f in (f2, f3, lib))
     return _result("perturbation.gamma_forms", worst < 1e-12, f"max rel spread {worst:.2e}")
 
 
@@ -645,7 +645,7 @@ def check_gamma_ray_decay() -> CheckResult:
 def check_g_nonvanishing(rng) -> CheckResult:
     z = _random_z(rng, 100, 1e-2, 50.0)
     z = np.abs(z.real) + 1j * z.imag  # push into Re > 0
-    vals = np.abs([perturbation.g_fn(zz) for zz in z])
+    vals = np.abs(_each(perturbation.g_fn, z))
     return _result("perturbation.g_nonvanishing", np.min(vals) > 0,
                    f"min |g| {np.min(vals):.1e}")
 

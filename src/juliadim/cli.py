@@ -340,12 +340,12 @@ def cmd_mandelbrot(args) -> tuple[int, list[str], dict]:
         deltas = (Param.from_epsilon(e).delta for e in deltas)
     inside = in_mandelbrot_grid(deltas, args.max_iter).tolist()
     out = args.out or f"mandelbrot_{args.family}.csv"
-    # the n distinct coordinates are formatted once each, not once per row
-    re_cells, im_cells = [_fmt(re) for re in res], [_fmt(im) for im in ims]
-    _write_csv(out, ["re", "im", "inside"],
-               ([re, im, "1" if inside[i * n + j] else "0"]
-                for i, re in enumerate(re_cells)
-                for j, im in enumerate(im_cells)))
+    # one write per grid row, from the 2n row tails formatted once each
+    tails = [[f",{_fmt(im)},{bit}\n" for im in ims] for bit in "01"]
+    with open(out, "w", newline="\n") as fh:
+        fh.write("re,im,inside\n")
+        for i, re in enumerate(map(_fmt, res)):
+            fh.write("".join(re + tails[b][j] for j, b in enumerate(inside[i * n:(i + 1) * n])))
     print(f"wrote {n * n} grid points to {out}")
     return EXIT_OK, [out], {}
 

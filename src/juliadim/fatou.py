@@ -10,7 +10,9 @@ inaccurate for small arguments, so we carry our own).
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +27,10 @@ TWO_PI = 2.0 * np.pi
 
 def _fold_arg(z: complex) -> float:
     """Argument normalized into [-pi/2, 3*pi/2)."""
-    a = np.angle(z)
+    a = cmath.phase(z)
     if a < -np.pi / 2.0:
         a += TWO_PI
-    return float(a)
+    return a
 
 
 def _check_pole(delta: complex, w: complex) -> complex:
@@ -218,7 +220,7 @@ def w_region_contains(alpha: float, z: complex) -> bool:
     z = complex(z)
     if z == 0:
         return False
-    if abs(np.angle(z)) >= alpha:
+    if abs(cmath.phase(z)) >= alpha:
         return False
-    cut = 0.25 if alpha <= np.pi / 4.0 else 0.25 / np.tan(alpha)
+    cut = 0.25 if alpha <= np.pi / 4.0 else 0.25 / math.tan(alpha)
     return z.real > cut

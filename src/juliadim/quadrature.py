@@ -259,7 +259,8 @@ def _dyadic_panels(start, xmax, tol):
     array form would add about 15 us to each ``omega`` call.
     """
     k = np.arange(int(np.log2(np.max(xmax / start, initial=1.0))) + 2)
-    w = np.minimum(start[:, None] * 2.0 ** k, xmax[:, None])
+    w = start[:, None] * 2.0 ** k
+    w[:, 1:] = np.where(1.25 * w[:, 1:] <= xmax[:, None], w[:, 1:], xmax[:, None])
     piece, k = np.nonzero(w[:, 1:] > w[:, :-1])
     lo, hi = w[piece, k], w[piece, k + 1]
     return piece, lo, hi, tol[piece] * (hi - lo) / (xmax - start)[piece]
@@ -270,13 +271,14 @@ def _split_panels(xmax: float, tol: float):
     ``_stretched``: the power piece (0, 1), then the tail (1, xmax) as
     dyadic panels [2^k, 2^(k+1)], each with its width share of ``tol``.
     Starting the tail graded spares the bisection rounds that would
-    otherwise refine towards 1 one panel at a time.
+    otherwise refine towards 1 one panel at a time.  The last panel ends at
+    xmax, and one shorter than half the panel before it joins that panel.
     """
     cuts = [1.0]
-    while cuts[-1] < xmax:
-        cuts.append(min(2.0 * cuts[-1], xmax))
-    w = np.array(cuts)
-    tail = tol * np.diff(w) / (w[-1] - w[0]) if len(cuts) > 1 else []
+    while 2.5 * cuts[-1] <= xmax:
+        cuts.append(2.0 * cuts[-1])
+    w = np.array(cuts + [xmax] if xmax > 1.0 else cuts)
+    tail = tol * np.diff(w) / (w[-1] - w[0])
     return (np.concatenate(([0.0], w[:-1])), w,
             np.concatenate(([tol], tail)))
 

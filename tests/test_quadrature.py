@@ -141,6 +141,21 @@ def test_tail_panels_start_graded():
         assert qd.lambda_tail(1.08, 0.0, np.pi / 6, t).evaluations < one_panel
 
 
+def test_short_last_tail_panel_joins_the_one_before():
+    # the tail from 12.5 ends at 30: [25, 30] is under half of [12.5, 25],
+    # so the piece is one panel and takes one round, not two panels
+    assert qd.lambda_tail(1.08, 0.0, np.pi / 6, 12.5).evaluations == 21
+    xmax = np.array([2.4, 2.5, 30.0, 33.0, 35.0, 40.0, 64.0])
+    piece, lo, hi, _ = qd._dyadic_panels(np.ones(xmax.size), xmax, np.ones(xmax.size))
+    for i, x in enumerate(xmax):
+        a, b, _ = qd._split_panels(x, 1.0)
+        # one rule in both builders, for the one tail of (0, xmax)
+        assert np.array_equal(a[1:], lo[piece == i])
+        assert np.array_equal(b[1:], hi[piece == i])
+        w = b[1:] - a[1:]
+        assert len(w) == 1 or w[-1] >= 0.5 * w[-2]
+
+
 def test_q_bound_small_t():
     h, alpha = 1.08, np.pi / 6
     for t in (1e-3, 1e-2, 0.1):

@@ -10,7 +10,7 @@ scans, constant fitting, and property-suite verification.
 __version__ = "0.1.0"
 
 from .boettcher import BoettcherTable, DyadicAngle, build_table  # noqa: F401
-from .maps import Param, QuadMap, f_delta, in_main_disk, in_mandelbrot  # noqa: F401
+from .maps import delta_from_epsilon, in_main_disk, in_mandelbrot  # noqa: F401
 from .quadrature import QuadratureSpec, delta_alpha, find_theta0, omega  # noqa: F401
 from .transfer import (DimensionResult, EquilibriumWeights,  # noqa: F401
                        equilibrium, hausdorff_dim, pressure)

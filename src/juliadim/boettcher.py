@@ -92,9 +92,8 @@ def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
     builds did: the sweep recomputed that point as the preimage of 0
     nearest -h, which can differ from -h in the last bit, and returned
     every other point unchanged."""
-    qmap = maps.f_delta(delta)
     h = 1.0 + complex(delta)
-    half = maps.inverse_branch_array(qmap, np.zeros(1, dtype=complex), -h)[0]
+    half = maps.inverse_branch_array(delta, np.zeros(1, dtype=complex), -h)[0]
     pts = np.array([0.0 + 0j, half])
     if level == 0:
         return pts[:1]
@@ -117,7 +116,7 @@ def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
             kk = np.arange(2 * i + 1, 2 * min(i + BLOCK_WORDS, n_old), 2)
             target = pts[kk % n_old]
             hint = 0.5 * (pts[(kk - 1) // 2] + pts[((kk + 1) // 2) % n_old])
-            odd[i:i + len(kk)] = maps.inverse_branch_array(qmap, target, hint)
+            odd[i:i + len(kk)] = maps.inverse_branch_array(delta, target, hint)
         pts = new
     return pts
 
@@ -144,7 +143,7 @@ def _diameter(pts: np.ndarray) -> float:
     return float(np.hypot(re.max() - re.min(), im.max() - im.min()))
 
 
-def _residual(qmap: maps.QuadMap, pts: np.ndarray) -> float:
+def _residual(delta: complex, pts: np.ndarray) -> float:
     """max |f(pts[i]) - pts[2i mod n]|, ``BLOCK_WORDS`` words at a time;
     NaN if any term is NaN."""
     n = len(pts)
@@ -154,7 +153,7 @@ def _residual(qmap: maps.QuadMap, pts: np.ndarray) -> float:
         image = pts[(2 * np.arange(i, i + len(z))) % n]
         # np.maximum, unlike max(), keeps a NaN of any block
         residual = np.maximum(residual,
-                              np.max(np.abs(maps.evaluate(qmap, z) - image)))
+                              np.max(np.abs(maps.evaluate(delta, z) - image)))
     return float(residual)
 
 
@@ -171,7 +170,7 @@ def build_table(delta: complex, level: int) -> BoettcherTable:
 
     pts = _seed_by_continuation(delta, level)
     bound = RESIDUAL_RTOL * max(_diameter(pts), 1e-300)
-    residual = _residual(maps.f_delta(delta), pts)
+    residual = _residual(delta, pts)
     if not np.isfinite(residual) or residual >= bound:
         raise NoConvergenceError(
             f"semiconjugacy residual {residual} above {bound} "

@@ -342,7 +342,7 @@ def check_circular_order(level=12) -> CheckResult:
     for delta in (1.0, 0.5, 0.3 + 0.4j, 0.0):
         table = build_table(delta, level)
         pts = table.points
-        interior = maps.critical_point(maps.f_delta(delta))
+        interior = maps.critical_point(delta)
         closed = np.append(pts, pts[0])
         winding = np.sum(np.diff(np.unwrap(np.angle(closed - interior)))) / (2 * np.pi)
         gaps = np.abs(np.diff(closed))
@@ -659,13 +659,12 @@ def check_phi_dot_recursion(rng) -> CheckResult:
     from .boettcher import DyadicAngle
     delta = 0.35 * np.exp(1j * 0.3)
     table = build_table(delta, 12)
-    qmap = maps.f_delta(delta)
     worst = 0.0
     for k in rng.integers(1, 1 << 12, 50):
         s = DyadicAngle(int(k), 12)
         v1 = perturbation.phi_dot_series(delta, table, s).value
         v2 = perturbation.phi_dot_series(delta, table, s.doubled()).value
-        fp = maps.evaluate_deriv(qmap, table.points[s.numerator << (12 - s.level)])
+        fp = maps.evaluate_deriv(delta, table.points[s.numerator << (12 - s.level)])
         rhs = (delta / 2.0) / fp + (v2 + 0.5) / fp
         worst = max(worst, abs((v1 + 0.5) - rhs))
     return _result("perturbation.phi_dot_recursion", worst < 1e-10, f"max err {worst:.1e}")

@@ -20,7 +20,7 @@ from . import __version__, checks
 from .boettcher import MAX_LEVEL
 from .errors import (InvalidDimensionError, JuliaDimError,
                      NoConvergenceError, ParseError)
-from .maps import Param, in_mandelbrot_grid
+from .maps import delta_from_epsilon, in_mandelbrot_grid
 from .quadrature import find_theta0, omega
 from .transfer import (PRESSURE_TOL, check_disk, dprime_fd, fd_stencil,
                        hausdorff_dim, ray_point)
@@ -36,6 +36,9 @@ D0_FIT_POINTS = 4   # the innermost grid points the d0 power law is fitted to
 DEFAULT_RAY_T_START = 0.4
 DEFAULT_RAY_T_END = 0.05
 RAY_GRID_RATIO = 1.0 / math.sqrt(2.0)
+# the words a config file may give a flag, in any case
+CONFIG_TRUE = ("1", "true", "yes", "on")
+CONFIG_FALSE = ("0", "false", "no", "off")
 
 
 def _fmt(x) -> str:
@@ -250,7 +253,7 @@ def cmd_ray(args) -> tuple[int, list[str], dict]:
     good = [row for row in rows if row[-1] == "ok"]
     chis = [chi for row, chi in solved if row[-1] == "ok"]
     rs = [row[6] for row in good]
-    fitted_A = float(np.mean([r / om for r in rs[-3:]])) if len(rs) >= 1 else float("nan")
+    fitted_A = float(np.mean([r / om for r in rs[-3:]])) if rs else float("nan")
     # expansion rate at the innermost point: with the fitted amplitude it
     # implies the measure constant; both are fitted quantities, never inputs
     t_min = good[-1][0] if good else ts[-1]
@@ -262,7 +265,7 @@ def cmd_ray(args) -> tuple[int, list[str], dict]:
     # refitted amplitude must land on 2^(2 d0 - 2) times the ray amplitude
     r_eps = [2.0 * abs(row[4]) / row[0] / (row[0] ** 2 / 4.0) ** (d0 - 1.5)
              for row in good[-3:]]
-    planar_A_refit = float(np.mean([r / abs(om) for r in r_eps]))
+    planar_A_refit = float(np.mean([r / abs(om) for r in r_eps])) if r_eps else float("nan")
     out = args.out or "ray.csv"
     _write_csv(out, ["t", "dim_raw", "dim_extrapolated", "dprime_raw",
                      "dprime_extrapolated", "dprime_fd", "r", "status"], rows)
@@ -272,7 +275,8 @@ def cmd_ray(args) -> tuple[int, list[str], dict]:
         print(f"chi({t_min:.3f})={chi:.4f}, implied H_mu={implied_H_mu:.4f}, "
               f"planar-family A={planar_A:.4f}")
         print(f"wrote {out}")
-    return EXIT_OK, [out], {
+    # no solved point leaves nothing to fit: a numeric failure
+    return (EXIT_OK if good else EXIT_NUMERIC), [out], {
         "omega": om,
         "fitted_A": fitted_A,
         "chi": chi,
@@ -337,7 +341,7 @@ def cmd_mandelbrot(args) -> tuple[int, list[str], dict]:
         ims = np.linspace(-1.25, 1.25, n)
     deltas = (complex(re, im) for re in res for im in ims)
     if args.family == "eps":
-        deltas = (Param.from_epsilon(e).delta for e in deltas)
+        deltas = map(delta_from_epsilon, deltas)
     inside = in_mandelbrot_grid(deltas, args.max_iter).tolist()
     out = args.out or f"mandelbrot_{args.family}.csv"
     # one write per grid row, from the 2n row tails formatted once each
@@ -462,7 +466,10 @@ def _config_defaults(sub: argparse.ArgumentParser, conf: dict) -> dict:
         action.required = False
         raw = conf[action.dest]
         if action.nargs == 0:   # a store_true flag
-            defaults[action.dest] = raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in CONFIG_TRUE + CONFIG_FALSE:
+                raise ParseError(f"config {action.dest} = {raw!r}: not one of "
+                                 f"{', '.join(CONFIG_TRUE + CONFIG_FALSE)}")
+            defaults[action.dest] = raw.lower() in CONFIG_TRUE
             continue
         try:
             value = action.type(raw) if action.type else raw

@@ -164,7 +164,7 @@ def fatou_step(delta: complex, w: complex, direction: Direction) -> complex:
     """
     z = psi(delta, w)
     if direction is Direction.FWD:
-        z2 = maps.evaluate(maps.f_delta(delta), z)
+        z2 = maps.evaluate(delta, z)
     else:
         delta = complex(delta)
         if delta != 0 and (1.0 - delta).real <= 0:

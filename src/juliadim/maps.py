@@ -4,12 +4,10 @@
 multipliers 1+delta and 1-delta.  The library evaluates only f_delta; the
 shifted standard family ``p_eps(z) = z**2 + 1/4 + eps``, which the
 similarity ``tau(z) = z + (1+delta)/2`` conjugates to f_delta exactly when
-eps = -delta**2/4, enters only through ``Param.epsilon``.
+eps = -delta**2/4, enters only through ``delta_from_epsilon``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,68 +18,37 @@ MAX_ITER_DEFAULT = 10_000
 AMBIGUITY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Param:
-    """A parameter point, canonically stored as delta.
-
-    eps is always recomputed as -delta**2/4, never stored, so the two
-    representations cannot drift apart; +delta and -delta share one eps.
-    """
-
-    delta: complex
-
-    @property
-    def epsilon(self) -> complex:
-        return -self.delta * self.delta / 4.0
-
-    @property
-    def t(self) -> float:
-        return abs(self.delta)
-
-    @property
-    def alpha(self) -> float:
-        return float(np.angle(self.delta))
-
-    @staticmethod
-    def from_epsilon(epsilon: complex) -> "Param":
-        """Inverse of the eps map, picking the root with Re(delta) >= 0."""
-        delta = 2.0 * np.sqrt(complex(-epsilon))
-        if delta.real < 0 or (delta.real == 0 and delta.imag < 0):
-            delta = -delta
-        return Param(complex(delta))
+def delta_from_epsilon(epsilon: complex) -> complex:
+    """Inverse of the eps map eps = -delta**2/4, picking the root with
+    Re(delta) >= 0, and Im(delta) >= 0 on the imaginary axis."""
+    delta = 2.0 * np.sqrt(complex(-epsilon))
+    if delta.real < 0 or (delta.real == 0 and delta.imag < 0):
+        delta = -delta
+    return complex(delta)
 
 
-@dataclass(frozen=True)
-class QuadMap:
-    param: Param
-
-
-def f_delta(delta: complex) -> QuadMap:
-    return QuadMap(Param(delta))
-
-
-def evaluate(qmap: QuadMap, z):
+def evaluate(delta: complex, z):
     """Value of f_delta at z (scalar or array)."""
-    return (1.0 + qmap.param.delta) * z + z * z
+    return (1.0 + delta) * z + z * z
 
 
-def evaluate_deriv(qmap: QuadMap, z):
+def evaluate_deriv(delta: complex, z):
     """First derivative of f_delta at z."""
-    return (1.0 + qmap.param.delta) + 2.0 * z
+    return (1.0 + delta) + 2.0 * z
 
 
-def critical_point(qmap: QuadMap) -> complex:
-    return -(1.0 + qmap.param.delta) / 2.0
+def critical_point(delta: complex) -> complex:
+    return -(1.0 + delta) / 2.0
 
 
-def inverse_branch(qmap: QuadMap, z: complex, hint: complex) -> complex:
+def inverse_branch(delta: complex, z: complex, hint: complex) -> complex:
     """The preimage of z under the map that lies closest to ``hint``.
 
     Raises AmbiguousBranchError when both preimages are equidistant from
     the hint to within ``AMBIGUITY_RTOL`` relative tolerance, in which case
     the caller must supply a sharper hint.
     """
-    w1, w2 = preimage_pair(qmap, z)
+    w1, w2 = preimage_pair(delta, z)
     d1, d2 = abs(w1 - hint), abs(w2 - hint)
     scale = max(d1, d2)
     if scale > 0 and abs(d1 - d2) <= AMBIGUITY_RTOL * scale:
@@ -90,16 +57,16 @@ def inverse_branch(qmap: QuadMap, z: complex, hint: complex) -> complex:
     return w1 if d1 <= d2 else w2
 
 
-def preimage_pair(qmap: QuadMap, z):
-    """Both solutions w of qmap(w) = z (vectorized over z)."""
-    h = 1.0 + qmap.param.delta
+def preimage_pair(delta: complex, z):
+    """Both solutions w of f_delta(w) = z (vectorized over z)."""
+    h = 1.0 + delta
     r = np.sqrt(np.asarray(h * h / 4.0 + z, dtype=complex))
     return -h / 2.0 + r, -h / 2.0 - r
 
 
-def inverse_branch_array(qmap: QuadMap, z, hint):
+def inverse_branch_array(delta: complex, z, hint):
     """Vectorized hint-nearest preimage; no ambiguity detection."""
-    w1, w2 = preimage_pair(qmap, z)
+    w1, w2 = preimage_pair(delta, z)
     return np.where(np.abs(w1 - hint) <= np.abs(w2 - hint), w1, w2)
 
 

@@ -118,12 +118,11 @@ def phi_dot_series(delta: complex, table: BoettcherTable,
     idx = s.numerator << (table.level - s.level)
     if idx == 0:
         return PhiDotResult(0.0 + 0j, 0.0, 0)
-    qmap = maps.f_delta(delta)
     acc = -0.5 + 0j
     deriv = 1.0 + 0j
     k = 0
     while k < table.level:
-        deriv *= maps.evaluate_deriv(qmap, table.points[idx])
+        deriv *= maps.evaluate_deriv(delta, table.points[idx])
         acc += (delta / 2.0) / deriv
         idx = (2 * idx) % n
         k += 1
@@ -152,12 +151,11 @@ def phi_dot_table(delta: complex, table: BoettcherTable) -> np.ndarray:
         raise ValueError("needs a repelling fixed point: |1+delta| > 1")
     pts = table.points
     n = table.size
-    qmap = maps.f_delta(delta)
     phi = np.zeros(n, dtype=complex)
     for j in reversed(range(table.level)):
         k = np.arange(1 << j, n, 2 << j)
         p = pts[k]
-        phi[k] = (phi[2 * k % n] - p) / maps.evaluate_deriv(qmap, p)
+        phi[k] = (phi[2 * k % n] - p) / maps.evaluate_deriv(delta, p)
     return phi
 
 
@@ -178,18 +176,17 @@ def psi_dot(delta: complex, n: int, z: complex,
     signals numerical breakdown and raises.
     """
     delta = complex(delta)
-    qmap = maps.f_delta(delta)
     zk = complex(z)
     deriv = 1.0 + 0j
     s1 = -0.5 + 0j
     s2 = 0.0 + 0j
     for _ in range(n):
-        d = maps.evaluate_deriv(qmap, zk)
+        d = maps.evaluate_deriv(delta, zk)
         prev = zk
         deriv *= d
         s1 += (delta / 2.0) / deriv
         s2 -= prev / deriv
-        zk = maps.evaluate(qmap, zk)
+        zk = maps.evaluate(delta, zk)
     s2 -= 0.5 / deriv
     scale = max(abs(s1), abs(s2), 1e-300)
     agreement = abs(s1 - s2) / scale

@@ -314,7 +314,7 @@ class TransferOperator:
         # the lower half is formed
         m = n // 2 if self.delta.imag == 0 and n >= 4 else n
         reps = _reps_from_table(table, self.level)[:m + 1]
-        ld = np.abs(maps.evaluate_deriv(maps.f_delta(self.delta), reps))
+        ld = np.abs(maps.evaluate_deriv(self.delta, reps))
         if not np.all(ld > 0):
             raise ValueError("representative hit the critical point")
         np.log(ld, out=ld)
@@ -556,14 +556,13 @@ def pressure_oracle(delta: complex, tau: float, table: BoettcherTable,
     if n > 18:
         raise ValueError("depth capped at 18 (2^n preimages)")
     delta = complex(delta)
-    qmap = maps.f_delta(delta)
     z = np.array([anchor_point(table, 0)])  # landing point of angle 1/2
     deriv = np.array([1.0 + 0j])
     for _ in range(n):
-        w1, w2 = maps.preimage_pair(qmap, z)
+        w1, w2 = maps.preimage_pair(delta, z)
         z = np.concatenate([w1, w2])
-        deriv = np.concatenate([maps.evaluate_deriv(qmap, w1) * deriv,
-                                maps.evaluate_deriv(qmap, w2) * deriv])
+        deriv = np.concatenate([maps.evaluate_deriv(delta, w1) * deriv,
+                                maps.evaluate_deriv(delta, w2) * deriv])
     total = float(np.sum(np.abs(deriv) ** (-tau)))
     return np.log(total) / n
 
@@ -812,7 +811,7 @@ def directional_derivative_formula(delta: complex, table: BoettcherTable,
     delta = complex(delta)
     v = delta / abs(delta)
     reps = _reps_from_table(table, weights.level)
-    deriv = maps.evaluate_deriv(maps.f_delta(delta), reps)
+    deriv = maps.evaluate_deriv(delta, reps)
     stride = 1 << (table.level - weights.level)
     pdot = phi_dot_table(delta, table)[::stride]
     integrand = np.real((v + 2.0 * v * pdot) / deriv)
@@ -894,11 +893,11 @@ def backward_anchor_tower(delta: complex, table: BoettcherTable,
     next anchor is the preimage of the previous one on the branch marching
     into the fixed point.
     """
-    qmap = maps.f_delta(complex(delta))
+    delta = complex(delta)
     z = anchor_point(table, n_start)
     out = [z]
     for _ in range(count):
-        z = complex(maps.inverse_branch(qmap, z, z))
+        z = complex(maps.inverse_branch(delta, z, z))
         out.append(z)
     return np.array(out)
 
@@ -913,9 +912,8 @@ def orbit_expansion_check(delta: complex, table: BoettcherTable,
     over partial orbits.
     """
     delta = complex(delta)
-    qmap = maps.f_delta(delta)
     tower = backward_anchor_tower(delta, table, n_base, k_max)
-    dmags = np.abs(maps.evaluate_deriv(qmap, tower))   # |Df(z_n)|, n_base..
+    dmags = np.abs(maps.evaluate_deriv(delta, tower))   # |Df(z_n)|, n_base..
     min_ratio = np.inf
     min_full = np.inf
     min_partial = np.inf

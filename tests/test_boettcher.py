@@ -43,9 +43,8 @@ def test_fixed_point_entry():
 def test_semiconjugacy_residual():
     table = build_table(0.5, 10)
     assert table.residual < boettcher.RESIDUAL_RTOL * table.diameter()
-    qmap = maps.f_delta(0.5)
     idx2 = (2 * np.arange(table.size)) % table.size
-    direct = np.max(np.abs(maps.evaluate(qmap, table.points) - table.points[idx2]))
+    direct = np.max(np.abs(maps.evaluate(0.5, table.points) - table.points[idx2]))
     assert direct == pytest.approx(table.residual)
 
 
@@ -61,9 +60,8 @@ def test_anchor_backward_orbit_pattern():
     # f(z_{n+1}) = z_n: doubling the anchor angle climbs one cylinder
     delta = 0.4 + 0.2j
     table = build_table(delta, 12)
-    qmap = maps.f_delta(delta)
     for n in range(0, 10):
-        lhs = maps.evaluate(qmap, anchor_point(table, n + 1))
+        lhs = maps.evaluate(delta, anchor_point(table, n + 1))
         assert abs(lhs - anchor_point(table, n)) < 1e-11
 
 
@@ -144,7 +142,7 @@ def _one_sweep(delta, pts):
     preimage of its image point nearest to itself."""
     n = pts.size
     idx2 = (2 * np.arange(n)) % n
-    new = maps.inverse_branch_array(maps.f_delta(delta), pts[idx2], pts)
+    new = maps.inverse_branch_array(delta, pts[idx2], pts)
     new[0] = 0.0
     return new
 
@@ -186,7 +184,6 @@ def _full_array_continuation(delta, level):
     """``_seed_by_continuation`` as one n-word pass per level, with no
     blocks: the reference for the blocked pass."""
     pts = boettcher._seed_by_continuation(delta, min(level, 2))
-    qmap = maps.f_delta(delta)
     for lev in range(3, level + 1):
         n_old = 1 << (lev - 1)
         new = np.empty(1 << lev, dtype=complex)
@@ -194,7 +191,7 @@ def _full_array_continuation(delta, level):
         kk = np.arange(1, 1 << lev, 2)
         target = pts[kk % n_old]
         hint = 0.5 * (pts[(kk - 1) // 2] + pts[((kk + 1) // 2) % n_old])
-        new[1::2] = maps.inverse_branch_array(qmap, target, hint)
+        new[1::2] = maps.inverse_branch_array(delta, target, hint)
         pts = new
     return pts
 

@@ -3,10 +3,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from juliadim import __version__, cli, transfer
 from juliadim.cli import _fit_d0, main
 from juliadim.errors import NoConvergenceError
-from juliadim.maps import Param, in_mandelbrot_grid
+from juliadim.maps import delta_from_epsilon, in_mandelbrot_grid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -187,7 +189,9 @@ def test_config_flag_without_path(capsys):
     (b"level = abc\n", ["dim", "--delta", "0.3"]),
     (b"suite = nope\n", ["verify"]),
     (b"family = xyz\n", ["mandelbrot", "--grid", "3"]),
-    (b"\xff = 1\n", ["theta0"])], ids=["level", "suite", "family", "not-utf8"])
+    (b"json = ture\n", ["dim", "--delta", "0.3", "--out", "d.json"]),
+    (b"\xff = 1\n", ["theta0"])],
+    ids=["level", "suite", "family", "bool", "not-utf8"])
 def test_config_values_checked_like_flags(tmp_path, monkeypatch, capsys, text, argv):
     # a value argparse would refuse as a flag, or a file that is not UTF-8,
     # is refused before any work: exit 2 and no output file
@@ -197,6 +201,16 @@ def test_config_values_checked_like_flags(tmp_path, monkeypatch, capsys, text, a
     err = capsys.readouterr().err
     assert "error[PARSE_ERROR]" in err and "Traceback" not in err
     assert os.listdir(tmp_path) == ["run.conf"]
+
+
+@pytest.mark.parametrize("word, printed", [("On", True), ("YES", True),
+                                            ("1", True), ("off", False),
+                                            ("No", False), ("0", False)])
+def test_config_booleans(tmp_path, capsys, word, printed):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"json = {word}\n")
+    assert run(["--config", str(conf), "dim", "--delta", "1.0", "--level", "10"]) == 0
+    assert capsys.readouterr().out.startswith("{") == printed
 
 
 def _config_valid(pairs) -> bool:
@@ -290,6 +304,33 @@ def test_ray_golden_and_one_solve_per_point(tmp_path, monkeypatch):
     assert calls == {"build_table": 3 * points, "phi_dot_table": 3 * points}
 
 
+@pytest.mark.parametrize("failing, code", [(3, 3), (1, 0)], ids=["none", "some"])
+def test_ray_unsolved_points(tmp_path, monkeypatch, capsys, failing, code):
+    # the first `failing` points raise: the CSV still lists every point
+    # with its status, no numpy warning is raised, and a scan with no
+    # solved point has nothing to fit and exits 3
+    real = cli.ray_point
+    calls = []
+
+    def flaky(delta, level):
+        calls.append(delta)
+        if len(calls) <= failing:
+            raise NoConvergenceError("no root")
+        return real(delta, level)
+    monkeypatch.setattr(cli, "ray_point", flaky)
+    out = tmp_path / "ray.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["ray", "--level", "10", "--t-start", "0.4", "--t-end", "0.2",
+                    "--out", str(out), "--json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    with open(out) as fh:
+        status = [row["status"] for row in csv.DictReader(fh)]
+    assert status == ["NO_CONVERGENCE"] * failing + ["ok"] * (3 - failing)
+    assert os.path.exists(str(out) + ".manifest.json")
+    assert math.isnan(doc["planar_A_refit"]) == (failing == 3)
+
+
 def test_ray_rejects_bad_alpha():
     assert run(["ray", "--alpha", "2.0", "--level", "12"]) == 2
 
@@ -361,6 +402,20 @@ def test_mandelbrot_grid_pinned_digest(tmp_path):
     assert hashlib.sha256("".join(bits).encode()).hexdigest() == ref["sha256"]
 
 
+def test_mandelbrot_eps_pinned_digest(tmp_path):
+    # the whole CSV of the eps family, as written before delta_from_epsilon
+    # replaced Param.from_epsilon: every eps reaches c = 1/4 - delta^2/4
+    # through the same roundings; its im = 0 row holds the real eps > 0
+    # whose root the choice flips from -i sqrt(eps) to +i sqrt(eps)
+    out = str(tmp_path / "m.csv")
+    assert run(["mandelbrot", "--family", "eps", "--grid", "21",
+                "--out", out]) == 0
+    with open(out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == ("88f729e62783f56ed41500fe62c917a1"
+                      "84780b2a76e79bbbd0b26295b8fba34f")
+
+
 @pytest.mark.parametrize("family", ["delta", "eps"])
 @pytest.mark.parametrize("grid", [1, 7])
 def test_mandelbrot_csv_matches_per_row_formatting(tmp_path, family, grid):
@@ -374,7 +429,7 @@ def test_mandelbrot_csv_matches_per_row_formatting(tmp_path, family, grid):
         res, ims = np.linspace(-2.0, 0.5, grid), np.linspace(-1.25, 1.25, grid)
     deltas = [complex(re, im) for re in res for im in ims]
     if family == "eps":
-        deltas = [Param.from_epsilon(e).delta for e in deltas]
+        deltas = [delta_from_epsilon(e) for e in deltas]
     inside = in_mandelbrot_grid(deltas, 1000)
     rows = [[re, im, 1 if inside[i * grid + j] else 0]
             for i, re in enumerate(res) for j, im in enumerate(ims)]

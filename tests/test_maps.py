@@ -5,52 +5,61 @@ from juliadim import maps
 from juliadim.errors import AmbiguousBranchError
 
 
-def test_param_derived_fields():
-    p = maps.Param(0.4 + 0.3j)
-    assert p.epsilon == -(0.4 + 0.3j) ** 2 / 4.0
-    assert p.t == pytest.approx(0.5)
-    assert p.alpha == pytest.approx(np.arctan2(0.3, 0.4))
+def _eps(delta):
+    return -delta * delta / 4.0
+
+
+def test_delta_from_epsilon_round_trip():
+    delta = 0.25 * np.exp(1j * 0.4)
+    assert maps.delta_from_epsilon(_eps(delta)) == pytest.approx(delta)
 
 
 def test_plus_minus_delta_share_epsilon():
-    assert maps.Param(0.3 + 0.1j).epsilon == maps.Param(-0.3 - 0.1j).epsilon
+    for delta in (0.3 + 0.1j, 0.2 - 0.5j, 0.4, 0.3j):
+        assert _eps(delta) == _eps(-delta)
+        assert maps.delta_from_epsilon(_eps(-delta)) == maps.delta_from_epsilon(_eps(delta))
 
 
-def test_param_from_epsilon_round_trip():
-    p = maps.Param(0.25 * np.exp(1j * 0.4))
-    q = maps.Param.from_epsilon(p.epsilon)
-    assert q.delta == pytest.approx(p.delta)
+def test_delta_from_epsilon_root_choice():
+    # Re(delta) >= 0, and on the imaginary axis (real eps > 0) the +i root,
+    # whatever the sign of eps's zero imaginary part
+    for eps in (0.25, complex(0.25, 0.0), complex(0.25, -0.0)):
+        delta = maps.delta_from_epsilon(eps)
+        assert type(delta) is complex
+        assert delta == 1j
+    assert maps.delta_from_epsilon(-0.09) == 0.6
+    assert maps.delta_from_epsilon(_eps(-0.3 - 0.1j)) == pytest.approx(0.3 + 0.1j)
+    assert maps.delta_from_epsilon(0.0) == 0.0
 
 
 def test_evaluate_fixed_points():
-    assert maps.evaluate(maps.f_delta(0.0), 0.0) == 0.0
-    assert maps.evaluate(maps.f_delta(1.0), -1.0) == -1.0   # fixed point -delta
+    assert maps.evaluate(0.0, 0.0) == 0.0
+    assert maps.evaluate(1.0, -1.0) == -1.0   # fixed point -delta
 
 
 def test_evaluate_deriv():
-    assert maps.evaluate_deriv(maps.f_delta(0.0), 0.0) == 1.0
-    assert maps.evaluate_deriv(maps.f_delta(0.2), 0.0) == pytest.approx(1.2)
-    qmap = maps.f_delta(1.0)
-    assert maps.evaluate_deriv(qmap, maps.critical_point(qmap)) == 0.0
+    assert maps.evaluate_deriv(0.0, 0.0) == 1.0
+    assert maps.evaluate_deriv(0.2, 0.0) == pytest.approx(1.2)
+    assert maps.evaluate_deriv(1.0, maps.critical_point(1.0)) == 0.0
 
 
 def test_fixed_points_and_multipliers():
-    qmap = maps.f_delta(0.3 + 0.1j)
-    for z in (0.0j, -(0.3 + 0.1j)):    # the fixed points 0 and -delta
-        assert maps.evaluate(qmap, z) == pytest.approx(z)
-    assert maps.evaluate_deriv(qmap, 0.0) == pytest.approx(1.3 + 0.1j)
-    assert maps.evaluate_deriv(qmap, -(0.3 + 0.1j)) == pytest.approx(0.7 - 0.1j)
+    delta = 0.3 + 0.1j
+    for z in (0.0j, -delta):    # the fixed points 0 and -delta
+        assert maps.evaluate(delta, z) == pytest.approx(z)
+    assert maps.evaluate_deriv(delta, 0.0) == pytest.approx(1.3 + 0.1j)
+    assert maps.evaluate_deriv(delta, -delta) == pytest.approx(0.7 - 0.1j)
 
 
 def test_conjugation_to_p():
     # tau(z) = z + (1+delta)/2 carries f_delta to p_eps(z) = z^2 + 1/4 + eps
-    # exactly at the eps of Param(delta)
+    # exactly at eps = -delta^2/4
     rng = np.random.default_rng(3)
     for _ in range(10_000):
         z = complex(*rng.normal(0, 2, 2))
         delta = complex(*rng.normal(0, 0.7, 2))
-        eps = maps.Param(delta).epsilon
-        lhs = maps.evaluate(maps.f_delta(delta), z) + (1.0 + delta) / 2.0
+        eps = _eps(delta)
+        lhs = maps.evaluate(delta, z) + (1.0 + delta) / 2.0
         w = z + (1.0 + delta) / 2.0
         rhs = w * w + 0.25 + eps
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -62,47 +71,43 @@ def test_plus_minus_delta_orbit_correspondence():
     for _ in range(200):
         z = complex(*rng.normal(0, 1, 2))
         delta = complex(*rng.normal(0, 0.5, 2))
-        lhs = maps.evaluate(maps.f_delta(-delta), z + delta)
-        rhs = maps.evaluate(maps.f_delta(delta), z) + delta
+        lhs = maps.evaluate(-delta, z + delta)
+        rhs = maps.evaluate(delta, z) + delta
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
 def test_inverse_branch_examples():
-    qmap = maps.f_delta(1.0)
-    assert maps.inverse_branch(qmap, 0.0, 0.1) == pytest.approx(0.0)
-    assert maps.inverse_branch(qmap, 0.0, -1.9) == pytest.approx(-2.0)
+    assert maps.inverse_branch(1.0, 0.0, 0.1) == pytest.approx(0.0)
+    assert maps.inverse_branch(1.0, 0.0, -1.9) == pytest.approx(-2.0)
 
 
 def test_inverse_branch_is_right_inverse():
     rng = np.random.default_rng(5)
     for _ in range(500):
         delta = complex(*rng.normal(0, 0.5, 2))
-        qmap = maps.f_delta(delta)
         z = complex(*rng.normal(0, 1.5, 2))
         hint = complex(*rng.normal(0, 1.5, 2))
         try:
-            w = maps.inverse_branch(qmap, z, hint)
+            w = maps.inverse_branch(delta, z, hint)
         except AmbiguousBranchError:
             continue
-        assert abs(maps.evaluate(qmap, w) - z) < 1e-12 * max(1.0, abs(z))
+        assert abs(maps.evaluate(delta, w) - z) < 1e-12 * max(1.0, abs(z))
 
 
 def test_inverse_branch_ambiguity():
     # preimages of the image of the critical point +- r are symmetric about
     # the critical point; the midpoint hint is exactly equidistant
-    qmap = maps.f_delta(0.5)
-    c = maps.critical_point(qmap)
+    c = maps.critical_point(0.5)
     with pytest.raises(AmbiguousBranchError):
-        maps.inverse_branch(qmap, maps.evaluate(qmap, c + 0.3), c)
+        maps.inverse_branch(0.5, maps.evaluate(0.5, c + 0.3), c)
 
 
 def test_inverse_eval_identity_on_branch():
-    qmap = maps.f_delta(0.3)
     rng = np.random.default_rng(6)
     for _ in range(300):
         w = complex(*rng.normal(0, 1, 2))
-        z = maps.evaluate(qmap, w)
-        assert maps.inverse_branch(qmap, z, w) == pytest.approx(w)
+        z = maps.evaluate(0.3, w)
+        assert maps.inverse_branch(0.3, z, w) == pytest.approx(w)
 
 
 def test_mandelbrot_membership():
@@ -147,7 +152,7 @@ def _grid(region: str) -> list[complex]:
         res, ims = np.linspace(-2.0, 0.5, 61), np.linspace(-1.25, 1.25, 61)
     pts = [complex(re, im) for re in res for im in ims]
     if region == "eps":
-        pts = [maps.Param.from_epsilon(e).delta for e in pts]
+        pts = [maps.delta_from_epsilon(e) for e in pts]
     return pts
 
 

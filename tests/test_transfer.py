@@ -950,7 +950,7 @@ def _full_log_deriv(delta, table):
     """The operator's endpoint-averaged log|Df| on all words of the table's
     level, restated here: a real delta is not folded."""
     reps = transfer._reps_from_table(table, table.level)
-    ld = np.log(np.abs(maps.evaluate_deriv(maps.f_delta(complex(delta)), reps)))
+    ld = np.log(np.abs(maps.evaluate_deriv(complex(delta), reps)))
     return 0.5 * (ld + np.roll(ld, -1))
 
 

@@ -7,6 +7,12 @@ angles are strictly pre-periodic to the fixed angle 0, so the continuation
 construction below is exact up to branch selection: each level seeds new
 points as hint-guided quadratic preimages of the previous level.  The
 semiconjugacy f(points[k]) = points[2k mod 2^N] is checked on every table.
+
+At real delta f_delta commutes with complex conjugation. For delta in
+(-1, 3), where the two quarter-angle points are a conjugate pair, so does
+every step of the construction: points[2^N - k] == conj(points[k]) bit for
+bit. From level 2 on such a table stores only the angles in [0, 1/2], the
+2^(N-1) + 1 points ``stored``, and builds and checks only those.
 """
 
 from __future__ import annotations
@@ -69,22 +75,61 @@ def anchor_angle(n: int) -> DyadicAngle:
 class BoettcherTable:
     delta: complex
     level: int
-    points: np.ndarray      # shape (2^level,), complex
+    # all 2^level points, or the 2^(level-1) + 1 of the angles in [0, 1/2]
+    # when mirrored (real delta in (-1, 3), level >= 2)
+    stored: np.ndarray
     residual: float
 
     def __post_init__(self):
-        self.points.setflags(write=False)
+        self.stored.setflags(write=False)
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return 1 << self.level
+
+    @property
+    def mirrored(self) -> bool:
+        """True iff ``stored`` holds only the angles in [0, 1/2]."""
+        return len(self.stored) < self.size
+
+    @property
+    def points(self) -> np.ndarray:
+        """The landing points of all 2^level angles, read-only: ``stored``
+        itself, or rebuilt from it, ``stored ++ conj(stored[-2:0:-1])``,
+        when mirrored."""
+        if not self.mirrored:
+            return self.stored
+        out = np.concatenate([self.stored, np.conj(self.stored[-2:0:-1])])
+        out.setflags(write=False)
+        return out
+
+    def require_delta(self, delta: complex) -> complex:
+        """``complex(delta)``; ValueError unless it is the table's delta."""
+        delta = complex(delta)
+        if delta != self.delta:
+            raise ValueError(
+                f"table built for delta={self.delta}, not delta={delta}")
+        return delta
 
     def diameter(self) -> float:
-        return _diameter(self.points)
+        return _diameter(self.stored, self.mirrored)
+
+
+def _at(pts: np.ndarray, k, n: int):
+    """``points[k]`` of a table of ``n`` points from ``pts``, which holds
+    them all or only the angles in [0, 1/2]: angle k > n/2 is then read as
+    the conjugate of angle n - k."""
+    if len(pts) == n:
+        return pts[k]
+    j = np.minimum(k, n - k)
+    z = pts[j]
+    return np.where(j == k, z, np.conj(z))
 
 
 def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
-    """Exact level-by-level pullback seeding, orientation pinned at level 2.
+    """Exact level-by-level pullback seeding, orientation pinned at level 2:
+    the points of all 2^level angles or, at real delta in (-1, 3) from
+    level 2 on, of those in [0, 1/2] (``BoettcherTable.stored``).
 
     The points are bit for bit those that one refinement sweep (every
     point replaced by the preimage of its image point nearest to itself)
@@ -107,50 +152,71 @@ def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
         else:
             q14, q34 = wb, wa
         pts = np.array([0.0 + 0j, q14, half, q34])
+        if q34 == np.conj(q14):
+            # real delta in (-1, 3): every later step commutes with
+            # conjugation too, so only the angles in [0, 1/2] are built
+            pts = pts[:3]
     for lev in range(3, level + 1):
         n_old = 1 << (lev - 1)
-        new = np.empty(1 << lev, dtype=complex)
+        # the old points at the even angles, new ones at the odd angles
+        new = np.empty(2 * n_old if len(pts) == n_old else n_old + 1,
+                       dtype=complex)
         new[0::2] = pts
         odd = new[1::2]
-        for i in range(0, n_old, BLOCK_WORDS):
-            kk = np.arange(2 * i + 1, 2 * min(i + BLOCK_WORDS, n_old), 2)
-            target = pts[kk % n_old]
+        for i in range(0, len(odd), BLOCK_WORDS):
+            kk = np.arange(2 * i + 1, 2 * min(i + BLOCK_WORDS, len(odd)), 2)
+            target = _at(pts, kk % n_old, n_old)
+            # the neighbours of an angle in [0, 1/2] lie in [0, 1/2] too
             hint = 0.5 * (pts[(kk - 1) // 2] + pts[((kk + 1) // 2) % n_old])
             odd[i:i + len(kk)] = maps.inverse_branch_array(delta, target, hint)
         pts = new
     return pts
 
 
-def _has_repeats(pts: np.ndarray) -> bool:
+def _has_repeats(pts: np.ndarray, mirrored: bool = False) -> bool:
     """True iff two entries are equal, i.e. ``np.unique(pts).size <
-    pts.size`` for NaN-free input.
+    pts.size`` for NaN-free input. With ``mirrored``, the same of the
+    conjugate-symmetric array ``pts ++ conj(pts[-2:0:-1])``, whose first
+    and middle entries are real.
 
     Equal points have equal float keys ``re + c*im``, so distinct sorted
     keys prove the points distinct; only a tie, which distinct points
-    rarely give, needs the several times slower complex sort."""
-    keys = pts.imag * REPEAT_KEY_SLOPE
+    rarely give, needs the several times slower complex sort. Mirrored, a
+    point equals its conjugate or another's exactly when the two share
+    ``re`` and ``|im|``: the keys read ``|im|``, and an interior real point
+    is a repeat, of its own mirror image."""
+    keys = np.abs(pts.imag) if mirrored else pts.imag.copy()
+    if mirrored and np.any(keys[1:-1] == 0.0):
+        return True
+    keys *= REPEAT_KEY_SLOPE
     keys += pts.real
     keys.sort()
     if not np.any(keys[1:] == keys[:-1]):
         return False
-    s = np.sort(pts)
+    s = np.sort(pts.real + 1j * np.abs(pts.imag) if mirrored else pts)
     return bool(np.any(s[1:] == s[:-1]))
 
 
-def _diameter(pts: np.ndarray) -> float:
-    """Diameter of the points' bounding box."""
+def _diameter(pts: np.ndarray, mirrored: bool = False) -> float:
+    """Diameter of the points' bounding box; with ``mirrored``, of theirs
+    and their conjugates', whose imaginary span is 2 max |im|."""
     re, im = pts.real, pts.imag
-    return float(np.hypot(re.max() - re.min(), im.max() - im.min()))
+    if mirrored:
+        im_span = 2.0 * max(im.max(), -im.min())
+    else:
+        im_span = im.max() - im.min()
+    return float(np.hypot(re.max() - re.min(), im_span))
 
 
-def _residual(delta: complex, pts: np.ndarray) -> float:
-    """max |f(pts[i]) - pts[2i mod n]|, ``BLOCK_WORDS`` words at a time;
-    NaN if any term is NaN."""
-    n = len(pts)
+def _residual(delta: complex, pts: np.ndarray, n: int) -> float:
+    """max |f(points[i]) - points[2i mod n]| over the ``n`` points of which
+    ``pts`` holds all or the angles in [0, 1/2] (``_at``), ``BLOCK_WORDS``
+    words at a time; NaN if any term is NaN. At real delta a conjugate
+    pair's terms are equal, so the lower half's maximum is the table's."""
     residual = 0.0
-    for i in range(0, n, BLOCK_WORDS):
+    for i in range(0, len(pts), BLOCK_WORDS):
         z = pts[i:i + BLOCK_WORDS]
-        image = pts[(2 * np.arange(i, i + len(z))) % n]
+        image = _at(pts, (2 * np.arange(i, i + len(z))) % n, n)
         # np.maximum, unlike max(), keeps a NaN of any block
         residual = np.maximum(residual,
                               np.max(np.abs(maps.evaluate(delta, z) - image)))
@@ -169,13 +235,15 @@ def build_table(delta: complex, level: int) -> BoettcherTable:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}]")
 
     pts = _seed_by_continuation(delta, level)
-    bound = RESIDUAL_RTOL * max(_diameter(pts), 1e-300)
-    residual = _residual(delta, pts)
+    n = 1 << level
+    mirrored = len(pts) < n
+    bound = RESIDUAL_RTOL * max(_diameter(pts, mirrored), 1e-300)
+    residual = _residual(delta, pts, n)
     if not np.isfinite(residual) or residual >= bound:
         raise NoConvergenceError(
             f"semiconjugacy residual {residual} above {bound} "
             f"for delta={delta}")
-    if level >= 1 and _has_repeats(pts):
+    if level >= 1 and _has_repeats(pts, mirrored):
         # a collapsed (e.g. constant) table satisfies the semiconjugacy
         # trivially; landing points of distinct angles must stay distinct
         raise NoConvergenceError(
@@ -188,7 +256,8 @@ def landing_point(table: BoettcherTable, angle: DyadicAngle) -> complex:
     if angle.level > table.level:
         raise LevelExceededError(
             f"angle level {angle.level} exceeds table level {table.level}")
-    return complex(table.points[angle.numerator << (table.level - angle.level)])
+    k = angle.numerator << (table.level - angle.level)
+    return complex(_at(table.stored, k, table.size))
 
 
 def anchor_point(table: BoettcherTable, n: int) -> complex:

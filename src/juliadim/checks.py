@@ -359,10 +359,15 @@ def check_circular_order(level=12) -> CheckResult:
 
 
 def check_real_symmetry(level=12) -> CheckResult:
+    """Conjugate parameters give conjugate tables, angle k to -k:
+    points(conj delta)[-k] == conj(points(delta)[k]). At real delta this is
+    the symmetry that lets a table store only the angles in [0, 1/2], so it
+    is checked on full tables off the real axis."""
     worst = 0.0
-    for delta in (0.6, 0.15, 0.0):
+    for delta in (0.6 + 0.1j, 0.15 + 0.05j, 0.02 + 0.01j):
         pts = build_table(delta, level).points
-        mirrored = np.conj(np.roll(pts[::-1], 1))  # angle k -> -k
+        conj_pts = build_table(delta.conjugate(), level).points
+        mirrored = np.conj(np.roll(conj_pts[::-1], 1))  # angle k -> -k
         worst = max(worst, float(np.max(np.abs(pts - mirrored))))
     return _result("cylinders.real_symmetry", worst < 1e-12, f"max err {worst:.2e}")
 

@@ -128,17 +128,6 @@ def psi_prime(delta: complex, w: complex) -> complex:
     return (delta / 2.0 / s) ** 2
 
 
-def psi_at_minus_n(delta: complex, n):
-    """psi(delta, -n) = delta/(exp(n*delta) - 1), vectorized over n >= 1."""
-    delta = complex(delta)
-    n = np.asarray(n, dtype=float)
-    if delta == 0:
-        out = 1.0 / n
-    else:
-        out = delta / np.expm1(n * (delta + 0j))
-    return out if out.shape else complex(out)
-
-
 def psi_prime_at_minus_n(delta: complex, n):
     """psi'(delta, -n) = (delta/(exp(n*delta)-1))**2 * exp(n*delta)."""
     delta = complex(delta)

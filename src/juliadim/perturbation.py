@@ -114,6 +114,7 @@ def phi_dot_series(delta: complex, table: BoettcherTable,
     delta = complex(delta)
     if s.level > table.level:
         raise ValueError("angle finer than table")
+    pts = table.points
     n = table.size
     idx = s.numerator << (table.level - s.level)
     if idx == 0:
@@ -122,7 +123,7 @@ def phi_dot_series(delta: complex, table: BoettcherTable,
     deriv = 1.0 + 0j
     k = 0
     while k < table.level:
-        deriv *= maps.evaluate_deriv(delta, table.points[idx])
+        deriv *= maps.evaluate_deriv(delta, pts[idx])
         acc += (delta / 2.0) / deriv
         idx = (2 * idx) % n
         k += 1
@@ -144,9 +145,10 @@ def phi_dot_table(delta: complex, table: BoettcherTable) -> np.ndarray:
     gives phi-dot[k] = (phi-dot[2k mod n] - points[k]) / f'(points[k]).  It
     starts at the fixed angle, whose point 0 does not move, and fills the
     odd multiples of 2^j for j = level-1 .. 0, each from the level before.
-    Requires |1+delta| > 1, the domain of the series it sums exactly.
+    Requires |1+delta| > 1, the domain of the series it sums exactly, and
+    a table built at ``delta`` (else ValueError).
     """
-    delta = complex(delta)
+    delta = table.require_delta(delta)
     if abs(1.0 + delta) <= 1.0:
         raise ValueError("needs a repelling fixed point: |1+delta| > 1")
     pts = table.points

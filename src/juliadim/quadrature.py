@@ -183,40 +183,6 @@ def _check_dimension(d0: float) -> None:
         raise InvalidDimensionError(f"dimension {d0} outside (1, 1.5)")
 
 
-def _numer_series(x: float, theta: float) -> float:
-    """x*sinh x + q*x*sin(q*x) - 2(cosh x - cos(q*x)) by its power series.
-
-    Coefficient of x^(2n) is (1 - 1/n) * (1 - (-1)^n * theta^(2n)) / (2n-1)!,
-    all nonnegative for |theta| <= 1.
-    """
-    t2 = theta * theta
-    tot = 0.0
-    x2n = x ** 4
-    t2n = t2 * t2
-    fact = 6.0  # (2n-1)! at n = 2
-    for n in range(2, 14):
-        tot += (1.0 - 1.0 / n) * (1.0 - (-1.0) ** n * t2n) * x2n / fact
-        x2n *= x * x
-        t2n *= t2
-        fact *= (2 * n) * (2 * n + 1)
-    return tot
-
-
-def _denom(x: float, theta: float) -> float:
-    """cosh x - cos(theta*x), stable near zero."""
-    return 2.0 * (math.sinh(0.5 * x) ** 2 + math.sin(0.5 * theta * x) ** 2)
-
-
-def omega_integrand(x: float, theta: float, d0: float) -> float:
-    """(2 - (x sinh x + qx sin qx)/D) * D^(-d0) with D = cosh x - cos qx."""
-    D = _denom(x, theta)
-    if x < NEAR_ZERO_CROSSOVER:
-        num = -_numer_series(x, theta)
-    else:
-        num = 2.0 * D - (x * math.sinh(x) + theta * x * math.sin(theta * x))
-    return num * D ** (-1.0 - d0)
-
-
 _SERIES_N = np.arange(2, 14)
 _SERIES_FACT = np.array([float(math.factorial(2 * n - 1)) for n in _SERIES_N])
 
@@ -224,8 +190,9 @@ _SERIES_FACT = np.array([float(math.factorial(2 * n - 1)) for n in _SERIES_N])
 def _numer_denom(theta: float):
     """Array form of (x sinh x + qx sin qx - 2D, D) with D = cosh x - cos qx.
 
-    Below NEAR_ZERO_CROSSOVER the numerator is the power series of
-    ``_numer_series``.
+    Below NEAR_ZERO_CROSSOVER the numerator is its power series: the
+    coefficient of x^(2n) is (1 - 1/n) * (1 - (-1)^n * theta^(2n)) / (2n-1)!,
+    n = 2 .. 13, all nonnegative for |theta| <= 1.
     """
     n = _SERIES_N
     coef = (1.0 - 1.0 / n) * (1.0 - (-1.0) ** n * theta ** (2 * n)) / _SERIES_FACT

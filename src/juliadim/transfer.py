@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maps
-from .boettcher import BoettcherTable, anchor_point, build_table
+from .boettcher import BLOCK_WORDS, BoettcherTable, anchor_point, build_table
 from .errors import (BracketFailureError, LevelExceededError,
                      NoConvergenceError)
 from .perturbation import phi_dot_table
@@ -282,7 +282,9 @@ def _endpoint_mean(x: np.ndarray, m: int) -> np.ndarray:
 
 
 def _reps_from_table(table: BoettcherTable, level: int) -> np.ndarray:
-    """Representative landing points of all level-``level`` words.
+    """Representative landing points of the level-``level`` words whose
+    angles the table stores: all words, or, mirrored, those from angle 0 to
+    1/2 (``BoettcherTable.stored``).
 
     Representatives are the words' left-endpoint angles; those are exactly
     the stride-subsampled table entries.
@@ -291,7 +293,7 @@ def _reps_from_table(table: BoettcherTable, level: int) -> np.ndarray:
         raise LevelExceededError(
             f"level {level} exceeds table level {table.level}")
     stride = 1 << (table.level - level)
-    return table.points[::stride]
+    return table.stored[::stride]
 
 
 class TransferOperator:
@@ -302,19 +304,24 @@ class TransferOperator:
     all 2^level words. ``weights`` lives on those words, in quarter order;
     ``apply``, ``apply_dual`` and the Perron vectors live in pair-sum space,
     half as many words. ``expand`` and ``conformal`` give vectors on the
-    operator's words, and ``unfold`` the masses of all 2^level words."""
+    operator's words, and ``unfold`` the masses of all 2^level words.
+    Raises ValueError for a table built at another delta."""
 
     def __init__(self, delta: complex, table: BoettcherTable,
                  level: int | None = None):
-        self.delta = complex(delta)
+        self.delta = table.require_delta(delta)
         self.level = table.level if level is None else int(level)
         n = 1 << self.level
         # at real delta words k and n-1-k carry the same weight bit for bit
         # (the endpoint-averaged weight commutes with conjugation), so only
-        # the lower half is formed
+        # the lower half is formed, from the angles in [0, 1/2], all that a
+        # mirrored table stores
         m = n // 2 if self.delta.imag == 0 and n >= 4 else n
         reps = _reps_from_table(table, self.level)[:m + 1]
-        ld = np.abs(maps.evaluate_deriv(self.delta, reps))
+        ld = np.empty(len(reps))
+        for i in range(0, len(reps), BLOCK_WORDS):
+            np.abs(maps.evaluate_deriv(self.delta, reps[i:i + BLOCK_WORDS]),
+                   out=ld[i:i + BLOCK_WORDS])
         if not np.all(ld > 0):
             raise ValueError("representative hit the critical point")
         np.log(ld, out=ld)
@@ -808,11 +815,10 @@ def directional_derivative_formula(delta: complex, table: BoettcherTable,
     derivative of the landing points. This is the exact derivative of the
     discretized dimension at the operator's word length.
     """
-    delta = complex(delta)
+    delta = table.require_delta(delta)
     v = delta / abs(delta)
-    reps = _reps_from_table(table, weights.level)
-    deriv = maps.evaluate_deriv(delta, reps)
     stride = 1 << (table.level - weights.level)
+    deriv = maps.evaluate_deriv(delta, table.points[::stride])
     pdot = phi_dot_table(delta, table)[::stride]
     integrand = np.real((v + 2.0 * v * pdot) / deriv)
     # endpoint-averaged, matching the operator's weight rule, so this is

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,50 @@ def test_landing_point_lookup():
         landing_point(table, DyadicAngle(1, 9))
 
 
+@pytest.mark.parametrize("delta", [0.3, 0.3 + 0.2j])
+def test_landing_point_of_every_angle_is_the_table_entry(delta):
+    # at real delta the lookup reads the stored half, mirroring angles
+    # above 1/2; the rebuilt points agree with it bit for bit
+    table = build_table(delta, 8)
+    assert table.mirrored == (delta.imag == 0)
+    pts = table.points
+    for k in range(table.size):
+        z = landing_point(table, DyadicAngle(k, 8))
+        assert np.array_equal(np.array([z]).view(np.uint64),
+                              pts[k:k + 1].view(np.uint64)), k
+
+
+# sha256 of build_table(delta, level).points.tobytes(), written when every
+# table stored all its points
+PARENT_DIGESTS = {
+    (0.05, 16): "1ec86c506d6c3218392c79e06242ae520e5486ff923fccdfe2afc11a45fff454",
+    (0.3, 12): "76f11641e624e6a541b2a72808899f859f112675a377a6664a973f37ad2648ba",
+    (1.0, 10): "04c8420637f62a4e0ee94f5d24eb5cf3c01305315450767a6db1201d88f68397",
+    (0.0, 12): "98a782ba5b6d4dbc29f0c6a893a42ad566f59a20cc416b3cf0a9c32ddb65ea0b",
+}
+
+
+@pytest.mark.parametrize("delta, level", list(PARENT_DIGESTS))
+def test_real_tables_are_the_full_builds_bytes(delta, level):
+    table = build_table(delta, level)
+    assert table.mirrored and len(table.stored) == (1 << (level - 1)) + 1
+    assert table.size == 1 << level
+    digest = hashlib.sha256(table.points.tobytes()).hexdigest()
+    assert digest == PARENT_DIGESTS[(delta, level)]
+    assert not table.points.flags.writeable
+    # the checks on the stored half give what they give on all the points
+    full = table.points
+    assert table.diameter() == boettcher._diameter(full)
+    assert table.residual == boettcher._residual(delta, full, full.size)
+
+
+def test_table_for_real_delta_outside_the_interval_stores_every_point():
+    # at delta >= 3 the quarter-angle points are both real, not a conjugate
+    # pair, so the table is not conjugate-symmetric and stores them all
+    table = build_table(3.5, 6)
+    assert not table.mirrored and len(table.stored) == 64
+
+
 def test_anchor_backward_orbit_pattern():
     # f(z_{n+1}) = z_n: doubling the anchor angle climbs one cylinder
     delta = 0.4 + 0.2j
@@ -86,11 +131,12 @@ def test_parabolic_size_law():
 
 def test_degenerate_seed_rejected(monkeypatch):
     # a collapsed table has residual 0: only the repeated-point check can
-    # reject it
-    monkeypatch.setattr(boettcher, "_seed_by_continuation",
-                        lambda delta, level: np.zeros(1 << level, dtype=complex))
-    with pytest.raises(NoConvergenceError, match="repeated"):
-        build_table(0.3, 8)
+    # reject it; at real delta the seeding gives the angles in [0, 1/2]
+    for delta, size in ((0.3, (1 << 7) + 1), (0.3 + 0.1j, 1 << 8)):
+        monkeypatch.setattr(boettcher, "_seed_by_continuation",
+                            lambda delta, level: np.zeros(size, dtype=complex))
+        with pytest.raises(NoConvergenceError, match="repeated"):
+            build_table(delta, 8)
 
 
 def test_repeat_check_matches_unique():
@@ -118,6 +164,55 @@ def test_repeat_check_matches_unique():
     for name, (pts, expect) in cases.items():
         assert bool(np.unique(pts).size < pts.size) == expect, name
         assert boettcher._has_repeats(pts) == expect, name
+
+
+def _mirror(half):
+    """The conjugate-symmetric array ``half ++ conj(half[-2:0:-1])``."""
+    return np.concatenate([half, np.conj(half[-2:0:-1])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(complex, st.integers(2, 40),
+                  elements=st.complex_numbers(max_magnitude=1e3,
+                                              allow_nan=False,
+                                              allow_infinity=False)),
+       st.sampled_from(["none", "copy", "conjugate", "real"]), st.data())
+def test_mirrored_repeat_check_matches_unique_of_full_array(half, inject, data):
+    # the first and middle entries of a conjugate-symmetric array are real
+    half[[0, -1]] = half[[0, -1]].real
+    n = half.size
+    j = data.draw(st.integers(0, n - 1), label="to")
+    k = data.draw(st.integers(0, n - 1), label="from")
+    if inject == "copy":
+        half[j] = half[k]
+    elif inject == "conjugate":
+        half[j] = np.conj(half[k])
+    elif inject == "real":
+        half[j] = half[j].real
+    full = _mirror(half)
+    assert (boettcher._has_repeats(half, mirrored=True)
+            == (np.unique(full).size < full.size))
+
+
+def test_mirrored_repeat_check_cases():
+    shared_re = 0.25 + 1j * np.arange(1.0, 9.0)
+    cases = {
+        "distinct": (np.concatenate([[0j], shared_re, [3.0]]), False),
+        "interior real point": (np.array([0j, 1 + 1j, 2.0, 3 + 1j, 4.0]), True),
+        "signed zero interior": (np.array([0j, 1 + 1j, complex(2.0, -0.0),
+                                           4.0]), True),
+        "conjugate pair": (np.array([0j, 1 + 1j, 2 + 2j, 1 - 1j, 4.0]), True),
+        "endpoint twice": (np.array([0j, 1 + 1j, 0j]), True),
+        # distinct points whose sort keys re + c*|im| tie
+        "tied keys": (np.array([boettcher.REPEAT_KEY_SLOPE + 0j, 1j, 2.0]),
+                      False),
+        "tied keys, one repeat": (np.array([boettcher.REPEAT_KEY_SLOPE + 0j,
+                                            1j, 1j, 2.0]), True),
+    }
+    for name, (half, expect) in cases.items():
+        full = _mirror(half)
+        assert bool(np.unique(full).size < full.size) == expect, name
+        assert boettcher._has_repeats(half, mirrored=True) == expect, name
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,8 +259,10 @@ def _check_one_sweep_build(r, phi, level):
     pts = table.points.copy()
     pts[pts.size // 2] = -(1.0 + delta)
     assert np.array_equal(_one_sweep(delta, pts), table.points)
+    # the seeding gives what the table stores: at real delta from level 2
+    # on, the angles in [0, 1/2]
     assert np.array_equal(boettcher._seed_by_continuation(delta, level),
-                          table.points)
+                          table.stored)
 
 
 @pytest.mark.parametrize("block", [3, 4])
@@ -181,9 +278,10 @@ def test_blocked_table_equals_one_sweep_build(block, r, phi, level):
 
 
 def _full_array_continuation(delta, level):
-    """``_seed_by_continuation`` as one n-word pass per level, with no
-    blocks: the reference for the blocked pass."""
-    pts = boettcher._seed_by_continuation(delta, min(level, 2))
+    """``_seed_by_continuation`` as one n-word pass per level over all the
+    angles, with no blocks and no mirror: the reference for the blocked
+    pass."""
+    pts = build_table(delta, min(level, 2)).points
     for lev in range(3, level + 1):
         n_old = 1 << (lev - 1)
         new = np.empty(1 << lev, dtype=complex)
@@ -196,11 +294,25 @@ def _full_array_continuation(delta, level):
     return pts
 
 
-def test_blocked_continuation_equals_full_array_at_level_20():
-    # 8 blocks of the default size at the top level
-    delta = 0.05 + 0.0j
-    assert np.array_equal(boettcher._seed_by_continuation(delta, 20),
-                          _full_array_continuation(delta, 20))
+@pytest.fixture(scope="module")
+def full_array_level_20():
+    return _full_array_continuation(0.05 + 0.0j, 20)
+
+
+def test_blocked_continuation_equals_full_array_at_level_20(full_array_level_20):
+    # 4 blocks of the default size at the top level, which holds the
+    # angles in [0, 1/2] at real delta
+    half = boettcher._seed_by_continuation(0.05 + 0.0j, 20)
+    assert half.size == (1 << 19) + 1
+    assert np.array_equal(half, full_array_level_20[:half.size])
+
+
+def test_rebuilt_points_equal_full_array_at_level_20(full_array_level_20):
+    # bit for bit, so the upper half, each lower point's conjugate, is what
+    # the full continuation computes there
+    points = build_table(0.05, 20).points
+    assert np.array_equal(points.view(np.uint64),
+                          full_array_level_20.view(np.uint64))
 
 
 def test_nan_seeding_raises(monkeypatch):
@@ -222,7 +334,7 @@ def test_nan_seeding_raises(monkeypatch):
 
 def test_build_table_peak_memory():
     # the continuation and the residual check work in blocks: the build
-    # holds little more than the last two levels' points at once (an
+    # holds little more than the last two levels' stored points at once (an
     # unblocked build peaked at 5.25 times the table)
     tracemalloc.start()
     try:
@@ -230,7 +342,8 @@ def test_build_table_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * table.points.nbytes
+    assert table.mirrored
+    assert peak <= 2.5 * table.stored.nbytes
 
 
 def test_seed_continuation_tracks_nearby_parameter():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,22 @@ def test_batched_check_reads_its_routine(monkeypatch, check, module, routine, pe
     assert run(np.random.default_rng(checks.SEED)).passed
     monkeypatch.setattr(module, routine, perturb(getattr(module, routine)))
     assert not run(np.random.default_rng(checks.SEED)).passed
+
+
+def test_real_symmetry_check_reads_both_tables(monkeypatch):
+    # the check compares the tables at delta and at conj(delta), both stored
+    # in full: moving the points of either one by 1e-10 fails it
+    assert checks.check_real_symmetry().passed
+    build = checks.build_table
+    for lower in (False, True):
+        def moved(delta, level):
+            table = build(delta, level)
+            if (complex(delta).imag < 0) == lower:
+                table = dataclasses.replace(table, stored=table.stored + 1e-10)
+            return table
+        with monkeypatch.context() as m:
+            m.setattr(checks, "build_table", moved)
+            assert not checks.check_real_symmetry().passed
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 42, 1234, 99_991, 2**31 - 1, 20260811])

@@ -8,6 +8,41 @@ from juliadim.errors import (InvalidDimensionError, NoSignChangeError,
                              ToleranceNotMetError)
 
 
+def _numer_series(x: float, theta: float) -> float:
+    """x*sinh x + q*x*sin(q*x) - 2(cosh x - cos(q*x)) by its power series.
+
+    Coefficient of x^(2n) is (1 - 1/n) * (1 - (-1)^n * theta^(2n)) / (2n-1)!,
+    all nonnegative for |theta| <= 1.
+    """
+    t2 = theta * theta
+    tot = 0.0
+    x2n = x ** 4
+    t2n = t2 * t2
+    fact = 6.0  # (2n-1)! at n = 2
+    for n in range(2, 14):
+        tot += (1.0 - 1.0 / n) * (1.0 - (-1.0) ** n * t2n) * x2n / fact
+        x2n *= x * x
+        t2n *= t2
+        fact *= (2 * n) * (2 * n + 1)
+    return tot
+
+
+def _denom(x: float, theta: float) -> float:
+    """cosh x - cos(theta*x), stable near zero."""
+    return 2.0 * (math.sinh(0.5 * x) ** 2 + math.sin(0.5 * theta * x) ** 2)
+
+
+def omega_integrand(x: float, theta: float, d0: float) -> float:
+    """(2 - (x sinh x + qx sin qx)/D) * D^(-d0) with D = cosh x - cos qx:
+    the scalar master integrand that the oracles below integrate."""
+    D = _denom(x, theta)
+    if x < qd.NEAR_ZERO_CROSSOVER:
+        num = -_numer_series(x, theta)
+    else:
+        num = 2.0 * D - (x * math.sinh(x) + theta * x * math.sin(theta * x))
+    return num * D ** (-1.0 - d0)
+
+
 def omega_oracle(theta: float, d0: float, n_points: int = 1_000_000) -> float:
     """Fixed-grid trapezoid evaluation in the stretched variable.
 
@@ -23,11 +58,11 @@ def omega_oracle(theta: float, d0: float, n_points: int = 1_000_000) -> float:
     vals = np.empty_like(u)
     vals[0] = 0.0
     x = u[1:] ** (1.0 / p)
-    vals[1:] = [qd.omega_integrand(float(xx), theta, d0) * float(xx) ** (1.0 - p) / p
+    vals[1:] = [omega_integrand(float(xx), theta, d0) * float(xx) ** (1.0 - p) / p
                 for xx in x]
     inner = np.trapezoid(vals, u)
     xg = np.linspace(xs, xmax, n_points - n1)
-    outer = np.trapezoid([qd.omega_integrand(float(xx), theta, d0) for xx in xg], xg)
+    outer = np.trapezoid([omega_integrand(float(xx), theta, d0) for xx in xg], xg)
     return math.sqrt(theta * theta + 1.0) * (inner + outer)
 
 
@@ -191,7 +226,7 @@ def omega_quadpack(theta: float, d0: float) -> float:
     spec = qd.DEFAULT_SPEC
 
     def f(x):
-        return qd.omega_integrand(x, theta, d0)
+        return omega_integrand(x, theta, d0)
 
     def stretched(u):
         x = u ** (1.0 / p)

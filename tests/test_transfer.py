@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from juliadim import maps, transfer
 from juliadim.boettcher import build_table
 from juliadim.errors import BracketFailureError, NoConvergenceError
+from juliadim.perturbation import phi_dot_table
 from juliadim.transfer import (TransferOperator, cylinder_measures,
                                directional_derivative_formula, equilibrium,
                                hausdorff_dim, partition_residual, pressure,
@@ -118,6 +119,40 @@ def test_dimension_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 7.5 * 8 * (1 << 18)
+
+
+def test_level_20_dimension_solve_peak_memory():
+    # the table stores the angles in [0, 1/2] (8 MB, not 16), and the
+    # operator forms its log|Df| without a full-size complex temporary
+    # (31 MB when the table held every angle)
+    tracemalloc.start()
+    try:
+        hausdorff_dim(0.05, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("delta, table_delta", [(0.3 + 0.2j, 0.3),
+                                                (0.3, 0.3 + 0.2j),
+                                                (0.31, 0.3)])
+def test_table_of_another_delta_is_refused(delta, table_delta):
+    # a table weights the points of the delta it was built at; at another
+    # delta it would give a plain wrong dimension, and a mirrored one would
+    # be read as if it held every angle
+    table = build_table(table_delta, 10)
+    good = build_table(delta, 10)
+    tau = hausdorff_dim(delta, 10, table=good).tau0
+    w = equilibrium(delta, tau, good)
+    with pytest.raises(ValueError, match="table built for delta"):
+        TransferOperator(delta, table)
+    with pytest.raises(ValueError, match="table built for delta"):
+        equilibrium(delta, tau, table)
+    with pytest.raises(ValueError, match="table built for delta"):
+        directional_derivative_formula(delta, table, w)
+    with pytest.raises(ValueError, match="table built for delta"):
+        phi_dot_table(delta, table)
 
 
 def test_equilibrium_uniform_on_circle(circle_table):
@@ -949,8 +984,7 @@ def _without_aitken(monkeypatch, fn, *args):
 def _full_log_deriv(delta, table):
     """The operator's endpoint-averaged log|Df| on all words of the table's
     level, restated here: a real delta is not folded."""
-    reps = transfer._reps_from_table(table, table.level)
-    ld = np.log(np.abs(maps.evaluate_deriv(complex(delta), reps)))
+    ld = np.log(np.abs(maps.evaluate_deriv(complex(delta), table.points)))
     return 0.5 * (ld + np.roll(ld, -1))
 
 

@@ -33,7 +33,7 @@ RESIDUAL_RTOL = 1e-12
 REPEAT_KEY_SLOPE = math.sqrt(2.0) - 1.0
 # the continuation and the residual check work on this many words at a time,
 # so their temporaries stay small next to the table
-BLOCK_WORDS = 1 << 16
+BLOCK_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -145,16 +145,17 @@ def _seed_by_continuation(delta: complex, level: int) -> np.ndarray:
     if level >= 2:
         # preimages of -(1+delta); pick the quarter-angle point so that the
         # triple (0, z_{1/4}, z_{1/2}) winds counterclockwise
-        r = np.sqrt(np.complex128(h * h / 4.0 - h))
-        wa, wb = -h / 2.0 + r, -h / 2.0 - r
+        wa, wb = maps.preimage_pair(delta, -h)
         if (np.conj(wa) * (-h)).imag > 0:
             q14, q34 = wa, wb
         else:
             q14, q34 = wb, wa
         pts = np.array([0.0 + 0j, q14, half, q34])
-        if q34 == np.conj(q14):
+        if h.imag == 0 and q34 == np.conj(q14):
             # real delta in (-1, 3): every later step commutes with
-            # conjugation too, so only the angles in [0, 1/2] are built
+            # conjugation too, so only the angles in [0, 1/2] are built; a
+            # delta just off the axis can give a conjugate pair here too,
+            # yet its later steps do not commute
             pts = pts[:3]
     for lev in range(3, level + 1):
         n_old = 1 << (lev - 1)

@@ -406,7 +406,7 @@ def check_size_vs_deriv(level=12) -> CheckResult:
             tower = backward_anchor_tower(delta, table, 8, 200)  # z_8 .. z_208
             for n in range(41, 200, 7):
                 size = abs(tower[n - 8] - tower[n - 7])
-                ratio = size / abs(fatou.psi_prime_at_minus_n(delta, n))
+                ratio = size / abs(fatou.psi_prime(delta, -n))
                 bound = math.exp(0.2 * n * t) + 0.2
                 if not 1.0 / bound < ratio < bound:
                     details.append((alpha, t, n, round(ratio, 3), round(bound, 3)))
@@ -733,10 +733,10 @@ def check_psi_dot_drift_ratio() -> CheckResult:
     delta = 0.01 * np.exp(1j * np.pi / 6)
     table = build_table(delta, 10)
     vals = _psi_dot_on_tower(delta, table, 25, 200)
-    worst = 0.0
-    for n in range(25, 201, 5):
-        ratio = (1.0 + 2.0 * vals[n]) / perturbation.one_plus_two_gamma(n * delta)
-        worst = max(worst, abs(ratio - 1.0))
+    ns = np.arange(25, 201, 5)
+    psi_dots = np.array([vals[n] for n in ns])
+    ratio = (1.0 + 2.0 * psi_dots) / perturbation.one_plus_two_gamma(ns * delta)
+    worst = np.max(np.abs(ratio - 1.0))
     return _result("perturbation.psi_dot_drift_ratio", worst < 0.2,
                    f"max |ratio-1| = {worst:.3f}")
 
@@ -850,11 +850,12 @@ def check_lambda_bounds() -> CheckResult:
         ca = math.cos(alpha)
         for h, eps in ((1.08, 0.0), (1.2, 0.5), (1.4, -0.5)):
             ts = np.geomspace(1.01, 50.0, 40)
-            ratio = max(quadrature.lambda_fn(h, eps, t * np.exp(1j * alpha))
-                        / math.exp(t * (-h + eps) * ca) for t in ts)
+            ratio = np.max(quadrature.lambda_fn(h, eps, ts * np.exp(1j * alpha))
+                           / np.exp(ts * (-h + eps) * ca))
             ts_small = np.geomspace(1e-3, 1.0, 40)
-            ratio_small = max(quadrature.lambda_fn(h, eps, t * np.exp(1j * alpha))
-                              * t ** (2 * h) for t in ts_small)
+            ratio_small = np.max(
+                quadrature.lambda_fn(h, eps, ts_small * np.exp(1j * alpha))
+                * ts_small ** (2 * h))
             if not (np.isfinite(ratio) and np.isfinite(ratio_small)):
                 ok = False
             details.append(f"K>{max(ratio, ratio_small):.1f}")

@@ -128,18 +128,6 @@ def psi_prime(delta: complex, w: complex) -> complex:
     return (delta / 2.0 / s) ** 2
 
 
-def psi_prime_at_minus_n(delta: complex, n):
-    """psi'(delta, -n) = (delta/(exp(n*delta)-1))**2 * exp(n*delta)."""
-    delta = complex(delta)
-    n = np.asarray(n, dtype=float)
-    if delta == 0:
-        out = 1.0 / (n * n)
-    else:
-        x = n * (delta + 0j)
-        out = (delta / 2.0 / np.sinh(x / 2.0)) ** 2
-    return out if out.shape else complex(out)
-
-
 class Direction(enum.Enum):
     FWD = 1
     BWD = -1

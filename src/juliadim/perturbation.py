@@ -45,20 +45,26 @@ def g_fn(z: complex) -> complex:
     return complex(np.expm1(-z)) + z
 
 
-def _check_gamma_pole(z: complex) -> None:
-    k = round(z.imag / TWO_PI)
-    if k != 0 and abs(z - 2j * np.pi * k) < POLE_GUARD:
-        raise PoleError(f"Gamma pole at {2j*np.pi*k}")
+def _check_gamma_pole(z) -> None:
+    """Reject any z within POLE_GUARD of a nonzero multiple of 2*pi*i."""
+    k = np.rint(np.imag(z) / TWO_PI)
+    near = (k != 0) & (np.abs(z - 2j * np.pi * k) < POLE_GUARD)
+    if near.any():
+        raise PoleError(f"Gamma pole at {2j * np.pi * int(k[near][0])}")
 
 
-def one_plus_two_gamma(z: complex) -> complex:
-    """(sinh z - z)/(cosh z - 1) = z/3 - z^3/90 + ..., evaluated stably."""
-    z = complex(z)
+def one_plus_two_gamma(z):
+    """(sinh z - z)/(cosh z - 1) = z/3 - z^3/90 + ..., evaluated stably, at
+    a point z or an array of them."""
+    z = np.asarray(z, dtype=complex)
     _check_gamma_pole(z)
-    if abs(z) < GAMMA_SERIES_THRESHOLD:
-        z2 = z * z
-        return z / 3.0 - z * z2 / 90.0 + z * z2 * z2 / 2520.0
-    return (np.sinh(z) - z) / (np.cosh(z) - 1.0)
+    z2 = z * z
+    # at z = 0 the direct form, which the series replaces, is 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(np.abs(z) < GAMMA_SERIES_THRESHOLD,
+                     z / 3.0 - z * z2 / 90.0 + z * z2 * z2 / 2520.0,
+                     (np.sinh(z) - z) / (np.cosh(z) - 1.0))
+    return g if g.ndim else complex(g)
 
 
 def gamma_fn(z: complex) -> complex:

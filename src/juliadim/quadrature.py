@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InvalidDimensionError, NoSignChangeError,
                      ToleranceNotMetError)
-from .perturbation import GAMMA_SERIES_THRESHOLD
+from .perturbation import one_plus_two_gamma
 
 NEAR_ZERO_CROSSOVER = 1e-2
 X_MAX_CAP = 200.0
@@ -183,6 +183,11 @@ def _check_dimension(d0: float) -> None:
         raise InvalidDimensionError(f"dimension {d0} outside (1, 1.5)")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not -np.pi / 2 < alpha < np.pi / 2:
+        raise ValueError("alpha outside (-pi/2, pi/2)")
+
+
 _SERIES_N = np.arange(2, 14)
 _SERIES_FACT = np.array([float(math.factorial(2 * n - 1)) for n in _SERIES_N])
 
@@ -219,11 +224,12 @@ def _x_max(d0: float, abs_tol: float) -> float:
 
 
 def _dyadic_panels(start, xmax, tol):
-    """``_split_panels``' tail rule for arrays of pieces (start, xmax): each
-    cut into panels [start 2^k, start 2^(k+1)], the last one at xmax, with
-    its width share of ``tol``.  Returns (piece, lower, upper, tol) of every
-    panel.  ``_split_panels`` keeps a scalar loop for its one tail: this
-    array form would add about 15 us to each ``omega`` call.
+    """Tails (start, xmax) cut into panels [start 2^k, start 2^(k+1)], each
+    with its width share of ``tol``; arrays, one entry a piece.  Starting a
+    tail graded spares the bisection rounds that would otherwise refine
+    towards ``start`` one panel at a time.  The last panel ends at xmax, and
+    one shorter than half the panel before it joins that panel.  Returns
+    (piece, lower, upper, tol) of every panel.
     """
     k = np.arange(int(np.log2(np.max(xmax / start, initial=1.0))) + 2)
     w = start[:, None] * 2.0 ** k
@@ -233,30 +239,18 @@ def _dyadic_panels(start, xmax, tol):
     return piece, lo, hi, tol[piece] * (hi - lo) / (xmax - start)[piece]
 
 
-def _split_panels(xmax: float, tol: float):
-    """Limits and absolute tolerances of (0, xmax) in the variable of
-    ``_stretched``: the power piece (0, 1), then the tail (1, xmax) as
-    dyadic panels [2^k, 2^(k+1)], each with its width share of ``tol``.
-    Starting the tail graded spares the bisection rounds that would
-    otherwise refine towards 1 one panel at a time.  The last panel ends at
-    xmax, and one shorter than half the panel before it joins that panel.
-    """
-    cuts = [1.0]
-    while 2.5 * cuts[-1] <= xmax:
-        cuts.append(2.0 * cuts[-1])
-    w = np.array(cuts + [xmax] if xmax > 1.0 else cuts)
-    tail = tol * np.diff(w) / (w[-1] - w[0])
-    return (np.concatenate(([0.0], w[:-1])), w,
-            np.concatenate(([tol], tail)))
-
-
-def _split_quad(integrand, d0: float, spec: QuadratureSpec) -> QuadratureResult:
-    """Integrate over (0, inf): stretched panel near 0 plus smooth tail."""
-    a, b, epsabs = _split_panels(_x_max(d0, spec.abs_tol), spec.abs_tol / 2)
-    vals, errs, nevals = _gk21(_stretched(integrand, 3.0 - 2.0 * d0), a, b,
-                               epsabs, spec.rel_tol, MAX_SUBDIVISIONS)
+def _split_quad(f, h: float, xmax: float, tol: float, spec: QuadratureSpec,
+                what: str) -> QuadratureResult:
+    """Integrate f, which behaves like x^(2-2h) at zero, over (0, xmax): the
+    power piece (0, 1), stretched (``_stretched``) by p = 3 - 2h, to absolute
+    tolerance ``tol``, then the tail (1, xmax) as ``_dyadic_panels`` sharing
+    another ``tol``; ``_checked`` against ``spec``."""
+    _, lo, hi, tails = _dyadic_panels(np.ones(1), np.array([xmax]), np.array([tol]))
+    vals, errs, nevals = _gk21(_stretched(f, 3.0 - 2.0 * h), np.append(0.0, lo),
+                               np.append(1.0, hi), np.append(tol, tails),
+                               spec.rel_tol, MAX_SUBDIVISIONS)
     value, err = float(vals.sum()), float(errs.sum())
-    _checked(value, err, spec.abs_tol, spec.rel_tol, "quadrature")
+    _checked(value, err, spec.abs_tol, spec.rel_tol, what)
     return QuadratureResult(value, err, int(nevals.sum()))
 
 
@@ -271,7 +265,8 @@ def omega(theta: float, d0: float,
         num, D = nd(x)
         return -num * D ** (-1.0 - d0)
 
-    res = _split_quad(integrand, d0, spec)
+    res = _split_quad(integrand, d0, _x_max(d0, spec.abs_tol), spec.abs_tol / 2,
+                      spec, "quadrature")
     scale = math.sqrt(theta * theta + 1.0)
     return QuadratureResult(scale * res.value, scale * res.err_estimate,
                             res.evaluations)
@@ -306,8 +301,7 @@ def delta_alpha(alpha: float, D0: float) -> QuadratureResult:
 
     Equals -2^(-D0) * omega(tan alpha, D0); positive for |alpha| <= pi/4.
     """
-    if not -np.pi / 2 < alpha < np.pi / 2:
-        raise ValueError("alpha outside (-pi/2, pi/2)")
+    _check_alpha(alpha)
     _check_dimension(D0)
     nd = _numer_denom(math.tan(alpha))
 
@@ -315,7 +309,9 @@ def delta_alpha(alpha: float, D0: float) -> QuadratureResult:
         num, D = nd(x)
         return num * (0.5 / D) ** D0 / D
 
-    res = _split_quad(integrand, D0, DEFAULT_SPEC)
+    spec = DEFAULT_SPEC
+    res = _split_quad(integrand, D0, _x_max(D0, spec.abs_tol), spec.abs_tol / 2,
+                      spec, "quadrature")
     scale = 1.0 / math.cos(alpha)
     return QuadratureResult(scale * res.value, scale * res.err_estimate,
                             res.evaluations)
@@ -324,21 +320,24 @@ def delta_alpha(alpha: float, D0: float) -> QuadratureResult:
 # ---------------------------------------------------------------------------
 # ray tails and the double-integral route
 
-def lambda_fn(h: float, eps: float, z: complex) -> float:
-    """|e^z/(e^z-1)^2|^h * |e^(eps z)| = |4 sinh^2(z/2)|^(-h) * e^(eps Re z)."""
+def lambda_fn(h: float, eps: float, z):
+    """|e^z/(e^z-1)^2|^h * |e^(eps z)| = |4 sinh^2(z/2)|^(-h) * e^(eps Re z),
+    at a point z or an array of them."""
     if h <= 1.0:
         raise ValueError("h must exceed 1")
     if not -1.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [-1, 1]")
-    z = complex(z)
-    if z.real <= 0:
-        raise ValueError("Re z must be positive")
+    z = np.asarray(z, dtype=complex)
     x, y = z.real, z.imag
-    if x > 60.0:
-        logd = x
-    else:
-        logd = math.log(4.0 * (math.sinh(0.5 * x) ** 2 + math.sin(0.5 * y) ** 2))
-    return math.exp(-h * logd + eps * x)
+    if (x <= 0).any():
+        raise ValueError("Re z must be positive")
+    # above x = 60 the corrections to log|4 sinh^2(z/2)| = x are exp(-x),
+    # below double precision; sinh may overflow on the branch not taken
+    with np.errstate(over="ignore"):
+        logd = np.where(x > 60.0, x,
+                        np.log(4.0 * (np.sinh(0.5 * x) ** 2 + np.sin(0.5 * y) ** 2)))
+    out = np.exp(-h * logd + eps * x)
+    return out if out.ndim else float(out)
 
 
 def _lambda_tails(h: float, eps: float, alpha: float, t_lower,
@@ -350,18 +349,14 @@ def _lambda_tails(h: float, eps: float, alpha: float, t_lower,
     others their own tail.  Tails are ``_dyadic_panels``.
     Returns (values, errors, evaluations) arrays.
     """
+    _check_alpha(alpha)
     if eps - h >= 0:
         raise ValueError("need eps - h < 0 for an integrable tail")
     t = np.asarray(t_lower, dtype=float)
     if np.any(t <= 0):
         raise ValueError("t_lower must be positive")
     ca, sa = math.cos(alpha), math.sin(alpha)
-
-    def f(s):
-        x = s * ca
-        logd = np.where(x > 60.0, x,  # corrections are exp(-x), below double precision
-                        np.log(4.0 * (np.sinh(0.5 * x) ** 2 + np.sin(0.5 * s * sa) ** 2)))
-        return np.exp(-h * logd + eps * s * ca)
+    v = complex(ca, sa)
 
     # truncation points: the first of max(t, 1) + 0, 1, 2, ... where
     # exp((eps - h) s ca) drops below abs_tol / 100, or s reaches 400
@@ -385,8 +380,8 @@ def _lambda_tails(h: float, eps: float, alpha: float, t_lower,
     lo = np.concatenate((lo, tt[below] ** p))
     hi = np.concatenate((hi, np.ones(below.size)))
     tol = np.concatenate((tol, np.full(below.size, 0.5 * spec.abs_tol)))
-    vals, errs, nevals = _gk21(_stretched(f, p), lo, hi, tol, spec.rel_tol,
-                               MAX_SUBDIVISIONS)
+    vals, errs, nevals = _gk21(_stretched(lambda s: lambda_fn(h, eps, s * v), p),
+                               lo, hi, tol, spec.rel_tol, MAX_SUBDIVISIONS)
     value, err, neval = (np.bincount(piece, weights=x, minlength=m + 1)
                          for x in (vals, errs, nevals))
     for x in (value, err, neval):
@@ -408,24 +403,20 @@ def lambda_tail(h: float, eps: float, alpha: float,
 
 
 def _ray_drift(v: complex, t):
-    """Re(v + 2 v Gamma(v t)) on an array of t; ``perturbation.one_plus_two_gamma``
-    in array form, by its series below GAMMA_SERIES_THRESHOLD."""
-    z = v * np.asarray(t, dtype=float)
-    z2 = z * z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(np.abs(z) < GAMMA_SERIES_THRESHOLD,
-                     z / 3.0 - z * z2 / 90.0 + z * z2 * z2 / 2520.0,
-                     (np.sinh(z) - z) / (np.cosh(z) - 1.0))
-    return (v * g).real
+    """Re(v + 2 v Gamma(v t)) on an array of t."""
+    return (v * one_plus_two_gamma(v * np.asarray(t, dtype=float))).real
 
 
 def q_fn(h: float, alpha: float, t: float) -> float:
     """Re(v + 2 v Gamma(v t)) * tail(t) along the ray v = e^{i alpha}."""
+    _check_alpha(alpha)
     v = complex(math.cos(alpha), math.sin(alpha))
     return float(_ray_drift(v, t)) * lambda_tail(h, 0.0, alpha, t).value
 
 
-# the inner tails of ``q_integral``, 100x and 10x tighter than its outer one
+# the outer and inner quadrature specs of ``q_integral``; the inner tails are
+# 100x and 10x tighter than the outer integral
+_Q_SPEC = QuadratureSpec(rel_tol=Q_REL_TOL)
 _Q_INNER_SPEC = QuadratureSpec(abs_tol=DEFAULT_SPEC.abs_tol * 1e-2,
                                rel_tol=min(DEFAULT_SPEC.rel_tol, Q_REL_TOL * 1e-1))
 
@@ -437,8 +428,8 @@ def q_integral(h: float, alpha: float) -> QuadratureResult:
     exp(-h t cos alpha); same panel strategy as the single integrals.  The
     inner tails of all outer nodes of a round are one batched call.
     """
+    _check_alpha(alpha)
     _check_dimension(h)
-    p = 3.0 - 2.0 * h
     v = complex(math.cos(alpha), math.sin(alpha))
 
     def qf(t):
@@ -449,9 +440,4 @@ def q_integral(h: float, alpha: float) -> QuadratureResult:
     tmax = 10.0
     while math.exp(-h * tmax * ca) > 1e-14 and tmax < 400.0:
         tmax += 1.0
-    abs_tol = DEFAULT_SPEC.abs_tol
-    vals, errs, nevals = _gk21(_stretched(qf, p), *_split_panels(tmax, abs_tol),
-                               Q_REL_TOL, MAX_SUBDIVISIONS)
-    value, err = float(vals.sum()), float(errs.sum())
-    _checked(value, err, abs_tol, Q_REL_TOL, "outer quadrature")
-    return QuadratureResult(value, err, int(nevals.sum()))
+    return _split_quad(qf, h, tmax, _Q_SPEC.abs_tol, _Q_SPEC, "outer quadrature")

@@ -57,10 +57,12 @@ def test_landing_point_lookup():
         landing_point(table, DyadicAngle(1, 9))
 
 
-@pytest.mark.parametrize("delta", [0.3, 0.3 + 0.2j])
+@pytest.mark.parametrize("delta", [0.3, 0.3 + 0.2j, 0.25 + 1e-17j])
 def test_landing_point_of_every_angle_is_the_table_entry(delta):
     # at real delta the lookup reads the stored half, mirroring angles
-    # above 1/2; the rebuilt points agree with it bit for bit
+    # above 1/2; the rebuilt points agree with it bit for bit. Just off the
+    # axis the level-2 points are still a conjugate pair, but the table,
+    # and so the unfolded TransferOperator, holds every angle
     table = build_table(delta, 8)
     assert table.mirrored == (delta.imag == 0)
     pts = table.points
@@ -245,6 +247,7 @@ def _one_sweep(delta, pts):
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 0.99), st.floats(-np.pi, np.pi), st.integers(1, 12))
 @example(0.5, 1.5, 2)       # there the sweep moves the angle-1/2 point
+@example(0.75, np.pi, 3)    # delta = 0.25 + 9.2e-17i, not real
 def test_unseeded_table_equals_one_sweep_build(r, phi, level):
     # builds once ran one sweep on a continuation whose angle-1/2 point was
     # exactly -(1 + delta); that sweep changed only this point, which the
@@ -300,7 +303,7 @@ def full_array_level_20():
 
 
 def test_blocked_continuation_equals_full_array_at_level_20(full_array_level_20):
-    # 4 blocks of the default size at the top level, which holds the
+    # 16 blocks of the default size at the top level, which holds the
     # angles in [0, 1/2] at real delta
     half = boettcher._seed_by_continuation(0.05 + 0.0j, 20)
     assert half.size == (1 << 19) + 1
@@ -343,7 +346,7 @@ def test_build_table_peak_memory():
     finally:
         tracemalloc.stop()
     assert table.mirrored
-    assert peak <= 2.5 * table.stored.nbytes
+    assert peak <= 2.0 * table.stored.nbytes
 
 
 def test_seed_continuation_tracks_nearby_parameter():

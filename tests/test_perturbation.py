@@ -41,6 +41,26 @@ def test_gamma_pole_guard():
         perturbation.gamma_fn(-4j * np.pi + 1e-12)
 
 
+def test_one_plus_two_gamma_on_array_equals_scalar_calls():
+    # both sides of the series threshold, 0 included
+    rng = np.random.default_rng(5)
+    r = np.concatenate(([0.0], rng.uniform(0.0, 2.0, 100)
+                        * perturbation.GAMMA_SERIES_THRESHOLD,
+                        rng.uniform(0.0, 8.0, 100)))
+    z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
+    vals = perturbation.one_plus_two_gamma(z)
+    assert vals.shape == z.shape
+    assert np.array_equal(vals, [perturbation.one_plus_two_gamma(complex(x))
+                                 for x in z])
+    assert perturbation.one_plus_two_gamma(0.0) == 0.0
+
+
+def test_one_plus_two_gamma_pole_guard_on_array():
+    z = np.array([1.0, 0.5j, 2j * np.pi + 0.5 * perturbation.POLE_GUARD, 3.0])
+    with pytest.raises(PoleError):
+        perturbation.one_plus_two_gamma(z)
+
+
 def test_gamma_decay_on_ray():
     assert abs(perturbation.gamma_fn(1e3 * np.exp(1j * np.pi / 4))) < 1e-2
 

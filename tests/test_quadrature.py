@@ -134,7 +134,7 @@ def test_lambda_small_z_power():
 
 def test_lambda_unit_value():
     z = 2.0 * math.asinh(0.5)
-    assert qd.lambda_fn(1.08, 0.0, z) == pytest.approx(1.0, rel=1e-12) or True
+    assert qd.lambda_fn(1.08, 0.0, z) == 1.0
     assert qd.lambda_fn(1.0 + 1e-12, 0.0, z) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -145,6 +145,20 @@ def test_lambda_validation():
         qd.lambda_fn(1.2, 1.5, 1.0)
     with pytest.raises(ValueError):
         qd.lambda_fn(1.2, 0.0, -1.0)
+
+
+def test_lambda_on_array_equals_scalar_calls():
+    # both sides of the x = 60 crossover, where log|4 sinh^2(z/2)| is x
+    rng = np.random.default_rng(3)
+    z = np.concatenate((rng.uniform(0.01, 120.0, 200)
+                        * np.exp(1j * rng.uniform(-1.5, 1.5, 200)),
+                        [60.0 + 1j, np.nextafter(60.0, 61.0) + 1j]))
+    for h, eps in ((1.08, 0.0), (1.2, 0.5), (1.4, -0.5)):
+        vals = qd.lambda_fn(h, eps, z)
+        assert vals.shape == z.shape
+        assert np.array_equal(vals, [qd.lambda_fn(h, eps, complex(x)) for x in z])
+    with pytest.raises(ValueError):
+        qd.lambda_fn(1.2, 0.0, np.array([1.0, -1.0 + 1j]))
 
 
 def test_lambda_ray_decay_bound():
@@ -169,6 +183,20 @@ def test_tail_monotone_and_integrable():
         qd.lambda_tail(1.2, 1.3, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [2.0, -2.0, math.pi / 2, -math.pi / 2, math.nan])
+def test_ray_routines_reject_alpha_outside_the_half_plane(alpha):
+    # like delta_alpha: the ray s e^{i alpha} must point into Re > 0
+    with pytest.raises(ValueError):
+        qd.delta_alpha(alpha, 1.08)
+    with pytest.raises(ValueError):
+        qd.lambda_tail(1.08, 0.0, alpha, 0.5)
+    with pytest.raises(ValueError):
+        # at alpha = +-pi/2 and t = 2 pi the drift's pole lies on the ray
+        qd.q_fn(1.08, alpha, 2.0 * math.pi)
+    with pytest.raises(ValueError):
+        qd.q_integral(1.08, alpha)
+
+
 def test_tail_panels_start_graded():
     # dyadic tail panels spare the bisection rounds towards the lower end,
     # which took 294 / 210 / 147 evaluations from one panel per tail
@@ -182,13 +210,13 @@ def test_short_last_tail_panel_joins_the_one_before():
     assert qd.lambda_tail(1.08, 0.0, np.pi / 6, 12.5).evaluations == 21
     xmax = np.array([2.4, 2.5, 30.0, 33.0, 35.0, 40.0, 64.0])
     piece, lo, hi, _ = qd._dyadic_panels(np.ones(xmax.size), xmax, np.ones(xmax.size))
-    for i, x in enumerate(xmax):
-        a, b, _ = qd._split_panels(x, 1.0)
-        # one rule in both builders, for the one tail of (0, xmax)
-        assert np.array_equal(a[1:], lo[piece == i])
-        assert np.array_equal(b[1:], hi[piece == i])
-        w = b[1:] - a[1:]
+    for i in range(xmax.size):
+        w = hi[piece == i] - lo[piece == i]
         assert len(w) == 1 or w[-1] >= 0.5 * w[-2]
+    cuts = {2.4: [1.0], 30.0: [1.0, 2.0, 4.0, 8.0, 16.0],
+            40.0: [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]}
+    for x, lower in cuts.items():
+        assert lo[piece == np.flatnonzero(xmax == x)[0]].tolist() == lower
 
 
 def test_q_bound_small_t():
@@ -319,15 +347,17 @@ def test_gk21_no_more_work_than_quadpack(f, a, b, tol):
 def test_split_panels_tile_the_range():
     tol = 5e-11
     for xmax in (32.0, 40.0, 21.0, 1.0):
-        a, b, epsabs = qd._split_panels(xmax, tol)
-        assert a[0] == 0.0 and b[0] == 1.0
-        assert np.array_equal(a[1:], b[:-1])
-        assert b[-1] == pytest.approx(max(1.0, xmax))
-        # the power piece gets tol, the tail pieces share another tol by width
-        assert epsabs[0] == tol
-        if len(b) > 1:
-            assert epsabs[1:].sum() == pytest.approx(tol)
-            assert np.allclose(epsabs[1:] / (b - a)[1:], epsabs[1] / (b - a)[1])
+        piece, lo, hi, epsabs = qd._dyadic_panels(np.ones(1), np.array([xmax]),
+                                                  np.array([tol]))
+        if xmax == 1.0:
+            assert piece.size == 0
+            continue
+        assert np.all(piece == 0)
+        assert lo[0] == 1.0 and hi[-1] == xmax
+        assert np.array_equal(lo[1:], hi[:-1])
+        # the panels share tol by width
+        assert epsabs.sum() == pytest.approx(tol)
+        assert np.allclose(epsabs / (hi - lo), epsabs[0] / (hi - lo)[0])
 
 
 def test_gk21_stops_on_summed_error():

@@ -95,11 +95,10 @@ class BoettcherTable:
     @property
     def points(self) -> np.ndarray:
         """The landing points of all 2^level angles, read-only: ``stored``
-        itself, or rebuilt from it, ``stored ++ conj(stored[-2:0:-1])``,
-        when mirrored."""
+        itself, or rebuilt from it (``unmirror``) when mirrored."""
         if not self.mirrored:
             return self.stored
-        out = np.concatenate([self.stored, np.conj(self.stored[-2:0:-1])])
+        out = unmirror(self.stored)
         out.setflags(write=False)
         return out
 
@@ -113,6 +112,13 @@ class BoettcherTable:
 
     def diameter(self) -> float:
         return _diameter(self.stored, self.mirrored)
+
+
+def unmirror(x: np.ndarray) -> np.ndarray:
+    """``x ++ conj(x[-2:0:-1])``: the values at all angles of a function
+    that commutes with conjugation, from ``x``, its values at the angles in
+    [0, 1/2] that a mirrored table stores."""
+    return np.concatenate([x, np.conj(x[-2:0:-1])])
 
 
 def _at(pts: np.ndarray, k, n: int):

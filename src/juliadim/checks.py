@@ -624,7 +624,7 @@ def check_gamma_forms(rng) -> CheckResult:
     f1 = 0.5 * (-1.0 + (np.sinh(z) - z) / (np.cosh(z) - 1.0))
     f2 = 0.5 * (-_each(perturbation.g_fn, z)) / (np.cosh(z) - 1.0)
     f3 = (np.exp(z) - z * np.exp(z) - 1.0) / (np.exp(z) - 1.0) ** 2
-    lib = _each(perturbation.gamma_fn, z)
+    lib = perturbation.gamma_fn(z)
     ref = np.abs(f1)
     worst = max(np.max(np.abs(f - f1) / ref, initial=0.0) for f in (f2, f3, lib))
     return _result("perturbation.gamma_forms", worst < 1e-12, f"max rel spread {worst:.2e}")

@@ -67,18 +67,27 @@ def one_plus_two_gamma(z):
     return g if g.ndim else complex(g)
 
 
-def gamma_fn(z: complex) -> complex:
-    """Gamma(z) with Gamma(0) = -1/2; nonvanishing for Re z > 0."""
-    z = complex(z)
+def gamma_fn(z):
+    """Gamma(z) with Gamma(0) = -1/2; nonvanishing for Re z > 0. At a point
+    z or an array of them: a point is evaluated as a one-element array, so
+    it gets the bits it gets in any array (numpy scalars round some complex
+    products and quotients otherwise)."""
+    z = np.asarray(z, dtype=complex)
     _check_gamma_pole(z)
-    if abs(z) < GAMMA_SERIES_THRESHOLD:
-        z2 = z * z
-        return -0.5 + z / 6.0 - z * z2 / 180.0 + z * z2 * z2 / 5040.0
-    if z.real > 0.5:
+    x = z.reshape(-1)
+    x2 = x * x
+    # each branch is evaluated everywhere; where it is not taken it may
+    # overflow or divide by zero
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # ((1-z) - e^{-z}) e^{-z} / (1 - e^{-z})^2: overflow-free on rays
-        e = np.exp(-z)
-        return ((1.0 - z) - e) * e / (1.0 - e) ** 2
-    return (np.exp(z) - z * np.exp(z) - 1.0) / (np.exp(z) - 1.0) ** 2
+        e = np.exp(-x)
+        right = ((1.0 - x) - e) * e / (1.0 - e) ** 2
+        e = np.exp(x)
+        left = (e - x * e - 1.0) / (e - 1.0) ** 2
+        g = np.where(np.abs(x) < GAMMA_SERIES_THRESHOLD,
+                     -0.5 + x / 6.0 - x * x2 / 180.0 + x * x2 * x2 / 5040.0,
+                     np.where(x.real > 0.5, right, left))
+    return g.reshape(z.shape) if z.ndim else complex(g[0])
 
 
 def sinh_z_minus_z_nonvanishing(radius: float = 2.0, samples: int = 10_000,

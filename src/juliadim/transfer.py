@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maps
-from .boettcher import BLOCK_WORDS, BoettcherTable, anchor_point, build_table
+from .boettcher import (BLOCK_WORDS, BoettcherTable, anchor_point,
+                        build_table, unmirror)
 from .errors import (BracketFailureError, LevelExceededError,
                      NoConvergenceError)
 from .perturbation import phi_dot_table
@@ -150,11 +151,6 @@ def _dual_sums(out: np.ndarray, w: np.ndarray, even, odd) -> float:
     np.multiply(even, wq[:, 0], out=o)
     o += t
     return out.sum()
-
-
-def _copy_sum(dst: np.ndarray, src: np.ndarray) -> float:
-    dst[...] = src
-    return dst.sum()
 
 
 def _divide(x: np.ndarray, s: float) -> None:
@@ -281,19 +277,41 @@ def _endpoint_mean(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _reps_from_table(table: BoettcherTable, level: int) -> np.ndarray:
-    """Representative landing points of the level-``level`` words whose
-    angles the table stores: all words, or, mirrored, those from angle 0 to
-    1/2 (``BoettcherTable.stored``).
+def _operator_words(delta: complex, level: int) -> int:
+    """Words of the level-``level`` operator. At real delta words k and
+    n-1-k carry the same weight bit for bit (the endpoint-averaged weight
+    commutes with conjugation), so from level 2 on the operator keeps only
+    the n/2 lower ones, formed from the angles in [0, 1/2], all that a
+    mirrored table stores; else all n = 2^level."""
+    n = 1 << level
+    return n // 2 if delta.imag == 0 and n >= 4 else n
+
+
+def _log_abs_deriv(delta: complex, table: BoettcherTable,
+                   level: int) -> np.ndarray:
+    """log|Df| at the representatives of the level-``level`` operator's
+    words, and of the next word when the table stores it,
+    ``BLOCK_WORDS`` points at a time. Raises ValueError for a table built
+    at another delta.
 
     Representatives are the words' left-endpoint angles; those are exactly
-    the stride-subsampled table entries.
+    the stride-subsampled table entries. So the array of a coarser level
+    ``lev`` is this one's ``[::2^(level-lev)]``, bit for bit.
     """
+    delta = table.require_delta(delta)
     if level > table.level:
         raise LevelExceededError(
             f"level {level} exceeds table level {table.level}")
-    stride = 1 << (table.level - level)
-    return table.stored[::stride]
+    m = _operator_words(delta, level)
+    reps = table.stored[::1 << (table.level - level)][:m + 1]
+    ld = np.empty(len(reps))
+    for i in range(0, len(reps), BLOCK_WORDS):
+        np.abs(maps.evaluate_deriv(delta, reps[i:i + BLOCK_WORDS]),
+               out=ld[i:i + BLOCK_WORDS])
+    if not np.all(ld > 0):
+        raise ValueError("representative hit the critical point")
+    np.log(ld, out=ld)
+    return ld
 
 
 class TransferOperator:
@@ -309,30 +327,34 @@ class TransferOperator:
 
     def __init__(self, delta: complex, table: BoettcherTable,
                  level: int | None = None):
-        self.delta = table.require_delta(delta)
-        self.level = table.level if level is None else int(level)
-        n = 1 << self.level
-        # at real delta words k and n-1-k carry the same weight bit for bit
-        # (the endpoint-averaged weight commutes with conjugation), so only
-        # the lower half is formed, from the angles in [0, 1/2], all that a
-        # mirrored table stores
-        m = n // 2 if self.delta.imag == 0 and n >= 4 else n
-        reps = _reps_from_table(table, self.level)[:m + 1]
-        ld = np.empty(len(reps))
-        for i in range(0, len(reps), BLOCK_WORDS):
-            np.abs(maps.evaluate_deriv(self.delta, reps[i:i + BLOCK_WORDS]),
-                   out=ld[i:i + BLOCK_WORDS])
-        if not np.all(ld > 0):
-            raise ValueError("representative hit the critical point")
-        np.log(ld, out=ld)
+        level = table.level if level is None else int(level)
+        self._set_log_deriv(complex(delta), level,
+                            _log_abs_deriv(delta, table, level), in_place=True)
+
+    @classmethod
+    def _of_log_abs(cls, delta: complex, level: int, ld: np.ndarray, *,
+                    in_place: bool = False) -> "TransferOperator":
+        """The level-``level`` operator at ``delta`` from ``ld``, its
+        ``_log_abs_deriv`` or a strided view of a finer level's; with
+        ``in_place`` formed in ``ld``'s buffer, which it overwrites."""
+        op = cls.__new__(cls)
+        op._set_log_deriv(delta, level, ld, in_place=in_place)
+        return op
+
+    def _set_log_deriv(self, delta: complex, level: int, ld: np.ndarray, *,
+                       in_place: bool) -> None:
+        """Forms ``log_deriv`` from ``ld`` (``_log_abs_deriv``): with
+        ``in_place`` in ``ld``'s buffer, else in a new array."""
+        self.delta, self.level = delta, level
+        m = _operator_words(delta, level)
         # average over the word's two endpoint angles: keeps the weight
         # array index-aligned with the table and, unlike a one-endpoint
         # rule, commutes exactly with complex conjugation of delta
         mean = _endpoint_mean(ld, m)
-        if m < n:
+        if m < 1 << level:
             _gray_fold(mean)
         # in the kernels' order, over the endpoint values
-        self.log_deriv = _quarter_order(mean, out=ld[:m])
+        self.log_deriv = _quarter_order(mean, out=ld[:m] if in_place else None)
 
     @property
     def size(self) -> int:
@@ -443,20 +465,18 @@ class TransferOperator:
         deviation falls, estimate the slow mode's ratio, and once two agree
         the same Aitken step removes that mode.
 
+        The loop starts from the uniform vector or iterates in ``u0``, a
+        float64 vector of ``size`` words, which it overwrites.
+
         Raises NoConvergenceError after ``EIG_MAXIT`` steps.
         """
         n = self.size
         step = self.apply_dual if dual else self.apply
         hi = RESCALE_WINDOW
         lo = 1.0 / hi
-        # u is the iterate before the step and s_old its sum; a caller's u0
-        # is copied, never written to
-        if u0 is None:
-            u = np.full(n, 1.0 / n)
-            s_old = sum(_halves(np.ndarray.sum, (u,)))
-        else:
-            u = np.empty(n)
-            s_old = sum(_halves(_copy_sum, (u, np.asarray(u0, dtype=float))))
+        # u is the iterate before the step and s_old its sum
+        u = np.full(n, 1.0 / n) if u0 is None else u0
+        s_old = sum(_halves(np.ndarray.sum, (u,)))
         v = np.empty(n)
         lam_old = None
         d_old = None            # the previous eigenvalue change, signed
@@ -535,9 +555,11 @@ class TransferOperator:
         Collatz-Wielandt spread (``_perron``), so P to about ``rtol``. A
         solve looser than ``EIG_RTOL`` that gives |P| < ``SIGN_MARGIN *
         rtol`` is finished at ``EIG_RTOL`` from its own vector, in this
-        call: the sign of the P returned is certain."""
+        call: the sign of the P returned is certain. The solve iterates in
+        ``u0``, a float64 vector of ``size`` words, and overwrites it."""
         w = self.weights(tau)
         lam, u = self._perron(w, u0, rtol)
+        del u0                  # u, or the loop's spent other buffer
         p = float(np.log(lam))
         if rtol > EIG_RTOL and abs(p) < SIGN_MARGIN * rtol:
             lam, u = self._perron(w, u)
@@ -615,6 +637,20 @@ def _extrapolate(u, v0, v1, c: float) -> bool:
     return u.min() > 0.0
 
 
+def _start_vector(path: list, tau: float, h):
+    """The start of the Perron solve at ``tau``, a vector that the solve
+    overwrites, or None for the uniform one: the extrapolation of ``path``
+    (``_extrapolated_start``) or, where that falls back on ``path``'s last
+    vector, which the next extrapolation reads, a copy of it; on an empty
+    path a copy of ``h``, unless None. Drops all but the last of ``path``:
+    the older vector is spent."""
+    u = _extrapolated_start(path, tau)
+    del path[:-1]
+    if u is None:
+        return None if h is None else np.array(h, dtype=float)
+    return u.copy() if u is path[-1][1] else u
+
+
 def _bowen_root(op: TransferOperator, near: tuple | None = None,
                 ptol: float = PRESSURE_TOL):
     """Root of the pressure: ``(root, pressure there, unit-sum Perron vector
@@ -628,9 +664,9 @@ def _bowen_root(op: TransferOperator, near: tuple | None = None,
     Without ``near`` the first two points are the ends of ``ROOT_BRACKET``.
     ``near``, the state ``(tau, h, chi)`` of a nearby parameter at the same
     word length (its root, unit-sum Perron vector and Lyapunov exponent),
-    starts at P(tau) solved from ``h`` instead, with ``ROOT_BRACKET``
-    narrowed by its sign, and takes the Newton step ``tau + P/chi`` (P' =
-    -chi there) first.
+    starts at P(tau) solved from a copy of ``h`` instead, with
+    ``ROOT_BRACKET`` narrowed by its sign, and takes the Newton step ``tau +
+    P/chi`` (P' = -chi there) first.
 
     The Perron vectors, ``h`` of ``near`` and the one returned, are the
     operator's unit-sum pair sums (``TransferOperator.apply``).
@@ -646,9 +682,8 @@ def _bowen_root(op: TransferOperator, near: tuple | None = None,
         # the refine covers every |P| <= ptol only below this
         if SIGN_MARGIN * rtol <= ptol:
             rtol = EIG_RTOL
-        start = _extrapolated_start(path, tau)
-        del path[:-1]           # the older vector is spent
-        p, u = op.pressure_with_state(tau, h if start is None else start, rtol)
+        # the start is handed over: no name here keeps it alive
+        p, u = op.pressure_with_state(tau, _start_vector(path, tau, h), rtol)
         path.append((tau, u))
         return p
 
@@ -712,14 +747,15 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
     """Dimension of the boundary curve at delta, with level extrapolation.
 
     Solves the pressure root at word lengths level - 2*step, level - step
-    and level (sharing one landing-point table) and extrapolates the
-    geometric level error; ``error_bound`` is the last inter-level
-    difference. ``dim`` uses step 1, the scans step 2. ``at_root(level,
-    root, h)``, if given, is called after each root with the unit-sum
-    Perron vector ``h`` there, the pair sums of that level's operator, which
-    is dropped after the call. Raises
-    ValueError for delta outside B(1, 1), where -delta is not attracting
-    (delta = 0 included).
+    and level and extrapolates the geometric level error; ``error_bound``
+    is the last inter-level difference. The three operators come from one
+    log|Df| array at the top level's representatives (``_log_abs_deriv``),
+    and a table built here is released once that array is formed. ``dim``
+    uses step 1, the scans step 2. ``at_root(level, root, h)``, if given,
+    is called after each root with the unit-sum Perron vector ``h`` there,
+    the pair sums of that level's operator, which is dropped after the
+    call. Raises ValueError for delta outside B(1, 1), where -delta is not
+    attracting (delta = 0 included).
     """
     if level < 8:
         raise ValueError("level must be >= 8")
@@ -727,9 +763,15 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
     check_disk([delta])
     if table is None or table.level < level:
         table = build_table(delta, level)
+    ld = _log_abs_deriv(delta, table, level)
+    del table                   # released here if built here
     levels = (level - 2 * step, level - step, level)
-    ops = [TransferOperator(delta, table, lev) for lev in levels]
-    del table                   # the operators hold what they read of it
+    # the coarser operators read ld strided, so the top level's, formed in
+    # the buffer of ld, is made last
+    ops = [TransferOperator._of_log_abs(delta, lev, ld[::1 << (level - lev)])
+           for lev in levels[:-1]]
+    ops.append(TransferOperator._of_log_abs(delta, level, ld, in_place=True))
+    del ld                      # the top operator holds its buffer
     roots = []
     resid = 0.0
     for lev in levels:
@@ -818,7 +860,10 @@ def directional_derivative_formula(delta: complex, table: BoettcherTable,
     delta = table.require_delta(delta)
     v = delta / abs(delta)
     stride = 1 << (table.level - weights.level)
-    deriv = maps.evaluate_deriv(delta, table.points[::stride])
+    deriv = maps.evaluate_deriv(delta, table.stored[::stride])
+    if table.mirrored:
+        # at real delta Df commutes with conjugation bit for bit
+        deriv = unmirror(deriv)
     pdot = phi_dot_table(delta, table)[::stride]
     integrand = np.real((v + 2.0 * v * pdot) / deriv)
     # endpoint-averaged, matching the operator's weight rule, so this is

@@ -55,6 +55,34 @@ def test_one_plus_two_gamma_on_array_equals_scalar_calls():
     assert perturbation.one_plus_two_gamma(0.0) == 0.0
 
 
+def test_gamma_on_array_equals_scalar_calls():
+    # bit for bit on both sides of the series threshold, 0 included, and of
+    # the Re z > 0.5 branch
+    rng = np.random.default_rng(6)
+    t = perturbation.GAMMA_SERIES_THRESHOLD
+    r = np.concatenate(([0.0], rng.uniform(0.0, 2.0 * t, 100),
+                        rng.uniform(0.0, 8.0, 100)))
+    z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
+    near_half = rng.uniform(0.4, 0.6, 100) + 1j * rng.uniform(-3, 3, 100)
+    z = np.concatenate((z, near_half))
+    series = np.abs(z) < t
+    assert series.sum() > 20 and (~series).sum() > 20
+    assert (z.real > 0.5).sum() > 20 and (~series & (z.real <= 0.5)).sum() > 20
+    vals = perturbation.gamma_fn(z)
+    assert vals.shape == z.shape
+    scalar = np.array([perturbation.gamma_fn(complex(x)) for x in z])
+    assert vals.tobytes() == scalar.tobytes()
+    grid = perturbation.gamma_fn(z[1:].reshape(4, -1))
+    assert grid.shape == (4, 75) and grid.tobytes() == vals[1:].tobytes()
+    assert perturbation.gamma_fn(0.0) == -0.5
+
+
+def test_gamma_pole_guard_on_array():
+    z = np.array([1.0, 0.5j, -4j * np.pi + 0.5 * perturbation.POLE_GUARD])
+    with pytest.raises(PoleError):
+        perturbation.gamma_fn(z)
+
+
 def test_one_plus_two_gamma_pole_guard_on_array():
     z = np.array([1.0, 0.5j, 2j * np.pi + 0.5 * perturbation.POLE_GUARD, 3.0])
     with pytest.raises(PoleError):

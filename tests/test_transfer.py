@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from juliadim import maps, transfer
-from juliadim.boettcher import build_table
+from juliadim.boettcher import build_table, unmirror
 from juliadim.errors import BracketFailureError, NoConvergenceError
 from juliadim.perturbation import phi_dot_table
 from juliadim.transfer import (TransferOperator, cylinder_measures,
@@ -107,31 +107,53 @@ def test_dimension_roots_are_level_roots(step, levels):
     assert res.aitken_estimate == transfer._aitken(*res.roots)
 
 
-def test_dimension_solve_peak_memory():
-    # hausdorff_dim drops its table once its three operators are built, and
-    # each operator, its root's Perron vector and the spent path vector as
-    # soon as they are done: at most 7.5 float64 vectors of the top level
-    # at once (10.5 when all were kept)
+def _dimension_solve_peak(delta, level):
     tracemalloc.start()
     try:
-        hausdorff_dim(0.05, 18)
-        peak = tracemalloc.get_traced_memory()[1]
+        hausdorff_dim(delta, level)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.5 * 8 * (1 << 18)
+
+
+def test_dimension_solve_peak_memory():
+    # hausdorff_dim drops its table once it has formed log|Df|, and each
+    # operator, its root's Perron vector and the spent path vector as soon
+    # as they are done; the Perron solves iterate in the start vectors the
+    # root solve makes. Measured 4.64 MiB (5.26 MiB when every solve copied
+    # its start and the table lived until the operators were built)
+    assert _dimension_solve_peak(0.05, 18) <= 5 * 2 ** 20
 
 
 def test_level_20_dimension_solve_peak_memory():
-    # the table stores the angles in [0, 1/2] (8 MB, not 16), and the
-    # operator forms its log|Df| without a full-size complex temporary
-    # (31 MB when the table held every angle)
-    tracemalloc.start()
-    try:
-        hausdorff_dim(0.05, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 2 ** 20
+    # the table stores the angles in [0, 1/2] (8 MiB, not 16) and lives
+    # only until log|Df| (4 MiB) is formed from it; the top solve then holds
+    # log|Df|, the weights, two iterates and the last path vector. Measured
+    # 15.0 MiB (21.0 MiB with the table alive while the operators were
+    # built and every start copied, 31 MiB when the table held every angle)
+    assert _dimension_solve_peak(0.05, 20) <= 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.3 + 0.2j])
+@pytest.mark.parametrize("step", [1, 2])
+def test_dimension_solve_operators_are_the_table_operators(delta, step,
+                                                           monkeypatch):
+    # the stencil operators formed from one log|Df| array, the coarser ones
+    # from strided views of it, are those of the table, bit for bit
+    level = 14
+    seen = []
+    bowen_root = transfer._bowen_root
+
+    def recorded(op, *args, **kwargs):
+        seen.append((op.level, op.log_deriv.tobytes()))
+        return bowen_root(op, *args, **kwargs)
+    monkeypatch.setattr(transfer, "_bowen_root", recorded)
+    hausdorff_dim(delta, level, step=step)
+    table = build_table(delta, level)
+    levels = (level - 2 * step, level - step, level)
+    assert seen == [
+        (lev, TransferOperator(delta, table, lev).log_deriv.tobytes())
+        for lev in levels]
 
 
 @pytest.mark.parametrize("delta, table_delta", [(0.3 + 0.2j, 0.3),
@@ -261,6 +283,16 @@ def test_directional_derivative_matches_fd():
             dims.append(transfer._bowen_root(op)[0])
         fd = (dims[0] - dims[1]) / (2.0 * h)
         assert abs(formula - fd) / abs(fd) < 1e-3
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.3, 1.5])
+def test_mirrored_derivative_is_the_full_points_derivative(delta):
+    # at real delta Df commutes with conjugation bit for bit, so the formula
+    # mirrors Df of the stored points instead of rebuilding all points
+    table = build_table(delta, 12)
+    assert table.mirrored
+    assert (unmirror(maps.evaluate_deriv(delta, table.stored)).tobytes() ==
+            maps.evaluate_deriv(delta, table.points).tobytes())
 
 
 def test_directional_derivative_sign_real_ray():
@@ -511,15 +543,15 @@ def test_perron_and_equilibrium_bit_identical(table16, monkeypatch):
     assert lam == lam_a and np.array_equal(u, u_a)
     lam_ref, u_ref = _converged_perron(op, w)
     _assert_close_to_ref([op.expand(u)], [u_ref], lam, lam_ref)
-    # warm start: same result, and the caller's start vector is left alone
+    # warm start: same result, iterated in the start vector itself
     w2 = op.weights(1.25)
     u0 = u.copy()
     lam, u2 = op._perron(w2, u)
-    lam_a, u_a = _allocating_run(monkeypatch, op._perron, w2, u0)
+    lam_a, u_a = _allocating_run(monkeypatch, op._perron, w2, u0.copy())
     assert lam == lam_a and np.array_equal(u2, u_a)
     lam_ref, u_ref = _converged_perron(op, w2, u0)
     _assert_close_to_ref([op.expand(u2)], [u_ref], lam, lam_ref)
-    assert np.array_equal(u, u0)
+    assert u2 is u or not np.array_equal(u, u0)
     eq = equilibrium(0.3 + 0.2j, 1.2, table16, 12)
     eq_a = _allocating_run(monkeypatch, equilibrium, 0.3 + 0.2j, 1.2, table16, 12)
     assert np.array_equal(eq.mu, eq_a.mu) and np.array_equal(eq.omega, eq_a.omega)
@@ -739,11 +771,11 @@ def test_split_perron_bit_identical(op18, monkeypatch):
     w2 = op18.weights(1.15)
     u0 = u.copy()
     lam, u2 = op18._perron(w2, u)
-    lam_u, u_u = _unsplit_run(monkeypatch, op18._perron, w2, u0)
+    lam_u, u_u = _unsplit_run(monkeypatch, op18._perron, w2, u0.copy())
     assert lam == lam_u and np.array_equal(u2, u_u)
     lam_ref, u_ref = _converged_perron(op18, w2, u0)
     _assert_close_to_ref([op18.expand(u2)], [u_ref], lam, lam_ref)
-    assert np.array_equal(u, u0)
+    assert u2 is u or not np.array_equal(u, u0)
 
 
 @pytest.mark.usefixtures("split")
@@ -1139,7 +1171,8 @@ def test_perron_aitken_from_tau_one_vector(monkeypatch, applications):
     op = TransferOperator(delta, build_table(delta, 14))
     _, u1 = op.pressure_with_state(1.0)
     applications[0] = 0
-    lam, u = op._perron(op.weights(2.0), u1)
+    # a solve iterates in its start, so each one starts from a copy of u1
+    lam, u = op._perron(op.weights(2.0), u1.copy())
     assert applications[0] <= 250
     assert np.all(u > 0)
     # the slow mode sits below the rounding of the eigenvalue changes; only
@@ -1149,15 +1182,15 @@ def test_perron_aitken_from_tau_one_vector(monkeypatch, applications):
         m.setattr(transfer, "_cw_spread",
                   lambda u, v, q: (cw_spread(u, v, q)[0], None))
         applications[0] = 0
-        op._perron(op.weights(2.0), u1)
+        op._perron(op.weights(2.0), u1.copy())
     assert applications[0] > 600
     applications[0] = 0
-    _without_aitken(monkeypatch, op._perron, op.weights(2.0), u1)
+    _without_aitken(monkeypatch, op._perron, op.weights(2.0), u1.copy())
     assert applications[0] > 5000
     # against the plain loop certified to 1e-14, just above its rounding
     # floor (a spread of 2.4e-15 here)
     lam_plain, _ = _without_aitken(monkeypatch, op._perron, op.weights(2.0),
-                                   u1, 1e-14)
+                                   u1.copy(), 1e-14)
     assert abs(lam - lam_plain) <= 1e-12 * lam
 
 
@@ -1183,6 +1216,27 @@ def test_extrapolated_start():
     assert np.allclose(u, [0.35, 0.65], rtol=0, atol=1e-15)
     # an entry <= 0: the last vector
     assert transfer._extrapolated_start([(1.0, a), (2.0, b)], 7.0) is b
+
+
+def test_start_vector_is_the_solves_own():
+    # a solve overwrites its start, so a vector that is read again, near's h
+    # or the path's last, is handed over as a copy
+    a, b, h = np.array([0.5, 0.5]), np.array([0.4, 0.6]), np.array([0.3, 0.7])
+    assert transfer._start_vector([], 1.0, None) is None
+    u = transfer._start_vector([], 1.0, h)
+    assert u is not h and np.array_equal(u, h)
+    path = [(1.0, a)]
+    u = transfer._start_vector(path, 2.0, h)
+    assert u is not a and np.array_equal(u, a) and path == [(1.0, a)]
+    # an entry <= 0: a copy of the last vector; the older one is spent
+    path = [(1.0, a), (2.0, b)]
+    u = transfer._start_vector(path, 7.0, h)
+    assert u is not b and np.array_equal(u, b)
+    assert len(path) == 1 and path[0][1] is b
+    path = [(1.0, a), (2.0, b)]
+    u = transfer._start_vector(path, 2.5, h)
+    assert np.allclose(u, [0.35, 0.65], rtol=0, atol=1e-15)
+    assert len(path) == 1 and path[0][1] is b
 
 
 def _root_path(op, near=None):
@@ -1350,6 +1404,15 @@ def test_dprime_fd_from_near_state_matches_cold(applications, monkeypatch):
     assert 3 * warm_steps < cold_steps
     # and forced solves make it no dearer than with every solve at EIG_RTOL
     assert warm_steps <= 715
+
+
+def test_dprime_fd_leaves_the_near_vector_unchanged():
+    # each stencil root solves from a copy of RayPoint.h: the vector serves
+    # both stencil points, and the caller's state stays as it was
+    rp = transfer.ray_point(0.3 + 0.1j, 10)
+    h = rp.h.copy()
+    transfer.dprime_fd(0.3 + 0.1j, 10, near=rp.near)
+    assert rp.h.tobytes() == h.tobytes()
 
 
 def test_bowen_root_from_distant_state_finds_cold_root():

@@ -66,11 +66,6 @@ class DyadicAngle:
         return DyadicAngle((2 * self.numerator) % (1 << self.level), self.level)
 
 
-def anchor_angle(n: int) -> DyadicAngle:
-    """The angle 1/2^(n+1) turns whose landing point anchors cylinder n."""
-    return DyadicAngle(1, n + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class BoettcherTable:
     delta: complex
@@ -95,7 +90,8 @@ class BoettcherTable:
     @property
     def points(self) -> np.ndarray:
         """The landing points of all 2^level angles, read-only: ``stored``
-        itself, or rebuilt from it (``unmirror``) when mirrored."""
+        itself, or rebuilt from it (``unmirror``) when mirrored; only the
+        checks read it."""
         if not self.mirrored:
             return self.stored
         out = unmirror(self.stored)
@@ -269,7 +265,7 @@ def landing_point(table: BoettcherTable, angle: DyadicAngle) -> complex:
 
 def anchor_point(table: BoettcherTable, n: int) -> complex:
     """Landing point of the angle 1/2^(n+1): the cylinder-n anchor."""
-    return landing_point(table, anchor_angle(n))
+    return landing_point(table, DyadicAngle(1, n + 1))
 
 
 @dataclass(frozen=True)

@@ -307,7 +307,7 @@ def cmd_convexity(args) -> tuple[int, list[str], dict]:
     eps = np.linspace(args.eps_min, args.eps_max, args.points)
     if np.any(eps >= 0):
         raise ParseError("convexity probe needs eps < 0")
-    deltas = [2.0 * math.sqrt(-e) for e in eps]
+    deltas = [delta_from_epsilon(e) for e in eps]
     check_disk(deltas, ParseError)
 
     sols = [hausdorff_dim(d, args.level, step=2) for d in deltas]

@@ -15,25 +15,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maps
-from .boettcher import BoettcherTable, DyadicAngle
+from .boettcher import BoettcherTable, DyadicAngle, _at
 from .errors import PoleError, ToleranceNotMetError
 
-GAMMA_SERIES_THRESHOLD = 1e-3
-G_SERIES_THRESHOLD = 1e-2
+# g, Gamma and 1 + 2 Gamma take their series below this |z|, where the direct
+# forms lose digits to cancellation and the series are exact to rounding
+SERIES_THRESHOLD = 1e-2
 POLE_GUARD = 1e-10
 DERIV_STOP = 1e6
 TWO_PI = 2.0 * np.pi
 
 
 def g_fn(z: complex) -> complex:
-    """g(z) = exp(-z) - 1 + z, series-evaluated near its double zero.
-
-    The crossover sits at |z| = 1e-2: below it the direct difference keeps
-    fewer than 12 significant digits even through expm1, above it the
-    series would need extra terms.
-    """
+    """g(z) = exp(-z) - 1 + z, series-evaluated near its double zero
+    (``SERIES_THRESHOLD``): there the direct difference keeps fewer than 12
+    significant digits even through expm1."""
     z = complex(z)
-    if abs(z) < G_SERIES_THRESHOLD:
+    if abs(z) < SERIES_THRESHOLD:
         # sum_{k>=2} (-z)^k/k! = z^2/2 - z^3/6 + z^4/24 - ...
         s = 0.0 + 0j
         term = 1.0 + 0j
@@ -61,7 +59,7 @@ def one_plus_two_gamma(z):
     z2 = z * z
     # at z = 0 the direct form, which the series replaces, is 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(np.abs(z) < GAMMA_SERIES_THRESHOLD,
+        g = np.where(np.abs(z) < SERIES_THRESHOLD,
                      z / 3.0 - z * z2 / 90.0 + z * z2 * z2 / 2520.0,
                      (np.sinh(z) - z) / (np.cosh(z) - 1.0))
     return g if g.ndim else complex(g)
@@ -84,7 +82,7 @@ def gamma_fn(z):
         right = ((1.0 - x) - e) * e / (1.0 - e) ** 2
         e = np.exp(x)
         left = (e - x * e - 1.0) / (e - 1.0) ** 2
-        g = np.where(np.abs(x) < GAMMA_SERIES_THRESHOLD,
+        g = np.where(np.abs(x) < SERIES_THRESHOLD,
                      -0.5 + x / 6.0 - x * x2 / 180.0 + x * x2 * x2 / 5040.0,
                      np.where(x.real > 0.5, right, left))
     return g.reshape(z.shape) if z.ndim else complex(g[0])
@@ -114,7 +112,6 @@ def sinh_z_minus_z_nonvanishing(radius: float = 2.0, samples: int = 10_000,
 class PhiDotResult:
     value: complex
     trunc_error: float
-    terms: int
 
 
 def phi_dot_series(delta: complex, table: BoettcherTable,
@@ -129,16 +126,15 @@ def phi_dot_series(delta: complex, table: BoettcherTable,
     delta = complex(delta)
     if s.level > table.level:
         raise ValueError("angle finer than table")
-    pts = table.points
     n = table.size
     idx = s.numerator << (table.level - s.level)
     if idx == 0:
-        return PhiDotResult(0.0 + 0j, 0.0, 0)
+        return PhiDotResult(0.0 + 0j, 0.0)
     acc = -0.5 + 0j
     deriv = 1.0 + 0j
     k = 0
     while k < table.level:
-        deriv *= maps.evaluate_deriv(delta, pts[idx])
+        deriv *= maps.evaluate_deriv(delta, _at(table.stored, idx, n))
         acc += (delta / 2.0) / deriv
         idx = (2 * idx) % n
         k += 1
@@ -146,40 +142,41 @@ def phi_dot_series(delta: complex, table: BoettcherTable,
             if abs(delta) == 0 or abs(1.0 + delta) <= 1.0:
                 break  # geometric tail not summable; report bound instead
             acc += 0.5 / deriv
-            return PhiDotResult(acc, 0.0, k)
+            return PhiDotResult(acc, 0.0)
         if abs(deriv) > DERIV_STOP:
             break
     err = abs(delta / 2.0 + 0.5) / abs(deriv)
-    return PhiDotResult(acc, float(err), k)
+    return PhiDotResult(acc, float(err))
 
 
 def phi_dot_table(delta: complex, table: BoettcherTable) -> np.ndarray:
-    """phi-dot at every table angle, from the semiconjugacy recursion.
+    """phi-dot at the table's stored angles, from the semiconjugacy recursion.
 
     Differentiating f(points[k]) = points[2k mod n] in delta (df/ddelta = z)
     gives phi-dot[k] = (phi-dot[2k mod n] - points[k]) / f'(points[k]).  It
     starts at the fixed angle, whose point 0 does not move, and fills the
     odd multiples of 2^j for j = level-1 .. 0, each from the level before.
-    Requires |1+delta| > 1, the domain of the series it sums exactly, and
-    a table built at ``delta`` (else ValueError).
+    On a mirrored table phi-dot commutes with conjugation bit for bit, so a
+    doubled angle above 1/2 is read through the mirror (``_at``). Requires
+    |1+delta| > 1, the domain of the series it sums exactly, and a table
+    built at ``delta`` (else ValueError).
     """
     delta = table.require_delta(delta)
     if abs(1.0 + delta) <= 1.0:
         raise ValueError("needs a repelling fixed point: |1+delta| > 1")
-    pts = table.points
+    pts = table.stored
     n = table.size
-    phi = np.zeros(n, dtype=complex)
+    phi = np.zeros(len(pts), dtype=complex)
     for j in reversed(range(table.level)):
-        k = np.arange(1 << j, n, 2 << j)
+        k = np.arange(1 << j, len(pts), 2 << j)
         p = pts[k]
-        phi[k] = (phi[2 * k % n] - p) / maps.evaluate_deriv(delta, p)
+        phi[k] = (_at(phi, 2 * k % n, n) - p) / maps.evaluate_deriv(delta, p)
     return phi
 
 
 @dataclass(frozen=True)
 class PsiDotResult:
     value: complex
-    alt_value: complex
     agreement: float
 
 
@@ -210,4 +207,4 @@ def psi_dot(delta: complex, n: int, z: complex,
     if agreement > agreement_tol:
         raise ToleranceNotMetError(
             f"psi-dot forms disagree by {agreement} at n={n}, z={z}")
-    return PsiDotResult(s1, s2, agreement)
+    return PsiDotResult(s1, agreement)

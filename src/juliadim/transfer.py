@@ -613,22 +613,6 @@ class DimensionResult:
     roots: tuple[float, float, float]   # the three stencil levels, coarsest first
 
 
-def _extrapolated_start(path: list, tau: float):
-    """Start vector for the Perron solve at ``tau``: the linear extrapolation
-    in tau of the last two ``(tau, unit-sum Perron vector)`` pairs of
-    ``path``, or the last vector if there is one pair or the extrapolation
-    is not positive; None for an empty path."""
-    if not path:
-        return None
-    t1, v1 = path[-1]
-    if len(path) == 1:
-        return v1
-    t0, v0 = path[-2]
-    u = np.empty_like(v1)
-    positive = _halves(_extrapolate, (u, v0, v1), (tau - t1) / (t1 - t0))
-    return u if all(positive) else v1
-
-
 def _extrapolate(u, v0, v1, c: float) -> bool:
     """u = v1 + c * (v1 - v0); True iff u is positive."""
     np.subtract(v1, v0, out=u)
@@ -638,17 +622,22 @@ def _extrapolate(u, v0, v1, c: float) -> bool:
 
 
 def _start_vector(path: list, tau: float, h):
-    """The start of the Perron solve at ``tau``, a vector that the solve
-    overwrites, or None for the uniform one: the extrapolation of ``path``
-    (``_extrapolated_start``) or, where that falls back on ``path``'s last
-    vector, which the next extrapolation reads, a copy of it; on an empty
-    path a copy of ``h``, unless None. Drops all but the last of ``path``:
-    the older vector is spent."""
-    u = _extrapolated_start(path, tau)
-    del path[:-1]
-    if u is None:
+    """The start of the Perron solve at ``tau``, a new vector that the solve
+    overwrites, or None for the uniform one: on an empty ``path`` a copy of
+    ``h``, unless None; else the linear extrapolation in tau of the two
+    ``(tau, unit-sum Perron vector)`` pairs of ``path``, or, if there is one
+    or the extrapolation is not positive, a copy of the last vector, which
+    the next extrapolation reads. Drops the older pair: it is spent."""
+    if not path:
         return None if h is None else np.array(h, dtype=float)
-    return u.copy() if u is path[-1][1] else u
+    t1, v1 = path[-1]
+    u = np.empty_like(v1)
+    if len(path) == 2:
+        t0, v0 = path.pop(0)
+        if all(_halves(_extrapolate, (u, v0, v1), (tau - t1) / (t1 - t0))):
+            return u
+    u[...] = v1
+    return u
 
 
 def _bowen_root(op: TransferOperator, near: tuple | None = None,
@@ -657,7 +646,7 @@ def _bowen_root(op: TransferOperator, near: tuple | None = None,
     there)`` once |P| <= ``ptol``. Secant steps through the last two points;
     a step that leaves the bracket (a, b) the signs have given so far, or
     that is undefined, bisects it. Each Perron solve starts from the
-    extrapolation of the last two solves' vectors (``_extrapolated_start``),
+    extrapolation of the last two solves' vectors (``_start_vector``),
     to a tolerance forced by the last two |P| (``FORCING``); a point that
     could be accepted is certified to ``EIG_RTOL`` (``SIGN_MARGIN``).
 
@@ -791,7 +780,6 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumWeights:
-    delta: complex
     level: int
     tau: float
     mu: np.ndarray      # word masses of the invariant state, sums to 1
@@ -819,7 +807,7 @@ def equilibrium(delta: complex, tau: float, table: BoettcherTable,
     mu = op.expand(h) * om
     mu /= mu.sum()
     chi = float(np.sum(mu * _quarter_order(op.log_deriv, inverse=True)))
-    return EquilibriumWeights(complex(delta), op.level, float(tau),
+    return EquilibriumWeights(op.level, float(tau),
                               op.unfold(mu), op.unfold(om), chi)
 
 
@@ -861,11 +849,11 @@ def directional_derivative_formula(delta: complex, table: BoettcherTable,
     v = delta / abs(delta)
     stride = 1 << (table.level - weights.level)
     deriv = maps.evaluate_deriv(delta, table.stored[::stride])
-    if table.mirrored:
-        # at real delta Df commutes with conjugation bit for bit
-        deriv = unmirror(deriv)
     pdot = phi_dot_table(delta, table)[::stride]
     integrand = np.real((v + 2.0 * v * pdot) / deriv)
+    if table.mirrored:
+        # at real delta the integrand is mirror-symmetric bit for bit
+        integrand = unmirror(integrand)
     # endpoint-averaged, matching the operator's weight rule, so this is
     # the exact parameter derivative of the discretized dimension
     integrand = _endpoint_mean(integrand, len(integrand))

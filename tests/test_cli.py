@@ -516,7 +516,8 @@ def test_grids_reject_empty_or_degenerate(tmp_path, capsys, argv):
 def test_dim_reports_bracket_failure(monkeypatch, capsys):
     # a pressure that is not positive at tau = 1 has no root in the bracket
     monkeypatch.setattr(transfer.TransferOperator, "pressure_with_state",
-                        lambda self, tau, u0=None, rtol=None: (-tau, None))
+                        lambda self, tau, u0=None, rtol=None:
+                        (-tau, np.full(self.size, 1.0 / self.size)))
     assert run(["dim", "--delta", "0.3", "--level", "10"]) == 3
     assert "error[BRACKET_FAILURE]" in capsys.readouterr().err
 

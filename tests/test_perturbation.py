@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from juliadim import maps, perturbation
-from juliadim.boettcher import DyadicAngle, anchor_point, build_table
+from juliadim.boettcher import DyadicAngle, _at, anchor_point, build_table
 from juliadim.errors import PoleError
 
 
@@ -34,6 +35,49 @@ def test_gamma_values():
     assert abs(actual - approx) / abs(actual) < 1e-7
 
 
+def _exact_gammas(z, terms=12):
+    """``(1 + 2 Gamma(z), Gamma(z))`` rounded once from exact rationals: 1 +
+    2 Gamma = z A/B with A = (sinh z - z)/z^3 and B = (cosh z - 1)/z^2, both
+    series in z^2 summed to ``terms`` terms, far past double precision for
+    |z| <= 0.1."""
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    wr, wi = zr * zr - zi * zi, 2 * zr * zi
+    sums = []
+    for first in (3, 2):        # A's terms are z^2j/(2j+3)!, B's /(2j+2)!
+        sr = si = Fraction(0)
+        tr, ti = Fraction(1), Fraction(0)
+        fact = math.factorial(first)
+        for j in range(terms):
+            sr += tr / fact
+            si += ti / fact
+            tr, ti = tr * wr - ti * wi, tr * wi + ti * wr
+            fact *= (first + 2 * j + 1) * (first + 2 * j + 2)
+        sums.append((sr, si))
+    (a, b), (c, d) = sums
+    den = c * c + d * d
+    qr, qi = (a * c + b * d) / den, (b * c - a * d) / den
+    rr, ri = zr * qr - zi * qi, zr * qi + zi * qr
+    return (complex(float(rr), float(ri)),
+            complex(float((rr - 1) / 2), float(ri / 2)))
+
+
+def test_gammas_against_exact_series():
+    # below the series threshold exact to rounding; above it the direct
+    # forms lose digits to cancellation, the most near the threshold
+    rng = np.random.default_rng(7)
+    t = perturbation.SERIES_THRESHOLD
+    for lo, hi, rtol in ((1e-4, t, 1e-15), (t, 0.1, 5e-11)):
+        r = np.concatenate(([lo, hi * (1.0 - 1e-9)],
+                            np.exp(rng.uniform(math.log(lo), math.log(hi),
+                                               150))))
+        z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
+        one_plus, gamma = zip(*map(_exact_gammas, z))
+        for got, want in ((perturbation.one_plus_two_gamma(z), one_plus),
+                          (perturbation.gamma_fn(z), gamma)):
+            want = np.array(want)
+            assert np.max(np.abs(got - want) / np.abs(want)) < rtol
+
+
 def test_gamma_pole_guard():
     with pytest.raises(PoleError):
         perturbation.gamma_fn(2j * np.pi)
@@ -45,7 +89,7 @@ def test_one_plus_two_gamma_on_array_equals_scalar_calls():
     # both sides of the series threshold, 0 included
     rng = np.random.default_rng(5)
     r = np.concatenate(([0.0], rng.uniform(0.0, 2.0, 100)
-                        * perturbation.GAMMA_SERIES_THRESHOLD,
+                        * perturbation.SERIES_THRESHOLD,
                         rng.uniform(0.0, 8.0, 100)))
     z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
     vals = perturbation.one_plus_two_gamma(z)
@@ -59,7 +103,7 @@ def test_gamma_on_array_equals_scalar_calls():
     # bit for bit on both sides of the series threshold, 0 included, and of
     # the Re z > 0.5 branch
     rng = np.random.default_rng(6)
-    t = perturbation.GAMMA_SERIES_THRESHOLD
+    t = perturbation.SERIES_THRESHOLD
     r = np.concatenate(([0.0], rng.uniform(0.0, 2.0 * t, 100),
                         rng.uniform(0.0, 8.0, 100)))
     z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
@@ -156,13 +200,58 @@ def test_phi_dot_table_matches_scalar():
         n = table.size
         ks = [0, 1, 7, n // 4, n // 2, n // 2 + 1, n - 1]
         ks += np.random.default_rng(level).integers(1, n, 40).tolist()
+        # phi-dot at the stored angles, so on a mirrored table at [0, 1/2]
+        assert len(vec) == len(table.stored)
         exact = 0
         for k in ks:
             res = perturbation.phi_dot_series(delta, table, DyadicAngle(k, level))
             if res.trunc_error == 0:
                 exact += 1
-                assert abs(vec[k] - res.value) < 1e-12
+                assert abs(_at(vec, k, n) - res.value) < 1e-12
         assert exact >= 5
+
+
+def _phi_dot_series_of_all_points(delta, pts, idx):
+    """``phi_dot_series`` at angle ``idx``/len(``pts``), walking the full
+    point array ``pts``: ``(value, trunc_error)``."""
+    n = len(pts)
+    if idx == 0:
+        return 0.0 + 0j, 0.0
+    acc = -0.5 + 0j
+    deriv = 1.0 + 0j
+    for _ in range(n.bit_length() - 1):
+        deriv *= maps.evaluate_deriv(delta, pts[idx])
+        acc += (delta / 2.0) / deriv
+        idx = (2 * idx) % n
+        if idx == 0:
+            if abs(delta) == 0 or abs(1.0 + delta) <= 1.0:
+                break
+            return acc + 0.5 / deriv, 0.0
+        if abs(deriv) > perturbation.DERIV_STOP:
+            break
+    return acc, float(abs(delta / 2.0 + 0.5) / abs(deriv))
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.3, 0.8])
+def test_mirrored_phi_dot_series_is_the_full_points_one(delta):
+    # walked through the stored half of a mirrored table, bit for bit the
+    # series along the full point array, at angles on both sides of 1/2
+    rng = np.random.default_rng(24)
+    for level in range(8, 17):
+        table = build_table(delta, level)
+        assert table.mirrored
+        n = table.size
+        ks = [0, 1, n // 4, n // 2 - 1, n // 2, n // 2 + 1, 3 * n // 4, n - 1]
+        ks += rng.integers(1, n, 60).tolist()
+        for k in ks:
+            res = perturbation.phi_dot_series(delta, table,
+                                              DyadicAngle(k, level))
+            value, err = _phi_dot_series_of_all_points(complex(delta),
+                                                       table.points, k)
+            assert type(res.value) is type(value)
+            assert (np.complex128(res.value).tobytes() ==
+                    np.complex128(value).tobytes())
+            assert res.trunc_error == err
 
 
 def test_phi_dot_ray_independent():

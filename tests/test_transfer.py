@@ -287,12 +287,57 @@ def test_directional_derivative_matches_fd():
 
 @pytest.mark.parametrize("delta", [0.05, 0.3, 1.5])
 def test_mirrored_derivative_is_the_full_points_derivative(delta):
-    # at real delta Df commutes with conjugation bit for bit, so the formula
-    # mirrors Df of the stored points instead of rebuilding all points
+    # at real delta Df commutes with conjugation bit for bit, one of the
+    # identities that let the formula mirror its integrand of the stored
+    # points instead of rebuilding all points
     table = build_table(delta, 12)
     assert table.mirrored
     assert (unmirror(maps.evaluate_deriv(delta, table.stored)).tobytes() ==
             maps.evaluate_deriv(delta, table.points).tobytes())
+
+
+def _phi_dot_of_all_points(delta, pts):
+    """The phi-dot recursion on all angles of the full point array ``pts``."""
+    n = len(pts)
+    phi = np.zeros(n, dtype=complex)
+    for j in reversed(range(n.bit_length() - 1)):
+        k = np.arange(1 << j, n, 2 << j)
+        p = pts[k]
+        phi[k] = (phi[2 * k % n] - p) / maps.evaluate_deriv(delta, p)
+    return phi
+
+
+def _formula_of_all_points(delta, table, w):
+    """``directional_derivative_formula`` from all of the table's points."""
+    delta = complex(delta)
+    v = delta / abs(delta)
+    stride = 1 << (table.level - w.level)
+    pts = table.points
+    deriv = maps.evaluate_deriv(delta, pts[::stride])
+    pdot = _phi_dot_of_all_points(delta, pts)[::stride]
+    integrand = transfer._endpoint_mean(np.real((v + 2.0 * v * pdot) / deriv),
+                                        len(deriv))
+    return -w.tau / w.chi * float(np.sum(w.mu * integrand))
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.3, 0.8])
+def test_mirrored_phi_dot_and_formula_are_the_full_points_ones(delta):
+    # on a mirrored table phi-dot and the formula's integrand are computed
+    # at the stored angles only; bit for bit the values of the recursion and
+    # the formula on all points, the formula at every level up to the
+    # table's, the stencil levels below it included
+    rng = np.random.default_rng(23)
+    for level in range(8, 17):
+        table = build_table(delta, level)
+        assert table.mirrored
+        full = _phi_dot_of_all_points(complex(delta), table.points)
+        assert unmirror(phi_dot_table(delta, table)).tobytes() == full.tobytes()
+        for lev in range(1, level + 1):
+            mu = rng.random(1 << lev)
+            w = transfer.EquilibriumWeights(lev, 1.1, mu / mu.sum(),
+                                            mu / mu.sum(), 0.3)
+            assert (directional_derivative_formula(delta, table, w) ==
+                    _formula_of_all_points(delta, table, w))
 
 
 def test_directional_derivative_sign_real_ray():
@@ -944,14 +989,14 @@ def test_split_extrapolated_start_bit_identical(op18):
     v0, v1 = rng.random(n) + 1.0, rng.random(n) + 1.0
     v0 /= v0.sum()
     v1 /= v1.sum()
-    path = [(1.0, v0), (1.5, v1)]
-    u = transfer._extrapolated_start(path, 1.7)
+    u = transfer._start_vector([(1.0, v0), (1.5, v1)], 1.7, None)
     assert np.array_equal(u, (v1 - v0) * ((1.7 - 1.5) / (1.5 - 1.0)) + v1)
     # an entry <= 0 in the upper half only: the last vector
     v0[n - 1] = 10.0 * v1[n - 1]
     u = (v1 - v0) * ((1.6 - 1.5) / (1.5 - 1.0)) + v1
     assert np.flatnonzero(u <= 0.0).tolist() == [n - 1]
-    assert transfer._extrapolated_start(path, 1.6) is v1
+    u = transfer._start_vector([(1.0, v0), (1.5, v1)], 1.6, None)
+    assert u is not v1 and np.array_equal(u, v1)
 
 
 @pytest.mark.usefixtures("split")
@@ -1210,12 +1255,13 @@ def test_split_perron_aitken_bit_identical(op18, monkeypatch, applications):
 
 def test_extrapolated_start():
     a, b = np.array([0.5, 0.5]), np.array([0.4, 0.6])
-    assert transfer._extrapolated_start([], 1.0) is None
-    assert transfer._extrapolated_start([(1.0, a)], 2.0) is a
-    u = transfer._extrapolated_start([(1.0, a), (2.0, b)], 2.5)
+    assert transfer._start_vector([], 1.0, None) is None
+    assert np.array_equal(transfer._start_vector([(1.0, a)], 2.0, None), a)
+    u = transfer._start_vector([(1.0, a), (2.0, b)], 2.5, None)
     assert np.allclose(u, [0.35, 0.65], rtol=0, atol=1e-15)
     # an entry <= 0: the last vector
-    assert transfer._extrapolated_start([(1.0, a), (2.0, b)], 7.0) is b
+    assert np.array_equal(transfer._start_vector([(1.0, a), (2.0, b)], 7.0,
+                                                 None), b)
 
 
 def test_start_vector_is_the_solves_own():

@@ -2,20 +2,24 @@
 
 Each check samples one structural fact (an identity, an inequality
 envelope, a two-regime bound) and returns a pass/fail record with a short
-numeric detail string.  Sampling is seeded, so suites are deterministic.
-A sampled check draws each variate for all its samples at once; only the
-library routine under test is called sample by sample.
+numeric detail string.  Sampling is seeded, one ``random.Random`` per
+suite, so suites are deterministic.  A sampled check draws each variate for
+all its samples at once (``perturbation.uniform_draws``); only the library
+routine under test is called sample by sample.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fatou, maps, perturbation, quadrature, transfer
 from .boettcher import anchor_point, build_table, cylinders
+from .errors import ParseError
+from .perturbation import uniform_draws
 from .transfer import (TransferOperator, backward_anchor_tower,
                        cylinder_measures, equilibrium, hausdorff_dim,
                        partition_residual, pressure, pressure_oracle)
@@ -38,8 +42,8 @@ def _result(name: str, passed, detail: str) -> CheckResult:
 # appendix: hyperbolic identities and the exponential lemmas
 
 def _random_z(rng, n, rmin=1e-3, rmax=30.0):
-    r = np.exp(rng.uniform(np.log(rmin), np.log(rmax), n))
-    th = rng.uniform(0, 2 * np.pi, n)
+    r = np.exp(uniform_draws(rng, np.log(rmin), np.log(rmax), n))
+    th = uniform_draws(rng, 0, 2 * np.pi, n)
     return r * np.exp(1j * th)
 
 
@@ -50,7 +54,7 @@ def _per_sample(n, *axes):
 
 def _random_disc(rng, n):
     """Points of the closed unit disc, uniform in radius and in angle."""
-    return rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    return uniform_draws(rng, 0, 1, n) * np.exp(1j * uniform_draws(rng, 0, 2 * np.pi, n))
 
 
 def _pole_distance(x, ks):
@@ -96,8 +100,8 @@ def check_coth_half_angle(rng) -> CheckResult:
 
 def check_exp_inequalities(rng) -> CheckResult:
     n = 4000
-    eps, teps = rng.uniform(1e-3, 1 - 1e-3, (2, n))
-    e1, te1 = rng.uniform(0.0, 2.0, (2, n))
+    eps, teps = uniform_draws(rng, 1e-3, 1 - 1e-3, (2, n))
+    e1, te1 = uniform_draws(rng, 0.0, 2.0, (2, n))
     z = _random_z(rng, n, 1e-3, 3.0)
     ux, uy, u3 = _random_disc(rng, (3, n))
     az = np.abs(z)
@@ -132,9 +136,9 @@ def check_sum_alignment(rng) -> CheckResult:
 
 def check_wedge_membership(rng) -> CheckResult:
     n = 10_000
-    alphas = rng.uniform(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, n)
+    alphas = uniform_draws(rng, -np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, n)
     alphas = alphas[np.abs(alphas) > 1e-4]
-    rr = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), len(alphas)))
+    rr = np.exp(uniform_draws(rng, np.log(1e-3), np.log(1e3), len(alphas)))
     w = rr * np.exp(1j * alphas)
     far = w.real > 50.0
     val = np.empty_like(w)
@@ -149,7 +153,7 @@ def check_exp_ratio_ball(rng) -> CheckResult:
     alpha, t, eps = _per_sample(200, (0.0, np.pi / 6, 1.1, -0.9), (1e-3, 0.05, 0.3),
                                 (0.1, 0.3, 0.5, 0.9))
     delta = t * np.exp(1j * alpha)
-    w = -np.exp(rng.uniform(np.log(1e-2), np.log(1e3), len(alpha)))
+    w = -np.exp(uniform_draws(rng, np.log(1e-2), np.log(1e3), len(alpha)))
     u = eps * np.abs(w) * np.cos(alpha) * _random_disc(rng, len(alpha))
     den = np.expm1(w * delta)
     dev = np.abs(np.expm1((w + u) * delta) / den - 1.0)
@@ -164,7 +168,7 @@ def check_deriv_ratio_ball(rng) -> CheckResult:
     alpha, t, eps = _per_sample(300, (0.0, np.pi / 6, 1.0), (1e-3, 0.05), (0.2, 0.5, 0.9))
     K = 16.0 / np.cos(alpha)
     delta = t * np.exp(1j * alpha)
-    w = -np.exp(rng.uniform(np.log(1e-1), np.log(1e3), len(alpha)))
+    w = -np.exp(uniform_draws(rng, np.log(1e-1), np.log(1e3), len(alpha)))
     wt = w + eps * np.abs(w) / K * _random_disc(rng, len(alpha))
     ratio = _each(fatou.psi_prime, delta, wt) / _each(fatou.psi_prime, delta, w)
     bound = np.exp(eps * np.abs(w * delta)) - 1.0 + eps
@@ -174,7 +178,7 @@ def check_deriv_ratio_ball(rng) -> CheckResult:
 
 
 def suite_appendix() -> list[CheckResult]:
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     return [
         check_half_angle_modulus(rng),
         check_coth_half_angle(rng),
@@ -191,9 +195,10 @@ def suite_appendix() -> list[CheckResult]:
 
 def check_round_trip(rng) -> CheckResult:
     n = 1000
-    t = np.exp(rng.uniform(math.log(1e-4), math.log(0.5), n))
-    delta = t * np.exp(1j * rng.uniform(-1.3, 1.3, n))
-    w = -np.exp(rng.uniform(0, np.log(200), n)) * np.exp(1j * rng.uniform(-0.6, 0.6, n))
+    t = np.exp(uniform_draws(rng, math.log(1e-4), math.log(0.5), n))
+    delta = t * np.exp(1j * uniform_draws(rng, -1.3, 1.3, n))
+    w = (-np.exp(uniform_draws(rng, 0, np.log(200), n))
+         * np.exp(1j * uniform_draws(rng, -0.6, 0.6, n)))
     inside = np.abs((w * delta).imag) <= 2.5  # stay inside the principal strip
     delta, w = delta[inside], w[inside]
     w2 = _each(lambda d, x: fatou.phi_fatou(d, fatou.psi(d, x)), delta, w)
@@ -202,7 +207,7 @@ def check_round_trip(rng) -> CheckResult:
 
 
 def check_psi_limit(rng) -> CheckResult:
-    r = np.exp(rng.uniform(math.log(1e-2), math.log(1e6), 500))
+    r = np.exp(uniform_draws(rng, math.log(1e-2), math.log(1e6), 500))
     psi_val = _each(lambda x: fatou.psi(1e-8, -x), r)
     worst = np.max(np.abs(psi_val - 1.0 / r))
     return _result("fatou.psi_limit", worst < 1e-6, f"max abs err {worst:.2e}")
@@ -249,9 +254,9 @@ def check_anchor_formulas(rng) -> CheckResult:
 
 
 def _sample_sector_minus(rng, theta, cutoff, n):
-    psis = rng.uniform(np.pi - theta + 1e-3, np.pi + theta - 1e-3, n)
+    psis = uniform_draws(rng, np.pi - theta + 1e-3, np.pi + theta - 1e-3, n)
     rho_min = cutoff / np.abs(np.cos(psis)) + 0.1
-    rho = rho_min * np.exp(rng.uniform(0, np.log(3.0), n))
+    rho = rho_min * np.exp(uniform_draws(rng, 0, np.log(3.0), n))
     return rho * np.exp(1j * psis)
 
 
@@ -304,8 +309,8 @@ def _smallest_stable_cutoff(alpha, theta, n_steps, candidates=(2.0, 3.0, 5.0, 8.
 
 def check_step_inverse(rng) -> CheckResult:
     n = 300
-    t = np.exp(rng.uniform(math.log(1e-3), math.log(0.3), n))
-    delta = t * np.exp(1j * rng.uniform(-1.2, 1.2, n))
+    t = np.exp(uniform_draws(rng, math.log(1e-3), math.log(0.3), n))
+    delta = t * np.exp(1j * uniform_draws(rng, -1.2, 1.2, n))
     w = _sample_sector_minus(rng, np.pi / 5, 4.0, n)
     # the identity holds where phi inverts psi: the principal strip
     inside = np.abs((w * delta).imag) < np.pi
@@ -319,7 +324,7 @@ def check_step_inverse(rng) -> CheckResult:
 
 
 def suite_fatou() -> list[CheckResult]:
-    rng = np.random.default_rng(SEED + 1)
+    rng = random.Random(SEED + 1)
     return [
         check_round_trip(rng),
         check_psi_limit(rng),
@@ -665,8 +670,8 @@ def check_phi_dot_recursion(rng) -> CheckResult:
     delta = 0.35 * np.exp(1j * 0.3)
     table = build_table(delta, 12)
     worst = 0.0
-    for k in rng.integers(1, 1 << 12, 50):
-        s = DyadicAngle(int(k), 12)
+    for k in (rng.randrange(1, 1 << 12) for _ in range(50)):
+        s = DyadicAngle(k, 12)
         v1 = perturbation.phi_dot_series(delta, table, s).value
         v2 = perturbation.phi_dot_series(delta, table, s.doubled()).value
         fp = maps.evaluate_deriv(delta, table.points[s.numerator << (12 - s.level)])
@@ -685,10 +690,10 @@ def check_phi_dot_fd(rng) -> CheckResult:
     minus = build_table(delta - h, level)
     fd = (plus.points - minus.points) / (2.0 * h)
     worst = 0.0
-    for k in rng.integers(1, 1 << level, 40):
-        s = DyadicAngle(int(k), level)
+    for k in (rng.randrange(1, 1 << level) for _ in range(40)):
+        s = DyadicAngle(k, level)
         val = perturbation.phi_dot_series(delta, base, s).value
-        worst = max(worst, abs(val - fd[int(k)]))
+        worst = max(worst, abs(val - fd[k]))
     return _result("perturbation.phi_dot_fd", worst < 1e-4, f"max |diff| {worst:.1e}")
 
 
@@ -742,7 +747,7 @@ def check_psi_dot_drift_ratio() -> CheckResult:
 
 
 def suite_perturbation() -> list[CheckResult]:
-    rng = np.random.default_rng(SEED + 2)
+    rng = random.Random(SEED + 2)
     return [
         check_gamma_forms(rng),
         check_gamma_small_z(),
@@ -898,7 +903,7 @@ def check_q_bounds() -> CheckResult:
 
 
 def suite_quadrature() -> list[CheckResult]:
-    rng = np.random.default_rng(SEED + 3)
+    rng = random.Random(SEED + 3)
     return [
         check_omega_even(),
         check_omega_sign(),
@@ -929,5 +934,5 @@ def run_suite(name: str) -> list[CheckResult]:
             out.extend(SUITES[key]())
         return out
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        raise ParseError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name]()

@@ -10,6 +10,7 @@ function Gamma(n*delta), where Gamma(z) = (e^z - z e^z - 1)/(e^z - 1)^2.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,17 +89,27 @@ def gamma_fn(z):
     return g.reshape(z.shape) if z.ndim else complex(g[0])
 
 
+def uniform_draws(rand: random.Random, lo: float, hi: float, shape) -> np.ndarray:
+    """An array of ``shape`` (an int or a tuple) of uniform draws on [lo, hi),
+    up to the rounding of lo + (hi - lo) u. Each u in [0, 1) is the top 53
+    bits of one 64-bit word of a single ``rand.randbytes`` call, so a batch
+    needs no Python loop and no ``numpy.random``."""
+    bits = np.frombuffer(rand.randbytes(8 * int(np.prod(shape))), dtype="<u8")
+    u = (bits >> np.uint64(11)) * 2.0 ** -53
+    return (lo + (hi - lo) * u).reshape(shape)
+
+
 def sinh_z_minus_z_nonvanishing(radius: float = 2.0, samples: int = 10_000,
                                 floor: float = 1e-3) -> bool:
     """Sampled check that |sinh z - z|/|z|^3 stays above ``floor`` on 0<|z|<=radius."""
     if radius > 2.0:
         raise ValueError("radius must be <= 2")
-    rng = np.random.default_rng(0)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, samples))
+    rand = random.Random(0)
+    r = radius * np.sqrt(uniform_draws(rand, 0.0, 1.0, samples))
     r = np.maximum(r, 1e-12)
     # include the boundary circle where the minimum is approached
     r[: samples // 10] = radius
-    th = rng.uniform(0.0, TWO_PI, samples)
+    th = uniform_draws(rand, 0.0, TWO_PI, samples)
     z = r * np.exp(1j * th)
     vals = np.abs(np.sinh(z) - z) / np.abs(z) ** 3
     small = np.abs(z) < 1e-2

@@ -80,6 +80,9 @@ FORCING = 1e-6
 # A pressure solved to rtol > EIG_RTOL with |P| < SIGN_MARGIN * rtol is
 # finished at EIG_RTOL: its sign, or its acceptance, would rest on its error.
 SIGN_MARGIN = 1e3
+# pressure_oracle enumerates subtrees of at most 2^ORACLE_SUBTREE_DEPTH
+# preimages one at a time
+ORACLE_SUBTREE_DEPTH = 14
 
 
 def _usable_cpus() -> int:
@@ -580,19 +583,32 @@ def pressure_oracle(delta: complex, tau: float, table: BoettcherTable,
     """Brute-force preimage-sum pressure at depth n, an independent oracle.
 
     Enumerates all 2^n preimages of the landing point of angle 1/2 and
-    returns (1/n) log sum |Df^n|^(-tau) over them.
+    returns (1/n) log sum |Df^n|^(-tau) over them. The preimage tree is
+    walked breadth-first down to the last ``ORACLE_SUBTREE_DEPTH`` levels,
+    then one subtree at a time, so at most 2^ORACLE_SUBTREE_DEPTH
+    preimages are held at once.
     """
-    if n > 18:
-        raise ValueError("depth capped at 18 (2^n preimages)")
+    if not 1 <= n <= 18:
+        raise ValueError(f"depth {n} outside 1..18 (2^n preimages)")
     delta = complex(delta)
-    z = np.array([anchor_point(table, 0)])  # landing point of angle 1/2
-    deriv = np.array([1.0 + 0j])
-    for _ in range(n):
-        w1, w2 = maps.preimage_pair(delta, z)
-        z = np.concatenate([w1, w2])
-        deriv = np.concatenate([maps.evaluate_deriv(delta, w1) * deriv,
-                                maps.evaluate_deriv(delta, w2) * deriv])
-    total = float(np.sum(np.abs(deriv) ** (-tau)))
+
+    def preimages(z, deriv, depth):
+        """The 2^depth preimages of the points z, and Df^depth times deriv
+        at each."""
+        for _ in range(depth):
+            w1, w2 = maps.preimage_pair(delta, z)
+            z = np.concatenate([w1, w2])
+            deriv = np.concatenate([maps.evaluate_deriv(delta, w1) * deriv,
+                                    maps.evaluate_deriv(delta, w2) * deriv])
+        return z, deriv
+
+    top = max(n - ORACLE_SUBTREE_DEPTH, 0)
+    roots, root_derivs = preimages(np.array([anchor_point(table, 0)]),  # angle 1/2
+                                   np.array([1.0 + 0j]), top)
+    total = 0.0
+    for k in range(len(roots)):
+        _, deriv = preimages(roots[k:k + 1], root_derivs[k:k + 1], n - top)
+        total += float(np.sum(np.abs(deriv) ** (-tau)))
     return np.log(total) / n
 
 

@@ -609,15 +609,43 @@ def test_iteration_budget_is_an_error(monkeypatch, capsys):
     assert "error[NO_CONVERGENCE]" in err and "Traceback" not in err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; the package must run on numpy alone
-    code = ("import sys, juliadim.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _modules_loaded_after(code, prefixes):
+    """The modules under any of ``prefixes`` loaded once ``code`` has run
+    in a fresh interpreter."""
+    code += ("\nimport sys; print(sorted(m for m in sys.modules if any("
+             f"m == p or m.startswith(p + '.') for p in {prefixes!r})))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package must run on numpy alone.
+    # Only verify runs the checks and the Fatou coordinates, and nothing
+    # draws from numpy.random, so no command pays to load them
+    assert _modules_loaded_after("import juliadim.cli", (
+        "scipy", "juliadim.checks", "juliadim.fatou", "numpy.random")) == "[]"
+
+
+def test_verify_loads_no_numpy_random():
+    # the suites draw their samples from random.Random
+    code = ("import contextlib, io\nfrom juliadim.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', '--suite', 'all']) == 0")
+    assert _modules_loaded_after(code, ("numpy.random",)) == "[]"
+
+
+def test_verify_refuses_an_unknown_suite(tmp_path, monkeypatch, capsys):
+    # the suite runner's own message names every suite; nothing is written
+    from juliadim import checks
+    monkeypatch.chdir(tmp_path)
+    assert run(["verify", "--suite", "nope", "--out", "verify.txt"]) == 2
+    err = capsys.readouterr().err
+    assert "error[PARSE_ERROR]" in err and "Traceback" not in err
+    assert all(name in err for name in [*checks.SUITES, "all"])
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [["theta0", "--d0", "1.08", "--d0-err", "0.005"],

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +151,28 @@ def test_sinh_nonvanishing():
     assert perturbation.sinh_z_minus_z_nonvanishing(0.5, 2_000, floor=0.15)
     with pytest.raises(ValueError):
         perturbation.sinh_z_minus_z_nonvanishing(2.5)
+
+
+@pytest.mark.parametrize("lo, hi, shape", [(0.0, 1.0, 1000), (-1.3, 1.3, (2, 500)),
+                                           (math.log(1e-3), math.log(30.0), (3, 7))])
+def test_uniform_draws(lo, hi, shape):
+    draws = perturbation.uniform_draws(random.Random(5), lo, hi, shape)
+    assert draws.shape == ((shape,) if isinstance(shape, int) else shape)
+    assert np.array_equal(draws, perturbation.uniform_draws(random.Random(5), lo, hi, shape))
+    assert np.all((lo <= draws) & (draws < hi))
+    # one seed, one stream: consecutive calls continue it
+    rand = random.Random(5)
+    first = perturbation.uniform_draws(rand, lo, hi, shape)
+    assert not np.array_equal(first, perturbation.uniform_draws(rand, lo, hi, shape))
+    assert not np.array_equal(draws, perturbation.uniform_draws(random.Random(6), lo, hi, shape))
+
+
+def test_uniform_draws_fill_the_interval():
+    # 53-bit fractions: mean 1/2, and each tenth of [0, 1) holds its share
+    u = perturbation.uniform_draws(random.Random(0), 0.0, 1.0, 100_000)
+    assert abs(u.mean() - 0.5) < 5e-3
+    assert np.all(np.abs(np.bincount((10 * u).astype(int), minlength=10) - 10_000) < 500)
+    assert len(np.unique(u)) == len(u)
 
 
 def test_phi_dot_fixed_angle_is_zero():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from juliadim import maps, transfer
-from juliadim.boettcher import build_table, unmirror
+from juliadim.boettcher import anchor_point, build_table, unmirror
 from juliadim.errors import BracketFailureError, NoConvergenceError
 from juliadim.perturbation import phi_dot_table
 from juliadim.transfer import (TransferOperator, cylinder_measures,
@@ -51,8 +51,44 @@ def test_pressure_oracle_values(circle_table):
     assert pressure_oracle(1.0, 1.0, circle_table, 12) == pytest.approx(0.0, abs=2e-2)
     # zero weight counts preimages exactly
     assert pressure_oracle(1.0, 0.0, circle_table, 9) == pytest.approx(LOG2)
-    with pytest.raises(ValueError):
-        pressure_oracle(1.0, 1.0, circle_table, 19)
+    for n in (19, 0, -1):
+        with pytest.raises(ValueError):
+            pressure_oracle(1.0, 1.0, circle_table, n)
+
+
+def _full_enumeration(delta, tau, table, n):
+    """All 2^n preimages of the anchor of angle 1/2 held at once."""
+    z = np.array([anchor_point(table, 0)])
+    deriv = np.array([1.0 + 0j])
+    for _ in range(n):
+        w1, w2 = maps.preimage_pair(delta, z)
+        z = np.concatenate([w1, w2])
+        deriv = np.concatenate([maps.evaluate_deriv(delta, w1) * deriv,
+                                maps.evaluate_deriv(delta, w2) * deriv])
+    return np.log(np.sum(np.abs(deriv) ** (-tau))) / n
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_pressure_oracle_matches_full_enumeration(n):
+    # from depth ORACLE_SUBTREE_DEPTH + 1 on the tree is enumerated one
+    # subtree at a time; the same preimages sum to the same pressure
+    for delta, tau, level in ((0.8, 1.05, 16), (0.3 + 0.2j, 1.2, 12)):
+        table = build_table(delta, level)
+        want = _full_enumeration(delta, tau, table, n)
+        assert abs(pressure_oracle(delta, tau, table, n) - want) <= 1e-14 * abs(want)
+
+
+def test_pressure_oracle_peak_memory():
+    # subtrees of 2^14 preimages: measured 1.63 MiB at depth 18, where all
+    # 2^18 preimages with their derivatives took 18 MiB
+    table = build_table(0.8, 12)
+    tracemalloc.start()
+    try:
+        pressure_oracle(0.8, 1.05, table, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_pressure_oracle_cross_validation():

@@ -24,9 +24,13 @@ n/2, and K = S W D on n/2 words has the same nonzero spectrum. The Perron
 loop iterates K on the pair sums c = S W u: every step, check and pass
 touches n/2 words, and D K c = L D c word for word. ``expand`` turns a
 Perron vector of K into one of L (D c / 2), and ``conformal`` a Perron
-vector of K^T into one of L^T (W S^T mu, unit sum). The kernels read the
-weights in quarter order (``_quarter_order``): each half of the words, its
-even words first, then its odd ones.
+vector of K^T into one of L^T (W S^T mu, unit sum). The weights stay in
+word order, and the kernels read each half of them as complex pairs, words
+2j and 2j+1 as one value: pair sums 2j and 2j+1 of K c are the pair
+lo[j] * (w[2j], w[2j+1]) + hi[j] * (w[n/2+2j], w[n/2+2j+1]), with lo and hi
+the halves of c. A real times a complex value, (x+0i)(a+bi), is x*a + i x*b
+exactly for finite operands, so each product and sum is the one the step
+on all words makes.
 """
 
 from __future__ import annotations
@@ -56,6 +60,13 @@ ROOT_BRACKET = (1.0, 2.0)
 # have half as many words. Below it the thread handoff costs more than the
 # half it saves.
 SPLIT_MIN_WORDS = 1 << 18
+# The primal step works in blocks of at least this many complex pairs and
+# at most four per call, through one scratch of a block: an unblocked
+# product of the upper half would take twice the bytes of the step on real
+# halves, and a quarter of it leaves room for numpy's cast of the real
+# halves. Each split half then takes the interpreter lock back at most
+# twelve times per step.
+PAIR_BLOCK = 1 << 12
 # The Collatz-Wielandt check divides in chunks of this many words, which
 # stay in cache, instead of into an n-word ratio array.
 CW_CHUNK = 1 << 16
@@ -129,30 +140,35 @@ def _rescale(s: float, x: np.ndarray) -> float:
     return m
 
 
-def _pair_step(out, lo, hi, w0, w1, w2, w3) -> float:
-    """out[2j] = lo[j]*w0[j] + hi[j]*w2[j] and out[2j+1] = lo[j]*w1[j] +
-    hi[j]*w3[j]; returns the sum of ``out``. Allocates one temporary the
-    size of ``hi``: ``out`` has no word to spare for the second product."""
-    t = np.multiply(hi, w2)
-    even, odd = out[0::2], out[1::2]
-    np.multiply(lo, w0, out=even)
-    even += t
-    np.multiply(hi, w3, out=t)
-    np.multiply(lo, w1, out=odd)
-    odd += t
+def _pair_step(out, lo, hi, w_lo, w_hi) -> float:
+    """out[2j] = lo[j]*w_lo[2j] + hi[j]*w_hi[2j] and out[2j+1] =
+    lo[j]*w_lo[2j+1] + hi[j]*w_hi[2j+1], with ``out``, ``w_lo`` and ``w_hi``
+    read as complex pairs; returns the sum of ``out``. Works a block of
+    pairs at a time (``PAIR_BLOCK``) through one scratch of that size."""
+    oc, wl, wh = out.view(complex), w_lo.view(complex), w_hi.view(complex)
+    b = max(PAIR_BLOCK, -(-len(oc) // 4))
+    t = np.empty(min(len(oc), b), complex)
+    for i in range(0, len(oc), b):
+        o = oc[i:i + b]
+        s = t[:len(o)]
+        np.multiply(lo[i:i + b], wl[i:i + b], out=o)
+        np.multiply(hi[i:i + b], wh[i:i + b], out=s)
+        o += s
     return out.sum()
 
 
-def _dual_sums(out: np.ndarray, w: np.ndarray, even, odd) -> float:
-    """out[h] = even * w[h, 0] + odd * w[h, 1] for each half h of the
-    operator that ``out`` covers, with ``out`` read as ``(-1, q)`` and ``w``
-    as ``(-1, 2, q)``: the half's even words, then its odd ones. Returns the
-    sum of ``out``. Allocates one temporary the size of ``out``."""
-    q = len(even)
-    wq, o = w.reshape(-1, 2, q), out.reshape(-1, q)
-    t = np.multiply(odd, wq[:, 1])
-    np.multiply(even, wq[:, 0], out=o)
-    o += t
+def _dual_sums(out: np.ndarray, w: np.ndarray, mu: np.ndarray) -> float:
+    """out[i/2 + j] = mu[k+2j] * w[i+2j] + mu[k+2j+1] * w[i+2j+1] for each
+    run of ``len(out)`` weights from i, with k = i mod ``len(mu)``: ``w`` is
+    the operator's weights or one half of them, and on all pair sums each
+    run is one half. Returns the sum of ``out``. Allocates one temporary the
+    size of ``out``."""
+    k = len(out)
+    p = np.empty(k)
+    for i in range(0, len(w), k):
+        j = i % len(mu)
+        np.multiply(mu[j:j + k], w[i:i + k], out=p)
+        np.add(p[0::2], p[1::2], out=out[i // 2:(i + k) // 2])
     return out.sum()
 
 
@@ -250,26 +266,6 @@ def _gray_fold(x: np.ndarray, inverse: bool = False) -> None:
         upper[...] = upper[:, ::-1]
 
 
-def _quarter_order(x: np.ndarray, inverse: bool = False,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """``x`` with each of its halves reordered to the half's even words,
-    then its odd words, into ``out`` (a new array by default): word
-    a*n/2 + 2j + b goes to a*n/2 + b*n/4 + j. With ``inverse``, the inverse
-    permutation. On two words it is a copy."""
-    if out is None:
-        out = np.empty_like(x)
-    if len(x) < 4:
-        out[...] = x
-        return out
-    words = (out if inverse else x).reshape(2, -1, 2).transpose(0, 2, 1)
-    quarters = (x if inverse else out).reshape(2, 2, -1)
-    if inverse:
-        words[...] = quarters
-    else:
-        quarters[...] = words
-    return out
-
-
 def _endpoint_mean(x: np.ndarray, m: int) -> np.ndarray:
     """``(x[k] + x[k+1]) / 2`` for k < ``m``, with ``x[len(x)]`` read as
     ``x[0]``."""
@@ -302,6 +298,8 @@ def _log_abs_deriv(delta: complex, table: BoettcherTable,
     ``lev`` is this one's ``[::2^(level-lev)]``, bit for bit.
     """
     delta = table.require_delta(delta)
+    if level < 1:
+        raise ValueError(f"level {level} below 1")
     if level > table.level:
         raise LevelExceededError(
             f"level {level} exceeds table level {table.level}")
@@ -322,7 +320,7 @@ class TransferOperator:
 
     At real delta, from level 2 on, it is folded: its words are the
     2^(level-1) lower words in Gray order (see the module docstring), else
-    all 2^level words. ``weights`` lives on those words, in quarter order;
+    all 2^level words. ``weights`` lives on those words, in that order;
     ``apply``, ``apply_dual`` and the Perron vectors live in pair-sum space,
     half as many words. ``expand`` and ``conformal`` give vectors on the
     operator's words, and ``unfold`` the masses of all 2^level words.
@@ -347,7 +345,10 @@ class TransferOperator:
     def _set_log_deriv(self, delta: complex, level: int, ld: np.ndarray, *,
                        in_place: bool) -> None:
         """Forms ``log_deriv`` from ``ld`` (``_log_abs_deriv``): with
-        ``in_place`` in ``ld``'s buffer, else in a new array."""
+        ``in_place`` in ``ld``'s buffer, else in a new array. Keeping the
+        new array in place of ``ld``'s buffer raises the peak RSS of ``dim
+        --delta 0.05 --level 20`` by about 1 MB, though no more bytes are
+        live: the allocator places the level-20 solve's arrays otherwise."""
         self.delta, self.level = delta, level
         m = _operator_words(delta, level)
         # average over the word's two endpoint angles: keeps the weight
@@ -356,8 +357,10 @@ class TransferOperator:
         mean = _endpoint_mean(ld, m)
         if m < 1 << level:
             _gray_fold(mean)
-        # in the kernels' order, over the endpoint values
-        self.log_deriv = _quarter_order(mean, out=ld[:m] if in_place else None)
+        if in_place:
+            ld[:m] = mean
+            mean = ld[:m]
+        self.log_deriv = mean
 
     @property
     def size(self) -> int:
@@ -389,13 +392,12 @@ class TransferOperator:
         """The unit-sum Perron vector on the operator's words, W S^T mu up
         to scale, of the Perron vector ``mu`` of ``apply_dual`` at the
         weights ``w``: word k gets w[k] * mu[k mod n/2]."""
-        om = _quarter_order(w, inverse=True)
-        om.reshape(2, -1)[...] *= mu
+        om = (w.reshape(2, -1) * mu).ravel()
         om /= om.sum()
         return om
 
     def weights(self, tau: float) -> np.ndarray:
-        """The weights on the operator's words, in quarter order."""
+        """The weights on the operator's words."""
         w = np.empty(len(self.log_deriv))
         _halves(_neg_exp, (self.log_deriv, w), tau)
         return w
@@ -405,12 +407,12 @@ class TransferOperator:
         """K = S W D on pair sums, into ``out``; returns the sum of ``out``.
 
         With lo and hi the halves of ``c``, pair sum 2j collects lo[j] and
-        hi[j] weighted by the even words of the two halves of the operator,
-        and 2j+1 the same two weighted by the odd words: D K c = L D c.
-        ``out`` (contiguous, not aliasing ``c``) is written in place; the
-        one temporary is half its size (``_pair_step``). From ``SPLIT_MIN_WORDS`` weights on, on two CPUs, the
-        pool computes and sums the upper half of ``out`` while this thread
-        does the lower; the results are the same.
+        hi[j] weighted by the words 2j of the two halves of the operator,
+        and 2j+1 the same two weighted by the words 2j+1: D K c = L D c.
+        ``out`` (contiguous, not aliasing ``c``) is written in place, as
+        complex pairs through a scratch of one block (``_pair_step``). From ``SPLIT_MIN_WORDS`` weights on, on two CPUs,
+        the pool computes and sums the upper half of ``out`` while this
+        thread does the lower; the results are the same.
         """
         if out is None:
             out = np.empty_like(c)
@@ -418,7 +420,8 @@ class TransferOperator:
         if q == 0:              # one word, which is both its preimages
             out[0] = c[0] * w[0] + c[0] * w[1]
             return out[0]
-        return sum(_halves(_pair_step, (out, c[:q], c[q:], *w.reshape(4, q))))
+        return sum(_halves(_pair_step,
+                           (out, c[:q], c[q:], w[:2 * q], w[2 * q:])))
 
     def apply_dual(self, mu: np.ndarray, w: np.ndarray,
                    out: np.ndarray | None = None) -> float:
@@ -432,7 +435,7 @@ class TransferOperator:
         if len(mu) == 1:
             out[0] = mu[0] * w[0] + mu[0] * w[1]
             return out[0]
-        return sum(_halves(_dual_sums, (out, w), mu[0::2], mu[1::2]))
+        return sum(_halves(_dual_sums, (out, w), mu))
 
     def _perron(self, w: np.ndarray, u0: np.ndarray | None = None,
                 rtol: float = EIG_RTOL, *, dual: bool = False):
@@ -822,7 +825,7 @@ def equilibrium(delta: complex, tau: float, table: BoettcherTable,
     om = op.conformal(op._perron(w, dual=True)[1], w)
     mu = op.expand(h) * om
     mu /= mu.sum()
-    chi = float(np.sum(mu * _quarter_order(op.log_deriv, inverse=True)))
+    chi = float(np.sum(mu * op.log_deriv))
     return EquilibriumWeights(op.level, float(tau),
                               op.unfold(mu), op.unfold(om), chi)
 

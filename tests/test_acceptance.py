@@ -8,6 +8,7 @@ together with its first correction on a geometric eps-grid running from
 old pure-power slope on that window is printed as a diagnostic.
 """
 
+import cmath
 import math
 import time
 
@@ -18,7 +19,8 @@ from scipy.optimize import minimize_scalar
 from juliadim import checks
 from juliadim import quadrature as qd
 from juliadim.boettcher import build_table
-from juliadim.cli import RAY_GRID_RATIO, _fit_d0, _geometric_grid
+from juliadim.cli import (DEFAULT_RAY_T_END, DEFAULT_RAY_T_START,
+                          RAY_GRID_RATIO, _fit_d0, _geometric_grid)
 from juliadim.transfer import (TransferOperator, _bowen_root,
                                directional_derivative_formula, dprime_fd,
                                equilibrium, hausdorff_dim, pressure, ray_point)
@@ -251,3 +253,32 @@ def test_criterion_10_structure_suites():
             f"{len(results) - len(failures)}/{len(results)} checks passed, "
             f"{elapsed:.0f}s" + (f"; failures: {[f.name for f in failures]}"
                                  if failures else ""))
+
+
+def test_criterion_11_proven_edge():
+    """The derivative is negative at the edge of the proven half-plane.
+
+    The paper proves d' < 0 along every direction in the closed left
+    half-plane of eps, that is |alpha| <= pi/4 in delta; at alpha = +-pi/4
+    eps is imaginary. On ray's default grid the extrapolated derivative is
+    negative at levels 14 and 16, and conjugate symmetry gives -pi/4 the
+    values of pi/4. The margin printed is the smallest |d'| at level 16
+    over its spread between the two levels.
+    """
+    t0 = time.monotonic()
+    ts = _geometric_grid(DEFAULT_RAY_T_START, DEFAULT_RAY_T_END,
+                         RAY_GRID_RATIO)
+    dp = {(level, sign): [ray_point(t * cmath.exp(sign * 0.25j * math.pi),
+                                    level).dprime[1] for t in ts]
+          for level in (14, 16) for sign in (1, -1)}
+    negative = all(d < 0 for row in dp.values() for d in row)
+    mirror = max(abs(a - b) for level in (14, 16)
+                 for a, b in zip(dp[level, 1], dp[level, -1]))
+    margin = min(abs(b) / abs(b - a) for a, b in zip(dp[14, 1], dp[16, 1]))
+    elapsed = time.monotonic() - t0
+    _report(11, negative and mirror <= 1e-10 and elapsed < 300.0,
+            f"d' at alpha = pi/4 in [{min(dp[14, 1]):.4f}, "
+            f"{max(dp[14, 1]):.4f}] (L14), [{min(dp[16, 1]):.4f}, "
+            f"{max(dp[16, 1]):.4f}] (L16), all < 0 {negative}; "
+            f"|d'(pi/4) - d'(-pi/4)| <= {mirror:.1e}; smallest |d'| over "
+            f"its level spread {margin:.2f}; {elapsed:.0f}s")

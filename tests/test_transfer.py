@@ -122,6 +122,17 @@ def test_dimension_level_precondition():
         hausdorff_dim(0.5, 6)
 
 
+@pytest.mark.parametrize("delta", [0.3, 0.3 + 0.2j])
+@pytest.mark.parametrize("level", [0, -1])
+def test_operator_level_below_one_refused(delta, level):
+    # an operator has at least the two words of level 1
+    table = build_table(delta, 8)
+    with pytest.raises(ValueError, match=f"^level {level} below 1$"):
+        TransferOperator(delta, table, level)
+    with pytest.raises(ValueError, match=f"^level {level} below 1$"):
+        pressure(delta, 1.2, table, level=level)
+
+
 @pytest.mark.parametrize("delta", [0.3j, 0, 2.236])
 def test_dimension_outside_attracting_disk(delta):
     # outside B(1, 1), the parabolic point delta = 0 included
@@ -432,29 +443,6 @@ def _pair_apply_dual(mu, w):
     return t[0::2] + t[1::2]
 
 
-def _quarter_positions(n):
-    """Where the kernels keep the weight of each of ``n`` words: word
-    a*n/2 + 2j + b at a*n/2 + b*n/4 + j."""
-    k = np.arange(n)
-    if n < 4:
-        return k
-    h = n // 2
-    a, r = divmod(k, h)
-    return a * h + (r % 2) * (h // 2) + r // 2
-
-
-def _word_order(w):
-    """Weights in the kernels' quarter order, in word order."""
-    return w[_quarter_positions(len(w))]
-
-
-def _quartered(x):
-    """Weights in word order, in the kernels' quarter order."""
-    out = np.empty_like(x)
-    out[_quarter_positions(len(x))] = x
-    return out
-
-
 def _conformal(mu, w):
     """W S^T mu at unit sum, ``w`` in word order."""
     om = np.tile(mu, 2) * w
@@ -465,11 +453,11 @@ def _allocating_run(monkeypatch, fn, *args):
     """``fn(*args)`` with ``apply`` and ``apply_dual`` computed by the
     allocating formulas above and copied into ``out``."""
     def apply(self, u, w, out=None):
-        out[...] = _pair_apply(u, _word_order(w))
+        out[...] = _pair_apply(u, w)
         return out.sum()
 
     def apply_dual(self, om, w, out=None):
-        out[...] = _pair_apply_dual(om, _word_order(w))
+        out[...] = _pair_apply_dual(om, w)
         return out.sum()
     with monkeypatch.context() as m:
         m.setattr(TransferOperator, "apply", apply)
@@ -484,7 +472,6 @@ def _converged_perron(op, w, u0=None, dual=False):
     Collatz-Wielandt spread of a step is at most ``REF_SPREAD``; the
     eigenvalue is then that close."""
     step = _gather_apply_dual if dual else _repeat_apply
-    w = _word_order(w)
     n = len(w)
     u = np.full(n, 1.0 / n) if u0 is None else np.repeat(u0 / u0.sum(), 2) / 2
     for _ in range(20_000):
@@ -539,15 +526,14 @@ def test_kernels_bit_identical(table16, table13, level):
         assert op.size == n // 2
         rng = np.random.default_rng(level)
         u = rng.random(op.size)
-        w_words = rng.random(n)
-        w = _quartered(w_words)
+        w = rng.random(n)
         u_in, w_in = u.copy(), w.copy()
-        ref = _pair_apply(u, w_words)
+        ref = _pair_apply(u, w)
         assert op.apply(u, w) == ref.sum()
         out = np.full(op.size, np.nan)
         assert op.apply(u, w, out=out) == ref.sum()
         assert np.array_equal(out, ref)
-        ref_dual = _pair_apply_dual(u, w_words)
+        ref_dual = _pair_apply_dual(u, w)
         assert op.apply_dual(u, w) == ref_dual.sum()
         assert op.apply_dual(u, w, out=out) == ref_dual.sum()
         assert np.array_equal(out, ref_dual)
@@ -564,26 +550,44 @@ def test_pair_kernels_are_the_operator_on_expanded_vectors(p, seed):
     n = 1 << p
     c, mu, w = rng.random(n // 2), rng.random(n // 2), rng.random(n)
     out = np.empty(n // 2)
-    TransferOperator.apply(None, c, _quartered(w), out)
+    TransferOperator.apply(None, c, w, out)
     assert np.array_equal(np.repeat(out, 2),
                           _repeat_apply(np.repeat(c, 2), w))
-    TransferOperator.apply_dual(None, mu, _quartered(w), out)
+    TransferOperator.apply_dual(None, mu, w, out)
     assert np.array_equal(np.tile(out, 2) * w,
                           _gather_apply_dual(np.tile(mu, 2) * w, w))
 
 
-def test_quarter_order_is_the_index_form(table16):
+def test_expanded_vectors_are_the_index_form(table16):
+    # the Perron vectors on the operator's words, against the formulas
     for level in range(1, 11):
         op = TransferOperator(0.3 + 0.2j, table16, level)
         x = np.random.default_rng(level).random(len(op.log_deriv))
-        assert np.array_equal(transfer._quarter_order(x), _quartered(x))
-        assert np.array_equal(transfer._quarter_order(x, inverse=True),
-                              _word_order(x))
-        # the expanded Perron vectors, against the formulas
         c = x[:op.size] / x[:op.size].sum()
         assert np.array_equal(op.expand(c), np.repeat(c, 2) / 2)
-        assert np.allclose(op.conformal(c, x), _conformal(c, _word_order(x)),
+        assert np.allclose(op.conformal(c, x), _conformal(c, x),
                            rtol=1e-15, atol=0)
+
+
+def test_kernel_scratch_within_the_step_on_real_halves(table19_real):
+    # one apply and one apply_dual on a folded level-18 operator, 2^16 pair
+    # sums: the primal step's scratch (a block of 2^13 pairs, and numpy's
+    # cast of the real halves through its buffer) stays within the one
+    # temporary of half the pair sums that the step on real halves made,
+    # and the dual's within its one temporary of all pair sums. An
+    # unblocked complex product of the upper half takes twice that
+    op = TransferOperator(0.3, table19_real, 18)
+    assert op.size == 1 << 16
+    w = op.weights(1.1)
+    u, out = np.full(op.size, 1.0 / op.size), np.empty(op.size)
+    for step, floats in [(op.apply, op.size // 2), (op.apply_dual, op.size)]:
+        tracemalloc.start()
+        try:
+            step(u, w, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * floats + 4096, step.__name__
 
 
 def test_power_steps_bit_identical(table16):
@@ -591,14 +595,13 @@ def test_power_steps_bit_identical(table16):
     # of the old step on all words, whose iterate is the expanded one
     op = TransferOperator(0.3 + 0.2j, table16, 14)
     w = op.weights(1.1)
-    w_words = _word_order(w)
     m = op.size
     c_ref = np.full(m, 1.0 / m)
     c = np.full(m, 1.0 / m)
     u_old = np.full(2 * m, 1.0 / (2 * m))
     v = np.empty(m)
     for _ in range(50):
-        t = _pair_apply(c_ref, w_words)
+        t = _pair_apply(c_ref, w)
         s_ref = t.sum()
         lam_ref = s_ref / c_ref.sum()
         c_ref = t / s_ref
@@ -607,7 +610,7 @@ def test_power_steps_bit_identical(table16):
         np.divide(v, s, out=v)
         c, v = v, c
         assert lam == lam_ref
-        t = _repeat_apply(u_old, w_words)
+        t = _repeat_apply(u_old, w)
         assert abs(lam - t.sum() / u_old.sum()) <= 1e-14 * lam
         u_old = t / t.sum()
     assert np.array_equal(c, c_ref)
@@ -688,14 +691,14 @@ def test_folded_kernels_match_full_kernels_on_mirrored_vectors(p, seed):
         transfer._gray_fold(lower, inverse=True)
         return np.concatenate([lower, lower[::-1]])
     out = np.empty(len(c))
-    s = TransferOperator.apply(None, c, _quartered(w), out)
+    s = TransferOperator.apply(None, c, w, out)
     ref = _repeat_apply(mirrored(np.repeat(c, 2)), w_full)
     d_out = np.repeat(out, 2)
     assert np.all(np.abs(d_out - _folded(ref)) <= 1e-15 * d_out)
     assert abs(s - ref.sum() / 4.0) <= 1e-15 * s
     # K^T mu is D^T of the conformal vector W S^T mu on all words, and
     # L^T maps that vector to W S^T K^T mu
-    s = TransferOperator.apply_dual(None, mu, _quartered(w), out)
+    s = TransferOperator.apply_dual(None, mu, w, out)
     om = mirrored(np.tile(mu, 2) * w)
     ref = om[0::2] + om[1::2]
     assert np.all(np.abs(out - _folded(ref)) <= 1e-15 * out)
@@ -713,7 +716,7 @@ def test_real_delta_weights_are_mirror_symmetric_and_folded(delta, level):
     ld = _full_log_deriv(delta, table)
     assert np.array_equal(ld, ld[::-1])
     assert np.array_equal(TransferOperator(delta, table).log_deriv,
-                          _quartered(_folded(ld)))
+                          _folded(ld))
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.8])
@@ -770,6 +773,40 @@ def split(request, monkeypatch):
                             else float("inf"))
 
 
+@pytest.mark.parametrize("pairs", [transfer.PAIR_BLOCK - 1,
+                                   transfer.PAIR_BLOCK,
+                                   transfer.PAIR_BLOCK + 1,
+                                   4 * transfer.PAIR_BLOCK + 1])
+@pytest.mark.parametrize("mode", ["auto", "split", "unsplit"])
+def test_split_kernels_bit_identical_at_block_edges(monkeypatch, mode, pairs):
+    # each kernel call covers ``pairs`` complex pairs, so the primal step's
+    # last block is one pair short of full, full, or one pair, and past four
+    # full blocks each block grows by one pair and the last is short: as the
+    # CPU affinity decides, then forced either way; split, each half covers
+    # them.
+    # The sum returned is that of the output, or of its halves when split:
+    # they add up to the whole bit for bit only on power-of-two lengths
+    n = (4 if mode == "split" else 2) * pairs          # pair sums
+    if mode != "auto":
+        monkeypatch.setattr(transfer, "_SPLIT_FROM",
+                            n if mode == "split" else float("inf"))
+    split = n >= transfer._SPLIT_FROM
+    handoffs = _count_calls(monkeypatch, "submit", transfer._HALF_POOL)
+    rng = np.random.default_rng(pairs)
+    c, w = rng.random(n), rng.random(2 * n)
+    c_in, w_in = c.copy(), w.copy()
+    out = np.full(n, np.nan)
+    for kernel, formula in [(TransferOperator.apply, _pair_apply),
+                            (TransferOperator.apply_dual, _pair_apply_dual)]:
+        ref = formula(c, w)
+        total = ref[:n // 2].sum() + ref[n // 2:].sum() if split else ref.sum()
+        assert kernel(None, c, w, out) == total
+        assert np.array_equal(out, ref)
+        out[...] = np.nan
+    assert np.array_equal(c, c_in) and np.array_equal(w, w_in)
+    assert handoffs[0] == 2 * split
+
+
 def test_split_follows_cpu_affinity():
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("no CPU affinity on this platform")
@@ -798,12 +835,12 @@ def test_split_apply_bit_identical(op18):
     u = rng.random(op18.size)
     w = op18.weights(1.1)
     u_in = u.copy()
-    ref = _pair_apply(u, _word_order(w))
+    ref = _pair_apply(u, w)
     assert op18.apply(u, w) == ref.sum()
     out = np.full(op18.size, np.nan)
     assert op18.apply(u, w, out=out) == ref.sum()
     assert np.array_equal(out, ref)
-    ref_dual = _pair_apply_dual(u, _word_order(w))
+    ref_dual = _pair_apply_dual(u, w)
     assert op18.apply_dual(u, w, out=out) == ref_dual.sum()
     assert np.array_equal(out, ref_dual)
     assert np.array_equal(u, u_in)
@@ -815,7 +852,6 @@ def test_split_sums_bit_identical(op18, monkeypatch):
     # the old step's normalised one
     n = op18.size
     w = op18.weights(1.1)
-    w_words = _word_order(w)
     v = np.empty(n)
     for split_from in (SPLIT_PAIR_SUMS, float("inf")):
         monkeypatch.setattr(transfer, "_SPLIT_FROM", split_from)
@@ -823,13 +859,13 @@ def test_split_sums_bit_identical(op18, monkeypatch):
         u_old = u.copy()
         for _ in range(3):
             s = op18.apply(u, w, v)
-            u = _pair_apply(u, w_words)
+            u = _pair_apply(u, w)
             assert np.array_equal(v, u) and s == u.sum()
-            t = _pair_apply(u_old, w_words)
+            t = _pair_apply(u_old, w)
             u_old = t / t.sum()
             assert np.all(np.abs(u / s - u_old) <= 1e-12 * u_old)
         assert (op18.apply_dual(u, w, v)
-                == _pair_apply_dual(u, w_words).sum())
+                == _pair_apply_dual(u, w).sum())
 
 
 def _unsplit_run(monkeypatch, fn, *args):
@@ -1129,7 +1165,7 @@ def test_perron_aitken_matches_dense_eigenvalue(delta, tau, monkeypatch,
                                                 applications):
     op = TransferOperator(delta, build_table(delta, 10))
     w = op.weights(tau)
-    a = _dense(_word_order(w))
+    a = _dense(w)
     ev = np.linalg.eigvals(a)
     lam_dense = ev[np.argmax(ev.real)].real
     lam, u = op._perron(w)

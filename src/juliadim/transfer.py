@@ -61,11 +61,9 @@ ROOT_BRACKET = (1.0, 2.0)
 # half it saves.
 SPLIT_MIN_WORDS = 1 << 18
 # The primal step works in blocks of at least this many complex pairs and
-# at most four per call, through one scratch of a block: an unblocked
-# product of the upper half would take twice the bytes of the step on real
-# halves, and a quarter of it leaves room for numpy's cast of the real
-# halves. Each split half then takes the interpreter lock back at most
-# twelve times per step.
+# at most four per call, through one scratch of a block: within the
+# temporary of the step on real halves, yet few ufunc calls, each of which
+# hands the interpreter lock between the halves of a split step.
 PAIR_BLOCK = 1 << 12
 # The Collatz-Wielandt check divides in chunks of this many words, which
 # stay in cache, instead of into an n-word ratio array.
@@ -143,8 +141,8 @@ def _rescale(s: float, x: np.ndarray) -> float:
 def _pair_step(out, lo, hi, w_lo, w_hi) -> float:
     """out[2j] = lo[j]*w_lo[2j] + hi[j]*w_hi[2j] and out[2j+1] =
     lo[j]*w_lo[2j+1] + hi[j]*w_hi[2j+1], with ``out``, ``w_lo`` and ``w_hi``
-    read as complex pairs; returns the sum of ``out``. Works a block of
-    pairs at a time (``PAIR_BLOCK``) through one scratch of that size."""
+    read as complex pairs; returns the sum of ``out``. Works in blocks of
+    at least ``PAIR_BLOCK`` pairs, at most four, through one scratch."""
     oc, wl, wh = out.view(complex), w_lo.view(complex), w_hi.view(complex)
     b = max(PAIR_BLOCK, -(-len(oc) // 4))
     t = np.empty(min(len(oc), b), complex)
@@ -345,10 +343,7 @@ class TransferOperator:
     def _set_log_deriv(self, delta: complex, level: int, ld: np.ndarray, *,
                        in_place: bool) -> None:
         """Forms ``log_deriv`` from ``ld`` (``_log_abs_deriv``): with
-        ``in_place`` in ``ld``'s buffer, else in a new array. Keeping the
-        new array in place of ``ld``'s buffer raises the peak RSS of ``dim
-        --delta 0.05 --level 20`` by about 1 MB, though no more bytes are
-        live: the allocator places the level-20 solve's arrays otherwise."""
+        ``in_place`` in ``ld``'s buffer, else in a new array."""
         self.delta, self.level = delta, level
         m = _operator_words(delta, level)
         # average over the word's two endpoint angles: keeps the weight
@@ -357,9 +352,8 @@ class TransferOperator:
         mean = _endpoint_mean(ld, m)
         if m < 1 << level:
             _gray_fold(mean)
-        if in_place:
-            ld[:m] = mean
-            mean = ld[:m]
+        if in_place:            # copy into ld, then keep ld's view
+            ld[:m], mean = mean, ld[:m]
         self.log_deriv = mean
 
     @property

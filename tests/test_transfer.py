@@ -571,23 +571,26 @@ def test_expanded_vectors_are_the_index_form(table16):
 
 def test_kernel_scratch_within_the_step_on_real_halves(table19_real):
     # one apply and one apply_dual on a folded level-18 operator, 2^16 pair
-    # sums: the primal step's scratch (a block of 2^13 pairs, and numpy's
-    # cast of the real halves through its buffer) stays within the one
-    # temporary of half the pair sums that the step on real halves made,
-    # and the dual's within its one temporary of all pair sums. An
-    # unblocked complex product of the upper half takes twice that
+    # sums. The primal step allocates one block of complex pairs, a quarter
+    # of the 2^15 pairs, and numpy casts the real halves to complex through
+    # a buffer of at most getbufsize() values: 256 KiB at numpy's default,
+    # the temporary of half the pair sums that the step on real halves
+    # made. An unblocked complex product of the upper half takes 512 KiB of
+    # its own. The dual allocates its one temporary of all pair sums
     op = TransferOperator(0.3, table19_real, 18)
     assert op.size == 1 << 16
     w = op.weights(1.1)
     u, out = np.full(op.size, 1.0 / op.size), np.empty(op.size)
-    for step, floats in [(op.apply, op.size // 2), (op.apply_dual, op.size)]:
+    block = max(transfer.PAIR_BLOCK, op.size // 8)
+    for step, scratch in [(op.apply, 16 * (block + np.getbufsize())),
+                          (op.apply_dual, 8 * op.size)]:
         tracemalloc.start()
         try:
             step(u, w, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * floats + 4096, step.__name__
+        assert peak <= scratch + 4096, step.__name__
 
 
 def test_power_steps_bit_identical(table16):
@@ -777,20 +780,16 @@ def split(request, monkeypatch):
                                    transfer.PAIR_BLOCK,
                                    transfer.PAIR_BLOCK + 1,
                                    4 * transfer.PAIR_BLOCK + 1])
-@pytest.mark.parametrize("mode", ["auto", "split", "unsplit"])
-def test_split_kernels_bit_identical_at_block_edges(monkeypatch, mode, pairs):
+@pytest.mark.parametrize("split", [True, False], ids=["split", "unsplit"])
+def test_split_kernels_bit_identical_at_block_edges(monkeypatch, split, pairs):
     # each kernel call covers ``pairs`` complex pairs, so the primal step's
     # last block is one pair short of full, full, or one pair, and past four
-    # full blocks each block grows by one pair and the last is short: as the
-    # CPU affinity decides, then forced either way; split, each half covers
-    # them.
+    # full blocks each block grows by one pair and the last is short; split,
+    # each half covers them.
     # The sum returned is that of the output, or of its halves when split:
     # they add up to the whole bit for bit only on power-of-two lengths
-    n = (4 if mode == "split" else 2) * pairs          # pair sums
-    if mode != "auto":
-        monkeypatch.setattr(transfer, "_SPLIT_FROM",
-                            n if mode == "split" else float("inf"))
-    split = n >= transfer._SPLIT_FROM
+    n = (4 if split else 2) * pairs          # pair sums
+    monkeypatch.setattr(transfer, "_SPLIT_FROM", n if split else float("inf"))
     handoffs = _count_calls(monkeypatch, "submit", transfer._HALF_POOL)
     rng = np.random.default_rng(pairs)
     c, w = rng.random(n), rng.random(2 * n)

@@ -138,36 +138,45 @@ def _rescale(s: float, x: np.ndarray) -> float:
     return m
 
 
-def _pair_step(out, lo, hi, w_lo, w_hi) -> float:
-    """out[2j] = lo[j]*w_lo[2j] + hi[j]*w_hi[2j] and out[2j+1] =
-    lo[j]*w_lo[2j+1] + hi[j]*w_hi[2j+1], with ``out``, ``w_lo`` and ``w_hi``
-    read as complex pairs; returns the sum of ``out``. Works in blocks of
-    at least ``PAIR_BLOCK`` pairs, at most four, through one scratch."""
-    oc, wl, wh = out.view(complex), w_lo.view(complex), w_hi.view(complex)
+def _pair_step(out, oc, lo, hi, wl, wh) -> float:
+    """oc[j] = lo[j] * wl[j] + hi[j] * wh[j], with ``oc`` the complex-pair
+    view of ``out`` and ``wl``, ``wh`` those of two runs of weights w_lo,
+    w_hi: out[2j] = lo[j]*w_lo[2j] + hi[j]*w_hi[2j] and out[2j+1] =
+    lo[j]*w_lo[2j+1] + hi[j]*w_hi[2j+1]. Returns the sum of ``out``. Works
+    in blocks of at least ``PAIR_BLOCK`` pairs, at most four, through one
+    scratch; one block is just its three ufunc calls."""
+    if len(oc) <= PAIR_BLOCK:
+        t = np.empty(len(oc), complex)
+        np.multiply(lo, wl, oc)
+        np.multiply(hi, wh, t)
+        oc += t
+        return float(np.add.reduce(out))
     b = max(PAIR_BLOCK, -(-len(oc) // 4))
-    t = np.empty(min(len(oc), b), complex)
+    t = np.empty(b, complex)
     for i in range(0, len(oc), b):
         o = oc[i:i + b]
         s = t[:len(o)]
-        np.multiply(lo[i:i + b], wl[i:i + b], out=o)
-        np.multiply(hi[i:i + b], wh[i:i + b], out=s)
+        np.multiply(lo[i:i + b], wl[i:i + b], o)
+        np.multiply(hi[i:i + b], wh[i:i + b], s)
         o += s
-    return out.sum()
+    return float(np.add.reduce(out))
 
 
 def _dual_sums(out: np.ndarray, w: np.ndarray, mu: np.ndarray) -> float:
     """out[i/2 + j] = mu[k+2j] * w[i+2j] + mu[k+2j+1] * w[i+2j+1] for each
-    run of ``len(out)`` weights from i, with k = i mod ``len(mu)``: ``w`` is
-    the operator's weights or one half of them, and on all pair sums each
-    run is one half. Returns the sum of ``out``. Allocates one temporary the
-    size of ``out``."""
+    of the two runs of ``len(out)`` weights, from i = 0 and i = len(out),
+    with k = i mod ``len(mu)``: ``w`` is the operator's weights or one half
+    of them, and on all pair sums each run is one half. Returns the sum of
+    ``out``. Allocates one temporary the size of ``out``."""
     k = len(out)
     p = np.empty(k)
-    for i in range(0, len(w), k):
-        j = i % len(mu)
-        np.multiply(mu[j:j + k], w[i:i + k], out=p)
-        np.add(p[0::2], p[1::2], out=out[i // 2:(i + k) // 2])
-    return out.sum()
+    even, odd = p[0::2], p[1::2]
+    np.multiply(mu[:k], w[:k], p)
+    np.add(even, odd, out[:k // 2])
+    j = k % len(mu)
+    np.multiply(mu[j:j + k], w[k:], p)
+    np.add(even, odd, out[k // 2:])
+    return float(np.add.reduce(out))
 
 
 def _divide(x: np.ndarray, s: float) -> None:
@@ -214,18 +223,20 @@ def _ratio_range(u: np.ndarray, v: np.ndarray) -> tuple:
     lo, i_lo, hi, i_hi = math.inf, 0, 0.0, 0
     for i in range(0, len(v), CW_CHUNK):
         vc = v[i:i + CW_CHUNK]
-        if not vc.min() > 0.0:
+        if not np.minimum.reduce(vc) > 0.0:
             return 0.0, 0, math.inf, 0
         ratio = buf[:len(vc)]
-        np.divide(u[i:i + CW_CHUNK], vc, out=ratio)
+        np.divide(u[i:i + CW_CHUNK], vc, ratio)
         j = int(ratio.argmin())
-        if not ratio[j] > 0.0:
+        r = ratio.item(j)
+        if not r > 0.0:
             return 0.0, 0, math.inf, 0
-        if ratio[j] < lo:
-            lo, i_lo = float(ratio[j]), i + j
+        if r < lo:
+            lo, i_lo = r, i + j
         j = int(ratio.argmax())
-        if ratio[j] > hi:
-            hi, i_hi = float(ratio[j]), i + j
+        r = ratio.item(j)
+        if r > hi:
+            hi, i_hi = r, i + j
     return lo, i_lo, hi, i_hi
 
 
@@ -238,12 +249,16 @@ def _cw_spread(u: np.ndarray, v: np.ndarray, q: float):
     ``[min, max]`` of ``(L v)/v``, so the spread bounds the relative error
     of that ratio. ``(inf, None)`` unless ``v`` is positive and ``u/v``
     positive and finite."""
-    # the upper half numbers its words from len(v) // 2
-    ranges = [(lo, i_lo + k, hi, i_hi + k) for (lo, i_lo, hi, i_hi), k
-              in zip(_halves(_ratio_range, (u, v)), (0, len(v) // 2))]
-    # min and max return the first extreme, so the lower half wins ties
-    lo, i_lo = min((r[:2] for r in ranges), key=lambda r: r[0])
-    hi, i_hi = max((r[2:] for r in ranges), key=lambda r: r[0])
+    ranges = _halves(_ratio_range, (u, v))
+    lo, i_lo, hi, i_hi = ranges[0]
+    if len(ranges) == 2:
+        # the upper half numbers its words from len(v) // 2, and the lower
+        # half wins ties
+        lo_u, i_lo_u, hi_u, i_hi_u = ranges[1]
+        if lo_u < lo:
+            lo, i_lo = lo_u, i_lo_u + len(v) // 2
+        if hi_u > hi:
+            hi, i_hi = hi_u, i_hi_u + len(v) // 2
     if not (lo > 0.0 and hi < math.inf):
         return math.inf, None
     if q - lo > hi - q or (q - lo == hi - q and i_lo < i_hi):
@@ -404,18 +419,21 @@ class TransferOperator:
         hi[j] weighted by the words 2j of the two halves of the operator,
         and 2j+1 the same two weighted by the words 2j+1: D K c = L D c.
         ``out`` (contiguous, not aliasing ``c``) is written in place, as
-        complex pairs through a scratch of one block (``_pair_step``). From ``SPLIT_MIN_WORDS`` weights on, on two CPUs,
-        the pool computes and sums the upper half of ``out`` while this
-        thread does the lower; the results are the same.
+        complex pairs (``_pair_step``). From ``SPLIT_MIN_WORDS`` weights
+        on, on two CPUs, the pool computes and sums the upper half of
+        ``out`` while this thread does the lower; the results are the same.
         """
         if out is None:
             out = np.empty_like(c)
         q = len(c) // 2
         if q == 0:              # one word, which is both its preimages
             out[0] = c[0] * w[0] + c[0] * w[1]
-            return out[0]
-        return sum(_halves(_pair_step,
-                           (out, c[:q], c[q:], w[:2 * q], w[2 * q:])))
+            return float(out[0])
+        wc = w.view(complex)
+        args = (out, out.view(complex), c[:q], c[q:], wc[:q], wc[q:])
+        if len(c) < _SPLIT_FROM:
+            return _pair_step(*args)
+        return sum(_halves(_pair_step, args))
 
     def apply_dual(self, mu: np.ndarray, w: np.ndarray,
                    out: np.ndarray | None = None) -> float:
@@ -428,7 +446,9 @@ class TransferOperator:
             out = np.empty_like(mu)
         if len(mu) == 1:
             out[0] = mu[0] * w[0] + mu[0] * w[1]
-            return out[0]
+            return float(out[0])
+        if len(mu) < _SPLIT_FROM:
+            return _dual_sums(out, w, mu)
         return sum(_halves(_dual_sums, (out, w), mu))
 
     def _perron(self, w: np.ndarray, u0: np.ndarray | None = None,
@@ -446,12 +466,15 @@ class TransferOperator:
         eigenvalue error. After a failed check the next one waits until the
         ratio estimate predicts the spread has shrunk to ``rtol``.
 
-        Each step is one apply, which returns the sum of its output: the
-        iterate, ``size`` pair sums, stays unnormalised, the eigenvalue is
-        the ratio of its successive sums, and it is rescaled by an exact
-        power of two only when its sum leaves the ``RESCALE_WINDOW``. From
-        ``_SPLIT_FROM`` pair sums on every full-length pass runs in halves on
-        two threads (``_halves``), with bit-identical results.
+        Each step is one apply, which returns the sum of its output as a
+        Python float, so the loop's scalar arithmetic stays off numpy
+        scalars: the iterate, ``size`` pair sums, stays unnormalised, the
+        eigenvalue is the ratio of its successive sums, and it is rescaled
+        by an exact power of two only when its sum leaves the
+        ``RESCALE_WINDOW``. Below ``_SPLIT_FROM`` pair sums a step is its
+        ufunc calls and a few views: no ``_halves``, and no block loop for
+        one block. From ``_SPLIT_FROM`` on every full-length pass runs in
+        halves on two threads (``_halves``), with bit-identical results.
 
         When two estimates of the ratio agree, sign included, the last
         step's change lies along one mode and is multiplied by the ratio per
@@ -476,7 +499,7 @@ class TransferOperator:
         lo = 1.0 / hi
         # u is the iterate before the step and s_old its sum
         u = np.full(n, 1.0 / n) if u0 is None else u0
-        s_old = sum(_halves(np.ndarray.sum, (u,)))
+        s_old = float(sum(_halves(np.add.reduce, (u,))))
         v = np.empty(n)
         lam_old = None
         d_old = None            # the previous eigenvalue change, signed
@@ -533,7 +556,8 @@ class TransferOperator:
                 word = None
             rho_w_old = rho_w
             if mode is not None:
-                s_old = sum(_halves(_aitken_pass, (u, v), s, s_old, mode))
+                s_old = float(sum(_halves(_aitken_pass, (u, v), s, s_old,
+                                          mode)))
                 lam_old = d_old = rho_old = e_old = rho_w_old = None
                 spread = 0.0
                 continue
@@ -757,10 +781,18 @@ def hausdorff_dim(delta: complex, level: int, tol: float = PRESSURE_TOL,
     is called after each root with the unit-sum Perron vector ``h`` there,
     the pair sums of that level's operator, which is dropped after the
     call. Raises ValueError for delta outside B(1, 1), where -delta is not
-    attracting (delta = 0 included).
+    attracting (delta = 0 included), for ``tol`` outside (0,
+    ``PRESSURE_TOL``], and for a ``step`` below 1 or whose coarsest level
+    ``level - 2*step`` is below 1.
     """
     if level < 8:
         raise ValueError("level must be >= 8")
+    # a looser tol would accept a tau whose pressure is far from 0
+    if not 0 < tol <= PRESSURE_TOL:
+        raise ValueError(f"tol {tol!r} outside (0, {PRESSURE_TOL:g}]")
+    if not (step >= 1 and level - 2 * step >= 1):
+        raise ValueError(f"step {step!r} outside 1..{(level - 1) // 2} at "
+                         f"level {level}")
     delta = complex(delta)
     check_disk([delta])
     if table is None or table.level < level:

@@ -140,6 +140,23 @@ def test_dimension_outside_attracting_disk(delta):
         hausdorff_dim(delta, 10)
 
 
+@pytest.mark.parametrize("tol", [1.0, -1.0, math.nan])
+def test_dimension_tolerance_outside_its_range_refused(tol):
+    # tol 1 accepted tau = 1 at delta 0.3, whose pressure is 0.027 (the
+    # root is 1.0428); no bracket meets a tol <= 0 or nan
+    with pytest.raises(ValueError, match=f"^tol {tol!r} outside "):
+        hausdorff_dim(0.3, 10, tol=tol)
+
+
+@pytest.mark.parametrize("step", [0, 5, -1])
+def test_dimension_step_outside_its_range_refused(step):
+    # step 0 solved one level three times, with error bound 0; the
+    # coarsest level of step 5 at level 10 is 0, an operator of no words
+    with pytest.raises(ValueError, match=f"^step {step} outside 1..4 at "
+                                         "level 10$"):
+        hausdorff_dim(0.3, 10, step=step)
+
+
 @pytest.mark.parametrize("step, levels", [(1, (12, 13, 14)), (2, (10, 12, 14))])
 def test_dimension_roots_are_level_roots(step, levels):
     # one table, one root per stencil level, bit for bit; step 2 is the scans'
@@ -451,18 +468,31 @@ def _conformal(mu, w):
 
 def _allocating_run(monkeypatch, fn, *args):
     """``fn(*args)`` with ``apply`` and ``apply_dual`` computed by the
-    allocating formulas above and copied into ``out``."""
+    allocating formulas above and copied into ``out``, and the module's
+    kernels refused: ``(fn's result, (apply calls, apply_dual calls))``,
+    after asserting that the formulas ran."""
+    calls = [0, 0]
+
     def apply(self, u, w, out=None):
+        calls[0] += 1
         out[...] = _pair_apply(u, w)
         return out.sum()
 
     def apply_dual(self, om, w, out=None):
+        calls[1] += 1
         out[...] = _pair_apply_dual(om, w)
         return out.sum()
+
+    def kernel(*args):
+        raise AssertionError("a kernel ran outside apply and apply_dual")
     with monkeypatch.context() as m:
         m.setattr(TransferOperator, "apply", apply)
         m.setattr(TransferOperator, "apply_dual", apply_dual)
-        return fn(*args)
+        m.setattr(transfer, "_pair_step", kernel)
+        m.setattr(transfer, "_dual_sums", kernel)
+        result = fn(*args)
+    assert sum(calls) > 0
+    return result, tuple(calls)
 
 
 def _converged_perron(op, w, u0=None, dual=False):
@@ -620,29 +650,46 @@ def test_power_steps_bit_identical(table16):
     assert np.all(np.abs(op.expand(c) - u_old) <= 1e-13 * u_old)
 
 
-def test_perron_and_equilibrium_bit_identical(table16, monkeypatch):
-    # bit for bit against the loops run with the allocating kernels, and
-    # within tolerance of the converged reference on all words
-    op = TransferOperator(0.3 + 0.2j, table16, 12)
-    w = op.weights(1.2)
-    lam, u = op._perron(w)
-    lam_a, u_a = _allocating_run(monkeypatch, op._perron, w)
-    assert lam == lam_a and np.array_equal(u, u_a)
-    lam_ref, u_ref = _converged_perron(op, w)
-    _assert_close_to_ref([op.expand(u)], [u_ref], lam, lam_ref)
-    # warm start: same result, iterated in the start vector itself
-    w2 = op.weights(1.25)
-    u0 = u.copy()
-    lam, u2 = op._perron(w2, u)
-    lam_a, u_a = _allocating_run(monkeypatch, op._perron, w2, u0.copy())
-    assert lam == lam_a and np.array_equal(u2, u_a)
-    lam_ref, u_ref = _converged_perron(op, w2, u0)
-    _assert_close_to_ref([op.expand(u2)], [u_ref], lam, lam_ref)
-    assert u2 is u or not np.array_equal(u, u0)
-    eq = equilibrium(0.3 + 0.2j, 1.2, table16, 12)
-    eq_a = _allocating_run(monkeypatch, equilibrium, 0.3 + 0.2j, 1.2, table16, 12)
-    assert np.array_equal(eq.mu, eq_a.mu) and np.array_equal(eq.omega, eq_a.omega)
-    _assert_close_to_ref([eq.mu, eq.omega], _converged_equilibrium(op, 1.2))
+def test_perron_and_equilibrium_bit_identical(table16, table13, monkeypatch):
+    # bit for bit against the loops run with the allocating kernels, one
+    # formula call per step of the loop itself, and within tolerance of the
+    # converged reference on all words: complex level 12 (2^10 pairs, one
+    # block of the primal step), folded real level 13 and complex level 15
+    # (2^13 pairs, two blocks)
+    primal = _count_calls(monkeypatch, "apply", TransferOperator)
+    dual = _count_calls(monkeypatch, "apply_dual", TransferOperator)
+    for delta, table, level in [(0.3 + 0.2j, table16, 12), (0.3, table13, 13),
+                                (0.3 + 0.2j, table16, 15)]:
+        op = TransferOperator(delta, table, level)
+        w = op.weights(1.2)
+        primal[0] = 0
+        lam, u = op._perron(w)
+        (lam_a, u_a), calls = _allocating_run(monkeypatch, op._perron, w)
+        assert lam == lam_a and np.array_equal(u, u_a)
+        assert calls == (primal[0], 0)
+        lam_ref, u_ref = _converged_perron(op, w)
+        _assert_close_to_ref([op.expand(u)], [u_ref], lam, lam_ref)
+        # warm start: same result, iterated in the start vector itself
+        w2 = op.weights(1.25)
+        u0 = u.copy()
+        primal[0] = 0
+        lam, u2 = op._perron(w2, u)
+        (lam_a, u_a), calls = _allocating_run(monkeypatch, op._perron, w2,
+                                              u0.copy())
+        assert lam == lam_a and np.array_equal(u2, u_a)
+        assert calls == (primal[0], 0)
+        lam_ref, u_ref = _converged_perron(op, w2, u0)
+        _assert_close_to_ref([op.expand(u2)], [u_ref], lam, lam_ref)
+        assert u2 is u or not np.array_equal(u, u0)
+        primal[0] = dual[0] = 0
+        eq = equilibrium(delta, 1.2, table, level)
+        eq_a, calls = _allocating_run(monkeypatch, equilibrium, delta, 1.2,
+                                      table, level)
+        assert (np.array_equal(eq.mu, eq_a.mu) and
+                np.array_equal(eq.omega, eq_a.omega))
+        assert calls == (primal[0], dual[0]) and min(calls) > 0
+        _assert_close_to_ref([eq.mu, eq.omega],
+                             map(op.unfold, _converged_equilibrium(op, 1.2)))
 
 
 # ---------------------------------------------------------------------------
@@ -940,28 +987,56 @@ def _count_calls(monkeypatch, name, owner=transfer):
     return count
 
 
+def _one_apply_per_step(monkeypatch, op, dual):
+    """Runs five power steps of ``op``, primal or dual, and the pair the
+    loop reports after them: each is one call of ``apply`` (``apply_dual``)
+    on the calling thread, which runs the kernel once, or once per half
+    with one handoff to the worker thread when split, and no kernel runs
+    outside those calls."""
+    handoffs = _count_calls(monkeypatch, "submit", transfer._HALF_POOL)
+    name, kernel_name = (("apply_dual", "_dual_sums") if dual
+                         else ("apply", "_pair_step"))
+    kernel = getattr(transfer, kernel_name)
+    kernels = []            # list.append is atomic across the two threads
+
+    def counted_kernel(*args):
+        kernels.append(threading.current_thread())
+        return kernel(*args)
+    monkeypatch.setattr(transfer, kernel_name, counted_kernel)
+    per_step = []
+    step = getattr(TransferOperator, name)
+
+    def counted(self, u, w, out=None):
+        assert threading.current_thread() is threading.main_thread()
+        before = handoffs[0], len(kernels)
+        s = step(self, u, w, out)
+        per_step.append((handoffs[0] - before[0], len(kernels) - before[1]))
+        return s
+    monkeypatch.setattr(TransferOperator, name, counted)
+    monkeypatch.setattr(transfer, "EIG_MAXIT", 5)
+    with pytest.raises(NoConvergenceError):
+        op._perron(op.weights(1.1), dual=dual)
+    split = op.size >= transfer._SPLIT_FROM
+    assert per_step == [(int(split), 1 + split)] * (5 + 1)
+    assert len(kernels) == 6 * (1 + split)
+
+
 @pytest.mark.usefixtures("split")
 @pytest.mark.parametrize("dual", [False, True])
 def test_split_step_is_one_apply_one_handoff(op18, monkeypatch, dual):
     # each power step calls apply once, on the calling thread, and hands
     # work to the worker thread once when split, for the step and its sum
-    handoffs = _count_calls(monkeypatch, "submit", transfer._HALF_POOL)
-    per_step = []
-    name = "apply_dual" if dual else "apply"
-    step = getattr(TransferOperator, name)
+    _one_apply_per_step(monkeypatch, op18, dual)
 
-    def counted(self, u, w, out=None):
-        assert threading.current_thread() is threading.main_thread()
-        before = handoffs[0]
-        s = step(self, u, w, out)
-        per_step.append(handoffs[0] - before)
-        return s
-    monkeypatch.setattr(TransferOperator, name, counted)
-    monkeypatch.setattr(transfer, "EIG_MAXIT", 5)
-    with pytest.raises(NoConvergenceError):
-        op18._perron(op18.weights(1.1), dual=dual)
-    split = op18.size >= transfer._SPLIT_FROM
-    assert per_step == [int(split)] * (5 + 1)   # and the pair reported
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("level", [12, 15])
+def test_step_is_one_apply_in_one_block_and_in_two(table18, monkeypatch,
+                                                   level, dual):
+    # complex level 12: 2^10 pairs, one block of the primal step; level 15:
+    # 2^13 pairs, two blocks
+    _one_apply_per_step(monkeypatch, TransferOperator(DELTA18, table18, level),
+                        dual)
 
 
 def _cw_spread_one_thread(u, v, q=1.0):

@@ -249,16 +249,12 @@ def _cw_spread(u: np.ndarray, v: np.ndarray, q: float):
     ``[min, max]`` of ``(L v)/v``, so the spread bounds the relative error
     of that ratio. ``(inf, None)`` unless ``v`` is positive and ``u/v``
     positive and finite."""
-    ranges = _halves(_ratio_range, (u, v))
-    lo, i_lo, hi, i_hi = ranges[0]
-    if len(ranges) == 2:
-        # the upper half numbers its words from len(v) // 2, and the lower
-        # half wins ties
-        lo_u, i_lo_u, hi_u, i_hi_u = ranges[1]
-        if lo_u < lo:
-            lo, i_lo = lo_u, i_lo_u + len(v) // 2
-        if hi_u > hi:
-            hi, i_hi = hi_u, i_hi_u + len(v) // 2
+    # the upper half numbers its words from len(v) // 2
+    ranges = [(lo, i_lo + k, hi, i_hi + k) for (lo, i_lo, hi, i_hi), k
+              in zip(_halves(_ratio_range, (u, v)), (0, len(v) // 2))]
+    # min and max return the first extreme, so the lower half wins ties
+    lo, i_lo = min((r[:2] for r in ranges), key=lambda r: r[0])
+    hi, i_hi = max((r[2:] for r in ranges), key=lambda r: r[0])
     if not (lo > 0.0 and hi < math.inf):
         return math.inf, None
     if q - lo > hi - q or (q - lo == hi - q and i_lo < i_hi):
@@ -431,8 +427,6 @@ class TransferOperator:
             return float(out[0])
         wc = w.view(complex)
         args = (out, out.view(complex), c[:q], c[q:], wc[:q], wc[q:])
-        if len(c) < _SPLIT_FROM:
-            return _pair_step(*args)
         return sum(_halves(_pair_step, args))
 
     def apply_dual(self, mu: np.ndarray, w: np.ndarray,
@@ -447,8 +441,6 @@ class TransferOperator:
         if len(mu) == 1:
             out[0] = mu[0] * w[0] + mu[0] * w[1]
             return float(out[0])
-        if len(mu) < _SPLIT_FROM:
-            return _dual_sums(out, w, mu)
         return sum(_halves(_dual_sums, (out, w), mu))
 
     def _perron(self, w: np.ndarray, u0: np.ndarray | None = None,
@@ -471,10 +463,10 @@ class TransferOperator:
         scalars: the iterate, ``size`` pair sums, stays unnormalised, the
         eigenvalue is the ratio of its successive sums, and it is rescaled
         by an exact power of two only when its sum leaves the
-        ``RESCALE_WINDOW``. Below ``_SPLIT_FROM`` pair sums a step is its
-        ufunc calls and a few views: no ``_halves``, and no block loop for
-        one block. From ``_SPLIT_FROM`` on every full-length pass runs in
-        halves on two threads (``_halves``), with bit-identical results.
+        ``RESCALE_WINDOW``. Up to one block a primal step is its ufunc
+        calls and a few views, with no block loop. From ``_SPLIT_FROM`` on
+        every full-length pass runs in halves on two threads (``_halves``),
+        with bit-identical results.
 
         When two estimates of the ratio agree, sign included, the last
         step's change lies along one mode and is multiplied by the ratio per
